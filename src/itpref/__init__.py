@@ -76,7 +76,6 @@ from .recovery import (
     RecoveryError,
     RecoveryResult,
     UniquenessResult,
-    cce_from_oracle,
     check_relative_uniqueness,
     recover_representation,
     recover_step0,

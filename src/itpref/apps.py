@@ -219,9 +219,7 @@ def run_dpp(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> AppResult:
     for name, path in st.members:
         terminal = spec.acts[path[-1]]
         prof = expected_utility_profile(rep, t, horizon, terminal)
-        profiles[name] = tuple(
-            float(prof.values[space.atom_members(t, k)[0]]) for k in range(atom_count)
-        )
+        profiles[name] = tuple(float(v) for v in prof.atom_values())
     v = tuple(max(profiles[n][k] for n, _ in st.members) for k in range(atom_count))
     argmax = tuple(
         next(n for n, _ in st.members if profiles[n][k] == v[k])
@@ -356,21 +354,15 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
             xb = spec.acts[path[b - st.t]]
             lhs = expected_utility_profile(rep, a, b, xb)
             rhs = rep.field.eval(a, xa.at_time(a))
-            gap = max(
-                float(lhs.values[space.atom_members(a, k)[0]])
-                - float(rhs.values[space.atom_members(a, k)[0]])
+            diffs = [
+                float(lhs.value_on_atom(k)) - float(rhs.value_on_atom(k))
                 for k in rep.P.positive_atoms(a)
-            )
+            ]
+            gap = max(diffs)
             worst_gap = max(worst_gap, gap)
             if gap > tol:
                 supermartingale_ok = False
-            dev = max(
-                abs(
-                    float(lhs.values[space.atom_members(a, k)[0]])
-                    - float(rhs.values[space.atom_members(a, k)[0]])
-                )
-                for k in rep.P.positive_atoms(a)
-            )
+            dev = max(abs(d) for d in diffs)
             if dev <= tol and best is None:
                 best = name
         optimal[(a, b)] = best

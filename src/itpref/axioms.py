@@ -417,7 +417,11 @@ def check_M(
 
     for A, f, (g1, g2) in itertools.product(events, f_acts, pairs):
         if budget.exhausted:
-            return CheckResult(True, note=f"query cap reached after {budget.spent} queries")
+            return CheckResult(
+                True,
+                note=f"query cap reached after {budget.spent} queries",
+                queries=budget.spent,
+            )
         X1 = paste(Act.constant(space, i + 1, g1), f, A)
         X2 = paste(Act.constant(space, i + 1, g2), f, A)
         try:
@@ -482,7 +486,11 @@ def check_ST(
             f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
         for f1, f2 in itertools.product(f_cands, repeat=2):
             if budget.exhausted:
-                return CheckResult(True, note=f"query cap reached after {budget.spent} queries")
+                return CheckResult(
+                    True,
+                    note=f"query cap reached after {budget.spent} queries",
+                    queries=budget.spent,
+                )
             if f1.values == f2.values:
                 continue
             premise_h = None
@@ -540,8 +548,6 @@ def _sequence(style: str, f: Act, n: int, seed: int) -> list[Act]:
             for v in f.atom_values()
         ]
         return [Act.from_atom_values(space, f.time_index, per_atom)]
-    if style == "constant":
-        return [f]
     raise ValueError(f"unknown sequence style {style!r}")
 
 

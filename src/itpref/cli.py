@@ -18,7 +18,7 @@ from .apps import (
     run_villa,
     VILLA_VARIANTS,
 )
-from .axioms import ActGrid, DEFAULT_GRID, audit_step, render_audit, TransitionReport
+from .axioms import ActGrid, DEFAULT_GRID, audit_step, render_audit
 from .engine import cce, compare, semigroup_residual
 from .filtered_space import InvariantError
 from .oracles import InducedOracle
@@ -143,8 +143,7 @@ def _cmd_axioms(args) -> int:
         results = audit_step(oracle, i, _grid(args), seed=args.seed)
         blocks.append(render_audit(results, i))
         for res in results.values():
-            passed = res.passed if not isinstance(res, TransitionReport) else res.passed
-            ok = ok and passed
+            ok = ok and res.passed
     print("\n".join(blocks))
     return 0 if ok else 1
 
@@ -306,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, InvariantError, RecoveryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_dispatch = main
 
 
 if __name__ == "__main__":

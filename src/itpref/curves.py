@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
-Number = Union[int, float, Fraction]
+from .filtered_space import Number
 
 INVERT_TOL = 1e-12      # default inversion tolerance, on the utility scale
 MAX_BISECT = 200
@@ -51,10 +51,6 @@ class Jump:
     left: Number
     value: Number
     right: Number
-
-    @property
-    def has_gap(self) -> bool:
-        return self.right > self.left
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .curves import (
     GapError,
     INVERT_TOL,
     MonotoneCurve,
+    NORM_TOL,
     RangeError,
 )
 from .filtered_space import (
@@ -31,8 +32,6 @@ from .filtered_space import (
     conditional_expectation,
 )
 from .utility_field import StarContinuityResult, UtilityField, is_star_continuous
-
-NORM_TOL = 1e-12
 
 
 class PreconditionError(ValueError):
@@ -172,12 +171,17 @@ def compare(
     g = _lift(g, s)
     us = rep.field.eval(s, g)
     target = expected_utility_profile(rep, s, t, f)
-    margin = us.minus(target)
+    return _verdict(rep.space, rep.P, s, us.minus(target), tol)
+
+
+def _verdict(
+    space: FilteredSpace, P: ProbabilityMeasure, s: int, margin: Act, tol: float
+) -> Verdict:
     a_states: set[int] = set()
     b_states: set[int] = set()
     c_states: set[int] = set()
-    for k in rep.P.positive_atoms(s):
-        members = rep.space.atom_members(s, k)
+    for k in P.positive_atoms(s):
+        members = space.atom_members(s, k)
         d = margin.values[members[0]]
         if abs(d) <= tol:
             a_states.update(members)
@@ -186,9 +190,9 @@ def compare(
         else:
             c_states.update(members)
     tri = TriPartition(
-        Event(rep.space, frozenset(a_states), s),
-        Event(rep.space, frozenset(b_states), s),
-        Event(rep.space, frozenset(c_states), s),
+        Event(space, frozenset(a_states), s),
+        Event(space, frozenset(b_states), s),
+        Event(space, frozenset(c_states), s),
     )
     if not b_states and not c_states:
         tag = "equiv"
@@ -259,23 +263,6 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
     return tuple(betas)
 
 
-def _classify(space: FilteredSpace, P: ProbabilityMeasure, s: int, margin: Act, tol: float) -> str:
-    has_b = has_c = False
-    for k in P.positive_atoms(s):
-        d = margin.values[space.atom_members(s, k)[0]]
-        if d > tol:
-            has_b = True
-        elif d < -tol:
-            has_c = True
-    if not has_b and not has_c:
-        return "equiv"
-    if not has_c:
-        return "succeq"
-    if not has_b:
-        return "preceq"
-    return "mixed"
-
-
 def _random_pair(rng: random.Random, space: FilteredSpace) -> tuple[int, int, Act, Act]:
     s = rng.randrange(0, space.last_index)
     t = rng.randrange(s + 1, space.last_index + 1)
@@ -308,7 +295,7 @@ def discount_transform(
         rhs = conditional_expectation(
             rep.space, P_star, rep.field.eval(t, f).times(betas[t]), s
         )
-        transformed = _classify(rep.space, rep.P, s, lhs.minus(rhs), tol)
+        transformed = _verdict(rep.space, rep.P, s, lhs.minus(rhs), tol).tag
         if transformed != original:
             flips += 1
     return DiscountResult(betas, flips == 0, n_pairs, flips)

@@ -358,14 +358,6 @@ class ProbabilityMeasure:
         """Same null states (mutual absolute continuity on a finite space)."""
         return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
 
-    def density_wrt(self, other: "ProbabilityMeasure") -> tuple[Number, ...]:
-        """Pointwise dP/dQ on Q-positive states; 0 on common-null states."""
-        if not self.is_equivalent_to(other):
-            raise InvariantError("density requires equivalent measures")
-        return tuple(
-            (w / q if q > 0 else 0) for w, q in zip(self.weights, other.weights)
-        )
-
 
 def atoms(space: FilteredSpace, i: int) -> list[Event]:
     """The time-``i`` atoms as events, in deterministic order."""

@@ -81,11 +81,7 @@ class InducedOracle(PreferenceOracle):
         key = (i, f.time_index, f.values)
         hit = self._value_memo.get(key)
         if hit is None:
-            prof = expected_utility_profile(self.rep, i, i + 1, f)
-            hit = tuple(
-                prof.values[self.space.atom_members(i, k)[0]]
-                for k in range(self.space.n_atoms(i))
-            )
+            hit = expected_utility_profile(self.rep, i, i + 1, f).atom_values()
             self._value_memo[key] = hit
         return hit
 

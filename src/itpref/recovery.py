@@ -1,14 +1,14 @@
 """Recovery of the representing pair (probability, utility field) from a
 preference oracle, and the relative-uniqueness audit.
 
-The first step tabulates the time-0 value functional through the oracle's
-certainty equivalents, audits its additive decomposability across atoms (the
-Debreu residual), and splits each per-atom component canonically at the
-calibration outcome x̄ into a probability mass and a normalized utility
-curve.  Each inductive step builds the composite unconditional functional
-f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], recovers at the finer atoms, and reweights by
-the conditional density so the new probability agrees with the old one on the
-coarser information.
+Step i builds the composite unconditional functional
+f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], tabulates it through the oracle's certainty
+equivalents, audits its additive decomposability across the time-(i+1) atoms
+(the Debreu residual), splits each per-atom component canonically at the
+calibration outcome x̄ into a probability mass and a normalized utility curve,
+and reweights by the conditional density so the new probability agrees with
+the old one on the coarser information.  Step 0 is the same step started
+from trivial information: mass 1 and the initial utility u0.
 
 Recovered curves are tabulated on the grid and piecewise-linear interpolated,
 so recovery is grid-exact only for piecewise-linear ground truth.
@@ -50,15 +50,6 @@ class RecoveredStep:
     debreu_residual: float
     null_atoms: tuple[int, ...]
     normalization_offsets: tuple[float, ...]
-
-
-def cce_from_oracle(
-    oracle: PreferenceOracle, i: int, f: Act, tol: float = 1e-9
-) -> Act:
-    """Certainty equivalent of the time-(i+1) act f at time i, by per-atom
-    bisection over constants; equals u_i^{-1} of the conditional expected
-    utility when the oracle is induced by a representation."""
-    return indifference_profile(oracle, i, f, tol)
 
 
 def _recovery_xs(grid: ActGrid, x_bar: Number) -> tuple[Number, ...]:
@@ -166,18 +157,18 @@ def recover_step0(
     tol: float = 1e-10,
     require_three_essential: bool = True,
     debreu_tol: float = DEBREU_TOL,
-    max_debreu_acts: int = 81,
+    max_debreu_acts: int | None = None,
 ) -> RecoveredStep:
-    """Recover (P_1, u_1) on the time-1 atoms from the unconditioned step."""
-
-    def value(f: Act) -> float:
-        c = cce_from_oracle(oracle, 0, f, tol)
-        return float(u0(c.values[0]))
-
-    return _recover_additive(
-        value, oracle.space, 1, grid, x_bar, require_three_essential,
-        debreu_tol, max_debreu_acts,
+    """Recover (P_1, u_1) on the time-1 atoms: the step i = 0, started from
+    trivial information with mass 1 and the initial utility u0."""
+    return recover_step_i(
+        oracle, 0, _initial_step(u0), grid, x_bar, tol,
+        require_three_essential, debreu_tol, max_debreu_acts,
     )
+
+
+def _initial_step(u0: MonotoneCurve) -> RecoveredStep:
+    return RecoveredStep(0, (1,), (u0,), 0.0, (), (0.0,))
 
 
 def recover_step_i(
@@ -189,7 +180,7 @@ def recover_step_i(
     tol: float = 1e-10,
     require_three_essential: bool = True,
     debreu_tol: float = DEBREU_TOL,
-    max_debreu_acts: int = 64,
+    max_debreu_acts: int | None = None,
 ) -> RecoveredStep:
     """Recover (P_{i+1}, u_{i+1}) given the step-i output.
 
@@ -197,10 +188,14 @@ def recover_step_i(
     f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], recovers an additive pair at the
     (i+1)-atoms, then reweights by Z = dP_i/dP̃|F_i so the new probability
     agrees with P_i on the time-i atoms and the utility absorbs dP̃/dP_{i+1}.
+    The Debreu audit takes at most 81 acts at i = 0 and 64 later unless
+    ``max_debreu_acts`` is given.
     """
     space = oracle.space
     if prev.level != i:
         raise RecoveryError(f"previous step recovered level {prev.level}, expected {i}")
+    if max_debreu_acts is None:
+        max_debreu_acts = 81 if i == 0 else 64
 
     def value(f: Act) -> float:
         c = indifference_profile(oracle, i, f, tol)
@@ -216,6 +211,10 @@ def recover_step_i(
         value, space, i + 1, grid, x_bar, require_three_essential,
         debreu_tol, max_debreu_acts,
     )
+    if i == 0:
+        # P_0 is the unit mass: the raw masses are P_1 already, and dividing
+        # by their float sum, which can miss 1 in the last bit, would perturb them
+        return raw
 
     amap_lo = space.atom_index_map(i)
     parent = {
@@ -303,22 +302,15 @@ def recover_representation(
     carries the grid interpolation error; widen ``debreu_tol`` accordingly.
     """
     space = oracle.space
-    steps = [
-        recover_step0(
-            oracle, u0, grid, x_bar, tol,
+    steps: list[RecoveredStep] = []
+    last = _initial_step(u0)
+    for i in range(space.n_times - 1):
+        last = recover_step_i(
+            oracle, i, last, grid, x_bar, tol,
             require_three_essential=require_three_essential,
             debreu_tol=debreu_tol,
         )
-    ]
-    for i in range(1, space.n_times - 1):
-        steps.append(
-            recover_step_i(
-                oracle, i, steps[-1], grid, x_bar, tol,
-                require_three_essential=require_three_essential,
-                debreu_tol=debreu_tol,
-            )
-        )
-    last = steps[-1]
+        steps.append(last)
     weights = [0.0] * space.n_states
     for k in range(space.n_atoms(last.level)):
         members = space.atom_members(last.level, k)

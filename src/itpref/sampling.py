@@ -176,7 +176,7 @@ def margin_guarded_pair(
         f = random_act(rng, space, t, hull)
         verdict = compare(rep, s, t, g, f, tol)
         clear = all(
-            abs(verdict.margin.values[space.atom_members(s, k)[0]]) >= margin
+            abs(verdict.margin.value_on_atom(k)) >= margin
             for k in rep.P.positive_atoms(s)
         )
         if clear:

@@ -78,14 +78,8 @@ class UtilityField:
                             )
         return field
 
-    def curve_at_state(self, i: int, s: int) -> MonotoneCurve:
-        return self.curves_by_state[self.space.check_time_index(i)][s]
-
     def curve_on_atom(self, i: int, k: int) -> MonotoneCurve:
         return self.curves_by_state[i][self.space.atom_members(i, k)[0]]
-
-    def atom_curves(self, i: int) -> tuple[MonotoneCurve, ...]:
-        return tuple(self.curve_on_atom(i, k) for k in range(self.space.n_atoms(i)))
 
     def eval(self, j: int, f: Act) -> Act:
         """u(t_j, f): apply each state's time-j curve to the act's value.

@@ -4,6 +4,7 @@ own axiom, and oracle-derived structures agree with the measure-side ones."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,13 @@ class TestCheckST:
         assert check_ST(valid_oracle, 0).passed
 
 
+@pytest.mark.parametrize("check", [check_M, check_ST], ids=["M", "ST"])
+def test_capped_early_return_counts_its_queries(check):
+    res = check(nonadditive_meanmax(), 0, cap=50)
+    spent = int(re.fullmatch(r"query cap reached after (\d+) queries", res.note).group(1))
+    assert res.queries == spent > 50
+
+
 class TestCheckC:
     def test_valid_oracle_all_styles(self, valid_oracle):
         f = Act.from_atom_values(valid_oracle.space, 1, [1, 0, -1])
@@ -202,10 +210,6 @@ class TestCheckC:
         assert not res.passed
         off_jump = Act.from_atom_values(oracle.space, 1, [0.25, 0, 0])
         assert check_C(oracle, 0, off_jump, "uniform").passed
-
-    def test_constant_sequence_trivially_true(self, valid_oracle):
-        f = Act.from_atom_values(valid_oracle.space, 1, [1, 0, -1])
-        assert check_C(valid_oracle, 0, f, "constant").passed
 
     def test_conditional_step(self):
         rng = random.Random(19)

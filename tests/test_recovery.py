@@ -19,9 +19,9 @@ from itpref import (
     QueryAnswer,
     Representation,
     UtilityField,
-    cce_from_oracle,
     check_relative_uniqueness,
     conditional_expectation,
+    indifference_profile,
     recover_representation,
     recover_step0,
     recover_step_i,
@@ -50,12 +50,82 @@ def worked_example_rep() -> Representation:
     return Representation(space, P, field)
 
 
+# recover_representation on random_representation(random.Random(1), n_times=3,
+# kinds=("pl",), min_first_split=3), pinned bit for bit: per step, the masses,
+# the Debreu residual and each curve's values at its grid anchors.
+SEED1_STEPS = (
+    (
+        (
+            0.047157614921537395, 0.728727062909722, 0.2241153221687405,
+        ),
+        9.249845334124984e-11,
+        (
+            (
+                -1.7278586923097734, -0.7449008498783113, -0.32458147854216884, 0,
+                0.3890042671878198, 0.8925983204710422, 1.7025385323955082,
+            ),
+            (
+                -2.164329804721241, -1.3799981115387256, -0.6973247871707392, 0,
+                0.352044823327139, 0.8925983204710422, 2.069453573738403,
+            ),
+            (
+                -1.5468402854760752, -0.5172799842844137, -0.2038060326763343, 0,
+                0.23746999436343919, 0.8925983204710422, 2.065543683449334,
+            ),
+        ),
+    ),
+    (
+        (
+            0.047157614921537395, 0.01148911570255094, 0.1889532114985308,
+            0.1031522187302844, 0.27088314181177364, 0.011225649470707947,
+            0.14302372569587418, 0.2241153221687405,
+        ),
+        1.7717832756503071e-10,
+        (
+            (
+                -1.3574615131577146, -0.7312259845084967, -0.2258431667982104, 0.0,
+                0.31650618030554206, 0.796231582324556, 1.1714241176075548,
+            ),
+            (
+                -2.0769264632849938, -1.3778828842906357, -0.8391410964563023, 0.0,
+                0.6757231736543996, 0.9166549663592969, 1.7250598094869585,
+            ),
+            (
+                -2.006105557515989, -1.0959452112956494, -0.3087580917323499, 0.0,
+                0.25411966680966336, 0.9166549663592969, 1.4552641176696992,
+            ),
+            (
+                -2.4786306791204558, -1.204221095793903, -0.6147990450921667, 0.0,
+                0.5140174813128177, 0.9166549663592969, 2.469732070633615,
+            ),
+            (
+                -1.3345700718471887, -0.8785358720035833, -0.366859258784148, 0.0,
+                0.34997875055021027, 0.9166549663592969, 1.8589299962194858,
+            ),
+            (
+                -1.6880135212122265, -0.6017938290880601, -0.239354996918128, 0.0,
+                0.5410568552422245, 0.9166549663592969, 1.5630458526509377,
+            ),
+            (
+                -1.4371983725409376, -1.0245951366753738, -0.6216025179406521, 0.0,
+                0.3368848731286699, 0.9166549663592968, 2.1764750225752594,
+            ),
+            (
+                -1.4861183402798412, -0.6810288957420322, -0.436344631621868, 0.0,
+                0.36183201024644895, 0.5321033412372662, 1.7154701371498395,
+            ),
+        ),
+    ),
+)
+SEED1_QUERIES = 14756
+
+
 class TestCCEFromOracle:
     def test_identity_matches_conditional_expectation(self, four_state_space, four_state_measure):
         rep = identity_rep(four_state_space, four_state_measure)
         oracle = InducedOracle(rep, tol=1e-12)
         f = Act(four_state_space, 2, (1, 2, 3, 4))
-        got = cce_from_oracle(oracle, 1, f, tol=1e-10)
+        got = indifference_profile(oracle, 1, f, tol=1e-10)
         want = conditional_expectation(four_state_space, four_state_measure, f, 1)
         assert got.sup_dist(want) < 1e-9
 
@@ -64,7 +134,7 @@ class TestCCEFromOracle:
         oracle = InducedOracle(rep, tol=1e-12)
         rng = random.Random(3)
         f = Act(four_state_space, 2, tuple(rng.uniform(-0.9, 0.9) for _ in range(4)))
-        got = cce_from_oracle(oracle, 1, f, tol=1e-10)
+        got = indifference_profile(oracle, 1, f, tol=1e-10)
         want = exp_cce_oracle(four_state_measure, f, 1)
         for k in range(four_state_space.n_atoms(1)):
             assert got.value_on_atom(k) == pytest.approx(want[k], abs=1e-8)
@@ -76,7 +146,7 @@ class TestCCEFromOracle:
 
         spec = villa_scenario("paper-stated")
         oracle = InducedOracle(spec.representation(), tol=1e-6)
-        got = cce_from_oracle(oracle, 0, spec.acts["villa_t1"], tol=1e-4)
+        got = indifference_profile(oracle, 0, spec.acts["villa_t1"], tol=1e-4)
         assert got.values[0] == pytest.approx(1_099_900, abs=0.01)
         assert villa_t1_value("paper-arithmetic") == 10**6
 
@@ -215,6 +285,26 @@ class TestRecoverInductive:
             assert sum(step2.masses[k] for k in children) == pytest.approx(
                 float(step1.masses[a]), abs=1e-9
             )
+
+    def test_seed1_steps_pinned_bit_for_bit(self):
+        # the time-1 masses sum to 1 - 2**-53 in floats, so a step 0 that
+        # divided by their sum would move them in the last bit
+        assert sum(SEED1_STEPS[0][0]) != 1.0
+        rep = random_representation(
+            random.Random(1), n_times=3, kinds=("pl",), min_first_split=3
+        )
+        oracle = InducedOracle(rep, tol=1e-12)
+        result = recover_representation(oracle, rep.u0, tol=1e-10)
+        got = tuple(
+            (
+                step.masses,
+                step.debreu_residual,
+                tuple(tuple(a[2] for a in curve.anchors) for curve in step.curves),
+            )
+            for step in result.steps
+        )
+        assert got == SEED1_STEPS
+        assert oracle.queries == SEED1_QUERIES
 
     def test_villa_recovery_up_to_rescaling(self):
         # two essential atoms at the election time, and a nearly-null branch:
