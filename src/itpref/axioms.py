@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import TriPartition
 from .filtered_space import Act, Event, FilteredSpace, Number, paste
@@ -33,6 +33,7 @@ SUBGRID = (-1, 0, 1, 2)  # value set for act pairs in the sure-thing search
 # constant-act bisections must land well inside the oracle's equivalence band,
 # or the slope-amplified overshoot fails legitimate equivalence queries
 BISECT_TOL = 1e-12
+NULL_PROBE_ACTS = 8  # grid acts each null-event derivation tests per atom
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ def derive_null_events(
     oracle: PreferenceOracle,
     i: int,
     grid: ActGrid = DEFAULT_GRID,
-    max_acts: int = 8,
 ) -> list[Event]:
     """Atoms at time index i that the (i-1, i) relation treats as null: for
     every tested act f with certainty equivalent g, rewriting f arbitrarily
@@ -142,7 +142,7 @@ def derive_null_events(
     if i < 1:
         raise ValueError("null events are derived from the preceding step; need i >= 1")
     step = i - 1
-    candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=max_acts)
+    candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=NULL_PROBE_ACTS)
     out = []
     for k in range(space.n_atoms(i)):
         A = space.atom_event(i, k)
@@ -199,18 +199,36 @@ def _union_events(
 
 
 class _Budget:
-    def __init__(self, oracle: PreferenceOracle, cap: int) -> None:
+    """Query accounting for one check, and the only place its results are
+    finished: capped loops draw their items through :meth:`each`, and every
+    result leaves through :meth:`close`."""
+
+    def __init__(self, oracle: PreferenceOracle, cap: int = QUERY_CAP) -> None:
         self.oracle = oracle
         self.start = oracle.queries
         self.cap = cap
+        self.hit = False
 
     @property
     def spent(self) -> int:
         return self.oracle.queries - self.start
 
-    @property
-    def exhausted(self) -> bool:
-        return self.spent > self.cap
+    def each(self, items: Iterable) -> Iterator:
+        """The items, stopping at the head of the first iteration that finds
+        the cap exceeded."""
+        for item in items:
+            if self.spent > self.cap:
+                self.hit = True
+                return
+            yield item
+
+    def close(self, res: CheckResult) -> CheckResult:
+        """Stamp the queries spent so far and, once the cap was hit, the cap
+        note."""
+        res.queries = self.spent
+        if self.hit:
+            res.note = f"query cap reached after {res.queries} queries"
+        return res
 
 
 def check_T(
@@ -236,10 +254,7 @@ def check_T(
 
     # 1. local completeness
     res = CheckResult(True)
-    for g, f in itertools.product(g_acts, f_acts):
-        if budget.exhausted:
-            res.note = "query cap reached"
-            break
+    for g, f in budget.each(itertools.product(g_acts, f_acts)):
         if i == 0:
             if oracle.ask(0, g, f).undecided:
                 res = CheckResult(False, f"g={_vals(g)} f={_vals(f)} undecided")
@@ -253,15 +268,11 @@ def check_T(
                     False, f"g={_vals(g)} f={_vals(f)} undecided on every essential atom"
                 )
                 break
-    res.queries = budget.spent
-    report.clauses["1 local-completeness"] = res
+    report.clauses["1 local-completeness"] = budget.close(res)
 
     # 2. transitivity
     res = CheckResult(True)
-    for f in f_acts:
-        if budget.exhausted:
-            res.note = "query cap reached"
-            break
+    for f in budget.each(f_acts):
         lows = [c for c in ext if oracle.ask(i, Act.constant(space, i, c), f).preceq]
         highs = [c for c in ext if oracle.ask(i, Act.constant(space, i, c), f).succeq]
         if not lows or not highs:
@@ -279,10 +290,7 @@ def check_T(
                 break
     if res.passed and i >= 1:
         null_states = {s for k in null_i for s in space.atom_members(i, k)}
-        for f, g, h in itertools.product(f_acts[:32], g_acts, g_acts):
-            if budget.exhausted:
-                res.note = "query cap reached"
-                break
+        for f, g, h in budget.each(itertools.product(f_acts[:32], g_acts, g_acts)):
             if oracle.ask(i, g, f).succeq and oracle.ask(i, h, f).preceq:
                 where = {s for s in range(space.n_states) if g.values[s] < h.values[s]}
                 if not where <= null_states:
@@ -292,8 +300,7 @@ def check_T(
                         f"but {{g<h}} is essential",
                     )
                     break
-    res.queries = budget.spent
-    report.clauses["2 transitivity"] = res
+    report.clauses["2 transitivity"] = budget.close(res)
 
     # 3. normalization: null indicators are mutually equivalent
     res = CheckResult(True)
@@ -302,22 +309,15 @@ def check_T(
     if len(null_i) > 1:
         members = {s for k in null_i for s in space.atom_members(i, k)}
         null_events.append(Event(space, frozenset(members), i))
-    for A, B in itertools.product(null_events, repeat=2):
-        if budget.exhausted:
-            res.note = "query cap reached"
-            break
+    for A, B in budget.each(itertools.product(null_events, repeat=2)):
         if not oracle.ask(i, A.indicator(i), B.indicator(i + 1)).equiv:
             res = CheckResult(False, f"1_{A.label()} !~ 1_{B.label()} despite both null")
             break
-    res.queries = budget.spent
-    report.clauses["3 normalization"] = res
+    report.clauses["3 normalization"] = budget.close(res)
 
     # 4. non-degeneracy: dominating/dominated constants within the extension
     res = CheckResult(True, note=f"not falsified within bounds +-{ext[-1]}")
-    for f in f_acts:
-        if budget.exhausted:
-            res.note = "query cap reached"
-            break
+    for f in budget.each(f_acts):
         g2 = next(
             (c for c in reversed(ext) if oracle.ask(i, Act.constant(space, i, c), f).succeq),
             None,
@@ -334,8 +334,7 @@ def check_T(
                 note="unbounded search is undecidable; failure within extension reported",
             )
             break
-    res.queries = budget.spent
-    report.clauses["4 non-degeneracy"] = res
+    report.clauses["4 non-degeneracy"] = budget.close(res)
 
     # 5 & 6: consistency under sub-events; stability under unions
     if i == 0:
@@ -346,10 +345,7 @@ def check_T(
         res5 = CheckResult(True)
         res6 = CheckResult(True)
         masks = _union_events(space, i, ess_atoms, max_size=len(ess_atoms), cap=32)
-        for g, f in itertools.product(g_acts[:8], f_acts[:48]):
-            if budget.exhausted:
-                res5.note = res6.note = "query cap reached"
-                break
+        for g, f in budget.each(itertools.product(g_acts[:8], f_acts[:48])):
             answers = {ev.members: oracle.ask(i, g, f, ev) for ev in masks}
             for ev in masks:
                 big = answers[ev.members]
@@ -383,9 +379,8 @@ def check_T(
                     )
             if not res5.passed and not res6.passed:
                 break
-        res5.queries = res6.queries = budget.spent
-        report.clauses["5 consistency"] = res5
-        report.clauses["6 stability"] = res6
+        report.clauses["5 consistency"] = budget.close(res5)
+        report.clauses["6 stability"] = budget.close(res6)
     return report
 
 
@@ -415,13 +410,7 @@ def check_M(
                 return True
         return False
 
-    for A, f, (g1, g2) in itertools.product(events, f_acts, pairs):
-        if budget.exhausted:
-            return CheckResult(
-                True,
-                note=f"query cap reached after {budget.spent} queries",
-                queries=budget.spent,
-            )
+    for A, f, (g1, g2) in budget.each(itertools.product(events, f_acts, pairs)):
         X1 = paste(Act.constant(space, i + 1, g1), f, A)
         X2 = paste(Act.constant(space, i + 1, g2), f, A)
         try:
@@ -431,12 +420,11 @@ def check_M(
             continue
         if oracle.ask(i, c1, X1).equiv:
             if not strict_on_some_atom(c1, X2, want_prec=True):
-                return CheckResult(
+                return budget.close(CheckResult(
                     False,
                     f"A={A.label()} f={_vals(f)} g1={g1} g2={g2}: equivalent of the "
                     f"g1-paste is not strictly below the g2-paste on any essential event",
-                    queries=budget.spent,
-                )
+                ))
         try:
             c2 = indifference_profile(oracle, i, X2, BISECT_TOL)
         except BracketError:
@@ -444,14 +432,13 @@ def check_M(
             continue
         if oracle.ask(i, c2, X2).equiv:
             if not strict_on_some_atom(c2, X1, want_prec=False):
-                return CheckResult(
+                return budget.close(CheckResult(
                     False,
                     f"A={A.label()} f={_vals(f)} g1={g1} g2={g2}: equivalent of the "
                     f"g2-paste is not strictly above the g1-paste on any essential event",
-                    queries=budget.spent,
-                )
+                ))
     note = f"{skipped} premises not instantiable" if skipped else ""
-    return CheckResult(True, note=note, queries=budget.spent)
+    return budget.close(CheckResult(True, note=note))
 
 
 def check_ST(
@@ -484,13 +471,7 @@ def check_ST(
             for idx, k in enumerate(atoms_in):
                 per_atom[k] = combo[idx]
             f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
-        for f1, f2 in itertools.product(f_cands, repeat=2):
-            if budget.exhausted:
-                return CheckResult(
-                    True,
-                    note=f"query cap reached after {budget.spent} queries",
-                    queries=budget.spent,
-                )
+        for f1, f2 in budget.each(itertools.product(f_cands, repeat=2)):
             if f1.values == f2.values:
                 continue
             premise_h = None
@@ -522,13 +503,12 @@ def check_ST(
                             found = True
                             break
                 if not found:
-                    return CheckResult(
+                    return budget.close(CheckResult(
                         False,
                         f"A={A.label()} f1={_vals(f1)} f2={_vals(f2)} h={premise_h} k={k}: "
                         f"no bracketing act within the grid closure",
-                        queries=budget.spent,
-                    )
-    return CheckResult(True, queries=budget.spent)
+                    ))
+    return budget.close(CheckResult(True))
 
 
 def _sequence(style: str, f: Act, n: int, seed: int) -> list[Act]:
@@ -541,18 +521,17 @@ def _sequence(style: str, f: Act, n: int, seed: int) -> list[Act]:
         k = (n - 1) % m
         A = space.atom_event(f.time_index, k)
         return [paste(f.shift(-Fraction(1, n)), f, A)]
-    if style == "random":
-        rng = random.Random(seed * 1_000_003 + n)
-        per_atom = [
-            v + rng.uniform(-1, 1) / n
-            for v in f.atom_values()
-        ]
-        return [Act.from_atom_values(space, f.time_index, per_atom)]
-    raise ValueError(f"unknown sequence style {style!r}")
+    rng = random.Random(seed * 1_000_003 + n)  # style "random"
+    per_atom = [
+        v + rng.uniform(-1, 1) / n
+        for v in f.atom_values()
+    ]
+    return [Act.from_atom_values(space, f.time_index, per_atom)]
 
 
 C_STYLES = ("uniform", "atomwise", "random")
-_LADDER = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+C_DELTAS = (0.5, 0.1)  # offsets of the strict acts from the certainty equivalent
+C_LAST_N = 1024  # last rung of the sequence ladder n = 1, 2, 4, ..., 1024
 
 
 def check_C(
@@ -562,12 +541,19 @@ def check_C(
     style: str,
     grid: ActGrid = DEFAULT_GRID,
     seed: int = 0,
-    deltas: tuple[float, ...] = (0.5, 0.1),
 ) -> CheckResult:
     """Pointwise continuity on constructed sequences: strictly dominated acts
     must eventually be dominated by every tail of the sequence, atom by atom
-    (on a finite space the atoms are the finest candidate partition)."""
+    (on a finite space the atoms are the finest candidate partition).
+
+    The tails are those of the ladder n = 1, 2, 4, ..., 1024; each contains
+    the n = 1024 term and the last is that term alone, so some tail holds
+    exactly when that term does, and only it is asked, once per strict act,
+    sequence and atom."""
     space = oracle.space
+    if style not in C_STYLES:
+        raise ValueError(f"unknown sequence style {style!r}")
+    budget = _Budget(oracle)
     f = f if f.time_index == i + 1 else f.at_time(i + 1)
     ess_i = (
         [space.whole_event(i)]
@@ -577,9 +563,11 @@ def check_C(
     try:
         profile = indifference_profile(oracle, i, f, BISECT_TOL)
     except BracketError:
-        return CheckResult(True, note="no certainty equivalent bracketable; premise vacuous")
+        return budget.close(
+            CheckResult(True, note="no certainty equivalent bracketable; premise vacuous")
+        )
     samples: list[tuple[Act, str]] = []
-    for delta in deltas:
+    for delta in C_DELTAS:
         below = profile.shift(-delta)
         if oracle.ask(i, below, f).preceq and not any(
             oracle.ask(i, below, f, b).equiv for b in ess_i
@@ -591,32 +579,24 @@ def check_C(
         ):
             samples.append((above, "succ"))
     if not samples:
-        return CheckResult(True, note="no strictly comparable act found; premise vacuous")
-    n_seq = len(_sequence(style, f, 1, seed))
+        return budget.close(
+            CheckResult(True, note="no strictly comparable act found; premise vacuous")
+        )
+    tail = _sequence(style, f, C_LAST_N, seed)
     for g, direction in samples:
-        for seq_idx in range(n_seq):
+        for fn in tail:
             for b in ess_i:
-                threshold = None
-                for start in range(len(_LADDER)):
-                    ok = True
-                    for n in _LADDER[start:]:
-                        fn = _sequence(style, f, n, seed)[seq_idx]
-                        ans = oracle.ask(i, g, fn, b)
-                        holds = ans.preceq if direction == "prec" else ans.succeq
-                        if not holds:
-                            ok = False
-                            break
-                    if ok:
-                        threshold = _LADDER[start]
-                        break
-                if threshold is None:
-                    return CheckResult(
+                ans = oracle.ask(i, g, fn, b)
+                if not (ans.preceq if direction == "prec" else ans.succeq):
+                    return budget.close(CheckResult(
                         False,
                         f"style={style} atom={b.label()}: no tail of the sequence keeps "
                         f"the {'dominated' if direction == 'prec' else 'dominating'} act "
                         f"on its side (g offset from the equivalent of f)",
-                    )
-    return CheckResult(True, note=f"{len(samples)} strict acts x {n_seq} sequences checked")
+                    ))
+    return budget.close(
+        CheckResult(True, note=f"{len(samples)} strict acts x {len(tail)} sequences checked")
+    )
 
 
 def tri_partition(

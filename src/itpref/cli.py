@@ -135,12 +135,13 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_axioms(args) -> int:
     spec = _load(args.scenario)
-    oracle = InducedOracle(spec.representation(), tol=args.tol, grid=_grid(args))
+    oracle = InducedOracle(spec.representation(), tol=args.tol)
+    grid = _grid(args)
     steps = [args.step] if args.step is not None else list(oracle.steps())
     ok = True
     blocks = []
     for i in steps:
-        results = audit_step(oracle, i, _grid(args), seed=args.seed)
+        results = audit_step(oracle, i, grid, seed=args.seed)
         blocks.append(render_audit(results, i))
         for res in results.values():
             ok = ok and res.passed

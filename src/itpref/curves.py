@@ -243,7 +243,7 @@ class PiecewiseLinearCurve(MonotoneCurve):
         if abs(curve(0)) > NORM_TOL:
             raise ValueError(f"curve is not normalized: u(0) = {curve(0)!r}")
         if strict:
-            for i, s in enumerate(curve._segment_slopes()):
+            for i, s in enumerate(curve._slopes):
                 if not s > 0:
                     raise ValueError(f"segment {i} slope {s!r} is not positive")
         return curve
@@ -254,9 +254,6 @@ class PiecewiseLinearCurve(MonotoneCurve):
             (l1 - r0) / (x1 - x0)
             for (x0, _, _, r0), (x1, l1, _, _) in zip(self.anchors, self.anchors[1:])
         )
-
-    def _segment_slopes(self) -> tuple[Number, ...]:
-        return self._slopes
 
     def __call__(self, x: Number) -> Number:
         first, last = self.anchors[0], self.anchors[-1]

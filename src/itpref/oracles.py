@@ -19,6 +19,7 @@ from .engine import Representation, expected_utility_profile
 from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
+INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
 MAX_EXPAND = 60
 
 
@@ -40,15 +41,11 @@ class QueryAnswer(NamedTuple):
 
 
 class PreferenceOracle(ABC):
-    """Query interface for one-step intertemporal comparisons.
+    """Query interface for one-step intertemporal comparisons; atoms per
+    time come from ``space``."""
 
-    ``grid`` is the declared outcome grid (an :class:`itpref.axioms.ActGrid`)
-    when the oracle advertises one; atoms per time come from ``space``.
-    """
-
-    def __init__(self, space: FilteredSpace, grid=None) -> None:
+    def __init__(self, space: FilteredSpace) -> None:
         self.space = space
-        self.grid = grid
         self.queries = 0
         self._cce_memo: dict = {}
 
@@ -70,8 +67,8 @@ class InducedOracle(PreferenceOracle):
     margin is nonnegative on every positive-probability atom inside A, with a
     symmetric tolerance band so ties answer both ways."""
 
-    def __init__(self, rep: Representation, tol: float = ACT_TOL, grid=None) -> None:
-        super().__init__(rep.space, grid)
+    def __init__(self, rep: Representation, tol: float = ACT_TOL) -> None:
+        super().__init__(rep.space)
         self.rep = rep
         self.tol = tol
         self._value_memo: dict = {}
@@ -103,14 +100,12 @@ class InducedOracle(PreferenceOracle):
         return QueryAnswer(succ, prec)
 
 
-def atom_is_insensitive(
-    oracle: PreferenceOracle, i: int, f: Act, A: Event, bound: float = 2.0**20
-) -> bool:
+def atom_is_insensitive(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> bool:
     """True when huge and tiny constants both compare both ways on A: the
     oracle does not react to anything there, i.e. the atom behaves as null."""
     space = oracle.space
-    hi = oracle.ask(i, Act.constant(space, i, bound), f, A)
-    lo = oracle.ask(i, Act.constant(space, i, -bound), f, A)
+    hi = oracle.ask(i, Act.constant(space, i, INSENSITIVITY_PROBE), f, A)
+    lo = oracle.ask(i, Act.constant(space, i, -INSENSITIVITY_PROBE), f, A)
     return hi.preceq and lo.succeq
 
 

@@ -34,6 +34,7 @@ from .utility_field import UtilityField
 
 NULL_VALUE_TOL = 1e-7   # |V_j| below this on the whole grid marks a null atom
 DEBREU_TOL = 1e-6
+X_BAR = 1  # calibration outcome: an atom's mass is proportional to its value gap X_BAR vs 0
 
 
 class RecoveryError(RuntimeError):
@@ -52,8 +53,8 @@ class RecoveredStep:
     normalization_offsets: tuple[float, ...]
 
 
-def _recovery_xs(grid: ActGrid, x_bar: Number) -> tuple[Number, ...]:
-    xs = sorted(set(grid.values) | {x_bar, 0})
+def _recovery_xs(grid: ActGrid) -> tuple[Number, ...]:
+    xs = sorted(set(grid.values) | {X_BAR, 0})
     return tuple(xs)
 
 
@@ -79,12 +80,10 @@ def _recover_additive(
     space: FilteredSpace,
     level: int,
     grid: ActGrid,
-    x_bar: Number,
     require_three_essential: bool,
     debreu_tol: float,
-    max_debreu_acts: int,
 ) -> RecoveredStep:
-    xs = _recovery_xs(grid, x_bar)
+    xs = _recovery_xs(grid)
     m = space.n_atoms(level)
     tab: list[dict[Number, float]] = []
     for k in range(m):
@@ -105,7 +104,8 @@ def _recover_additive(
         )
 
     residual = 0.0
-    for f in _debreu_candidates(space, level, xs, max_debreu_acts):
+    # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
+    for f in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
         total = value_fn(f)
         split = sum(tab[k][f.value_on_atom(k)] for k in range(m))
         residual = max(residual, abs(total - split))
@@ -118,12 +118,12 @@ def _recover_additive(
     offsets = tuple(float(tab[k][0]) for k in range(m))
     weights = []
     for k in essential:
-        w = tab[k][x_bar] - tab[k][0]
+        w = tab[k][X_BAR] - tab[k][0]
         if not w > 0:
             raise RecoveryError(
                 f"level {level} atom {space.atom_label(level, k)}: component value "
-                f"{w!r} at the calibration outcome {x_bar} is not positive; "
-                f"choose a different x_bar"
+                f"{w!r} at the calibration outcome {X_BAR} is not positive; the "
+                f"oracle does not rank {X_BAR} above 0 on an essential atom"
             )
         weights.append(w)
     total_weight = sum(weights)
@@ -153,17 +153,14 @@ def recover_step0(
     oracle: PreferenceOracle,
     u0: MonotoneCurve,
     grid: ActGrid = DEFAULT_GRID,
-    x_bar: Number = 1,
     tol: float = 1e-10,
     require_three_essential: bool = True,
     debreu_tol: float = DEBREU_TOL,
-    max_debreu_acts: int | None = None,
 ) -> RecoveredStep:
     """Recover (P_1, u_1) on the time-1 atoms: the step i = 0, started from
     trivial information with mass 1 and the initial utility u0."""
     return recover_step_i(
-        oracle, 0, _initial_step(u0), grid, x_bar, tol,
-        require_three_essential, debreu_tol, max_debreu_acts,
+        oracle, 0, _initial_step(u0), grid, tol, require_three_essential, debreu_tol,
     )
 
 
@@ -176,11 +173,9 @@ def recover_step_i(
     i: int,
     prev: RecoveredStep,
     grid: ActGrid = DEFAULT_GRID,
-    x_bar: Number = 1,
     tol: float = 1e-10,
     require_three_essential: bool = True,
     debreu_tol: float = DEBREU_TOL,
-    max_debreu_acts: int | None = None,
 ) -> RecoveredStep:
     """Recover (P_{i+1}, u_{i+1}) given the step-i output.
 
@@ -188,14 +183,11 @@ def recover_step_i(
     f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], recovers an additive pair at the
     (i+1)-atoms, then reweights by Z = dP_i/dP̃|F_i so the new probability
     agrees with P_i on the time-i atoms and the utility absorbs dP̃/dP_{i+1}.
-    The Debreu audit takes at most 81 acts at i = 0 and 64 later unless
-    ``max_debreu_acts`` is given.
+    The Debreu audit takes at most 81 acts at i = 0 and 64 later.
     """
     space = oracle.space
     if prev.level != i:
         raise RecoveryError(f"previous step recovered level {prev.level}, expected {i}")
-    if max_debreu_acts is None:
-        max_debreu_acts = 81 if i == 0 else 64
 
     def value(f: Act) -> float:
         c = indifference_profile(oracle, i, f, tol)
@@ -208,8 +200,7 @@ def recover_step_i(
         )
 
     raw = _recover_additive(
-        value, space, i + 1, grid, x_bar, require_three_essential,
-        debreu_tol, max_debreu_acts,
+        value, space, i + 1, grid, require_three_essential, debreu_tol
     )
     if i == 0:
         # P_0 is the unit mass: the raw masses are P_1 already, and dividing
@@ -288,7 +279,6 @@ def recover_representation(
     oracle: PreferenceOracle,
     u0: MonotoneCurve,
     grid: ActGrid = DEFAULT_GRID,
-    x_bar: Number = 1,
     tol: float = 1e-10,
     require_three_essential: bool = True,
     debreu_tol: float = DEBREU_TOL,
@@ -302,13 +292,13 @@ def recover_representation(
     carries the grid interpolation error; widen ``debreu_tol`` accordingly.
     """
     space = oracle.space
+    if space.n_times < 2:
+        raise RecoveryError("recovery needs at least two times; the space has one")
     steps: list[RecoveredStep] = []
     last = _initial_step(u0)
     for i in range(space.n_times - 1):
         last = recover_step_i(
-            oracle, i, last, grid, x_bar, tol,
-            require_three_essential=require_three_essential,
-            debreu_tol=debreu_tol,
+            oracle, i, last, grid, tol, require_three_essential, debreu_tol
         )
         steps.append(last)
     weights = [0.0] * space.n_states

@@ -35,20 +35,22 @@ from .utility_field import UtilityField
 
 PL_XS = (-2, -1, -0.5, 0, 0.5, 1, 2)
 ACT_HULL = 0.9
+MAX_STATES = 16  # terminal states of a random space
+MIN_MASS = 0.03  # floor of a random state weight before normalization
+MAX_DRAWS = 200  # draws a margin-guarded pair may take
 
 
 def random_space(
-    rng: random.Random, n_times: int | None = None, max_states: int = 16,
-    min_first_split: int = 2,
+    rng: random.Random, n_times: int | None = None, min_first_split: int = 2,
 ) -> FilteredSpace:
     """Random refining chain: 3 or 4 time labels, trivial at time 0, splitting
-    atoms as the level grows, at most ``max_states`` terminal states."""
+    atoms as the level grows, at most ``MAX_STATES`` terminal states."""
     if n_times is None:
         n_times = rng.choice((3, 4))
     counts = [1, rng.randint(max(2, min_first_split), 4)]
     while len(counts) < n_times:
-        grow = rng.randint(1, max(1, (max_states - counts[-1]) // 2))
-        counts.append(min(max_states, counts[-1] + grow))
+        grow = rng.randint(1, max(1, (MAX_STATES - counts[-1]) // 2))
+        counts.append(min(MAX_STATES, counts[-1] + grow))
     n = counts[-1]
     states = [f"s{i}" for i in range(n)]
     # assign each state a nested path: split points chosen per level
@@ -65,11 +67,10 @@ def random_space(
 
 
 def random_measure(
-    rng: random.Random, space: FilteredSpace, min_mass: float = 0.03,
-    null_states: Sequence[int] = (),
+    rng: random.Random, space: FilteredSpace, null_states: Sequence[int] = (),
 ) -> ProbabilityMeasure:
     raw = [
-        0.0 if s in null_states else min_mass + rng.random()
+        0.0 if s in null_states else MIN_MASS + rng.random()
         for s in range(space.n_states)
     ]
     total = sum(raw)
@@ -129,10 +130,8 @@ def random_act(
     )
 
 
-def random_equivalent_measure(
-    rng: random.Random, P: ProbabilityMeasure, min_mass: float = 0.03
-) -> ProbabilityMeasure:
-    raw = [(min_mass + rng.random()) if w > 0 else 0.0 for w in P.weights]
+def random_equivalent_measure(rng: random.Random, P: ProbabilityMeasure) -> ProbabilityMeasure:
+    raw = [(MIN_MASS + rng.random()) if w > 0 else 0.0 for w in P.weights]
     total = sum(raw)
     return ProbabilityMeasure(P.space, tuple(w / total for w in raw))
 
@@ -163,17 +162,15 @@ def margin_guarded_pair(
     rep: Representation,
     tol: float = 1e-9,
     margin: float = 1e-5,
-    hull: float = ACT_HULL,
-    max_draws: int = 200,
 ) -> tuple[int, int, Act, Act]:
     """Random (s, t, g, f) whose per-atom comparison margins stay clear of the
     equivalence band, so verdicts are stable across faithful rescalings."""
     space = rep.space
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         s = rng.randrange(0, space.last_index)
         t = rng.randrange(s + 1, space.last_index + 1)
-        g = random_act(rng, space, s, hull)
-        f = random_act(rng, space, t, hull)
+        g = random_act(rng, space, s)
+        f = random_act(rng, space, t)
         verdict = compare(rep, s, t, g, f, tol)
         clear = all(
             abs(verdict.margin.value_on_atom(k)) >= margin

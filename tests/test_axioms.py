@@ -191,11 +191,248 @@ class TestCheckST:
         assert check_ST(valid_oracle, 0).passed
 
 
-@pytest.mark.parametrize("check", [check_M, check_ST], ids=["M", "ST"])
-def test_capped_early_return_counts_its_queries(check):
-    res = check(nonadditive_meanmax(), 0, cap=50)
-    spent = int(re.fullmatch(r"query cap reached after (\d+) queries", res.note).group(1))
-    assert res.queries == spent > 50
+@pytest.mark.parametrize(
+    "check, make, i",
+    [
+        (check_M, nonadditive_meanmax, 0),
+        (check_ST, nonadditive_meanmax, 0),
+        (check_T, lambda: InducedOracle(_criterion5_rep()[0]), 1),
+    ],
+    ids=["M", "ST", "T"],
+)
+def test_capped_early_return_counts_its_queries(check, make, i):
+    res = check(make(), i, cap=50)
+    for r in res.clauses.values() if check is check_T else [res]:
+        spent = int(re.fullmatch(r"query cap reached after (\d+) queries", r.note).group(1))
+        assert r.queries == spent > 50
+
+
+def _criterion5_rep():
+    rng = random.Random(55)
+    rep = random_representation(
+        rng, n_times=3, kinds=("pl", "linear", "identity"), min_first_split=3
+    )
+    return rep, [random_act(rng, rep.space, i + 1) for i in (0, 1)]
+
+
+def _fleet(name):
+    """(oracle factory, step, continuity act) of one fleet member: criterion
+    5's induced oracle at steps 0 and 1, and the five controls at step 0."""
+    if name.startswith("induced@"):
+        rep, fs = _criterion5_rep()
+        i = int(name[-1])
+        return (lambda: InducedOracle(rep)), i, fs[i]
+    if name == "jump":
+        return (lambda: jump_on_positive_atom()[0]), 0, jump_on_positive_atom()[1]
+    make = {
+        "always-succeq": always_succeq,
+        "intransitive-band": intransitive_band,
+        "flat-segment": flat_segment,
+        "mean-max": nonadditive_meanmax,
+    }[name]
+    return make, 0, Act.from_atom_values(make().space, 1, [1, 0, -1])
+
+
+def _capped(n):
+    return (True, None, f"query cap reached after {n} queries")
+
+
+def _checked(n_seq):
+    return (True, None, f"4 strict acts x {n_seq} sequences checked")
+
+
+def _no_tail(style):
+    return (
+        False,
+        f"style={style} atom={{x,y,z}}: no tail of the sequence keeps the dominated act "
+        f"on its side (g offset from the equivalent of f)",
+        "",
+    )
+
+
+PASS = (True, None, "")
+VACUOUS = (True, None, "vacuous at the initial time: only the trivial event conditions")
+NOT_FALSIFIED = (True, None, "not falsified within bounds +-8")
+NO_EQUIVALENT = (True, None, "no certainty equivalent bracketable; premise vacuous")
+FLAT_M = (
+    False,
+    "A={x} f=(-2,-2,-2) g1=-1/2 g2=0: equivalent of the g1-paste is not strictly below "
+    "the g2-paste on any essential event",
+    "",
+)
+
+# (passed, counterexample, note) of every result, per fleet member and
+# (check, cap); cap None is the default cap
+PINNED_RESULTS = {
+    "induced@0": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (_capped(58),),
+        ("ST", 5): (_capped(58),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (_capped(58),),
+        ("ST", 50): (_capped(58),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (_capped(404),),
+        ("ST", 400): (_capped(413),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (_capped(3021),),
+        ("ST", 3000): (_capped(3110),),
+        ("T", None): (PASS,) * 3 + (NOT_FALSIFIED,) + (VACUOUS,) * 2,
+        ("M", None): (PASS,),
+        ("ST", None): (PASS,),
+        ("C/uniform", None): (_checked(2),),
+        ("C/atomwise", None): (_checked(1),),
+        ("C/random", None): (_checked(1),),
+    },
+    "induced@1": {
+        ("T", 5): (_capped(58),) * 6,
+        ("M", 5): (_capped(216),),
+        ("ST", 5): (_capped(158),),
+        ("T", 50): (_capped(58),) * 6,
+        ("M", 50): (_capped(216),),
+        ("ST", 50): (_capped(158),),
+        ("T", 400): (_capped(401),) * 6,
+        ("M", 400): (_capped(506),),
+        ("ST", 400): (_capped(1131),),
+        ("T", 3000): (_capped(3001),) * 6,
+        ("M", 3000): (_capped(3009),),
+        ("ST", 3000): (_capped(3137),),
+        ("C/uniform", None): (_checked(2),),
+        ("C/atomwise", None): (_checked(1),),
+        ("C/random", None): (_checked(1),),
+    },
+    "always-succeq": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (PASS,),
+        ("ST", 5): (_capped(1056),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (PASS,),
+        ("ST", 50): (_capped(1056),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (PASS,),
+        ("ST", 400): (_capped(1056),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (PASS,),
+        ("ST", 3000): (_capped(3212),),
+        ("T", None): (PASS,) * 2 + (
+            (False, "1_{} !~ 1_{} despite both null", ""),
+            (
+                False,
+                "f=(-2,-2,-2): no dominated constant within +-8",
+                "unbounded search is undecidable; failure within extension reported",
+            ),
+        ) + (VACUOUS,) * 2,
+        ("M", None): (PASS,),
+        ("ST", None): (PASS,),
+        ("C/uniform", None): (NO_EQUIVALENT,),
+        ("C/atomwise", None): (NO_EQUIVALENT,),
+        ("C/random", None): (NO_EQUIVALENT,),
+    },
+    "intransitive-band": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (_capped(56),),
+        ("ST", 5): (_capped(56),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (_capped(56),),
+        ("ST", 50): (_capped(56),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (_capped(404),),
+        ("ST", 400): (_capped(407),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (_capped(3028),),
+        ("ST", 3000): (_capped(3074),),
+        ("T", None): (
+            PASS,
+            (False, "f=(-1/2,1,1/2): 0 preceq f, -1/2 succeq f, but 0 > -1/2", ""),
+            PASS,
+            NOT_FALSIFIED,
+        ) + (VACUOUS,) * 2,
+        ("M", None): (PASS,),
+        ("ST", None): (PASS,),
+        ("C/uniform", None): (_checked(2),),
+        ("C/atomwise", None): (_checked(1),),
+        ("C/random", None): (_checked(1),),
+    },
+    "flat-segment": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (_capped(56),),
+        ("ST", 5): (_capped(56),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (_capped(56),),
+        ("ST", 50): (_capped(56),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (FLAT_M,),
+        ("ST", 400): (_capped(407),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (FLAT_M,),
+        ("ST", 3000): (_capped(3076),),
+        ("T", None): (PASS,) * 3 + (NOT_FALSIFIED,) + (VACUOUS,) * 2,
+        ("M", None): (FLAT_M,),
+        ("ST", None): (PASS,),
+        ("C/uniform", None): (_checked(2),),
+        ("C/atomwise", None): (_checked(1),),
+        ("C/random", None): (_checked(1),),
+    },
+    "mean-max": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (_capped(58),),
+        ("ST", 5): (_capped(58),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (_capped(58),),
+        ("ST", 50): (_capped(58),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (_capped(402),),
+        ("ST", 400): (_capped(403),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (_capped(3043),),
+        ("ST", 3000): (_capped(3154),),
+        ("T", None): (PASS,) * 3 + (NOT_FALSIFIED,) + (VACUOUS,) * 2,
+        ("M", None): (PASS,),
+        ("ST", None): ((
+            False,
+            "A={x,y} f1=(-1,1,0) f2=(0,0,0) h=1 k=-2: no bracketing act within the grid closure",
+            "",
+        ),),
+        ("C/uniform", None): (_checked(2),),
+        ("C/atomwise", None): (_checked(1),),
+        ("C/random", None): (_checked(1),),
+    },
+    "jump": {
+        ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
+        ("M", 5): (_capped(56),),
+        ("ST", 5): (_capped(56),),
+        ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
+        ("M", 50): (_capped(56),),
+        ("ST", 50): (_capped(56),),
+        ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
+        ("M", 400): (_capped(404),),
+        ("ST", 400): (_capped(407),),
+        ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
+        ("M", 3000): (_capped(3034),),
+        ("ST", 3000): (_capped(3078),),
+        ("T", None): (PASS,) * 3 + (NOT_FALSIFIED,) + (VACUOUS,) * 2,
+        ("M", None): (PASS,),
+        ("ST", None): (PASS,),
+        ("C/uniform", None): (_no_tail("uniform"),),
+        ("C/atomwise", None): (_no_tail("atomwise"),),
+        ("C/random", None): (_checked(1),),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RESULTS))
+def test_results_pinned(name):
+    make, i, f_c = _fleet(name)
+    checks = {"T": check_T, "M": check_M, "ST": check_ST}
+    for (check, cap), want in PINNED_RESULTS[name].items():
+        if check.startswith("C/"):
+            results = [check_C(make(), i, f_c, check[2:])]
+        else:
+            kwargs = {} if cap is None else {"cap": cap}
+            res = checks[check](make(), i, **kwargs)
+            results = list(res.clauses.values()) if check == "T" else [res]
+        got = tuple((r.passed, r.counterexample, r.note) for r in results)
+        assert got == want, (name, check, cap)
 
 
 class TestCheckC:
@@ -210,6 +447,20 @@ class TestCheckC:
         assert not res.passed
         off_jump = Act.from_atom_values(oracle.space, 1, [0.25, 0, 0])
         assert check_C(oracle, 0, off_jump, "uniform").passed
+
+    def test_queries_are_the_oracle_queries_spent(self, valid_oracle):
+        f = Act.from_atom_values(valid_oracle.space, 1, [1, 0, -1])
+        for style in C_STYLES:
+            before = valid_oracle.queries
+            res = check_C(valid_oracle, 0, f, style)
+            assert res.queries == valid_oracle.queries - before > 0
+
+    def test_unknown_style_raises_before_any_query(self):
+        oracle = always_succeq()  # premise vacuous: no equivalent is bracketable
+        f = Act.from_atom_values(oracle.space, 1, [1, 0, -1])
+        with pytest.raises(ValueError, match="no-such-style"):
+            check_C(oracle, 0, f, "no-such-style")
+        assert oracle.queries == 0
 
     def test_conditional_step(self):
         rng = random.Random(19)

@@ -225,6 +225,16 @@ class TestRecoverStep0:
 
 
 class TestRecoverInductive:
+    def test_single_time_space_rejected_up_front(self):
+        from itpref import FilteredSpace
+
+        space = FilteredSpace.build(("a", "b"), (0,), [[["a", "b"]]])
+        P = ProbabilityMeasure(space, (Fraction(1, 2), Fraction(1, 2)))
+        oracle = InducedOracle(identity_representation(space, P))
+        with pytest.raises(RecoveryError, match="at least two times"):
+            recover_representation(oracle, IdentityCurve())
+        assert oracle.queries == 0
+
     def test_two_period_identity_recovers_exactly(self, four_state_space, four_state_measure):
         rep = identity_rep(four_state_space, four_state_measure)
         oracle = InducedOracle(rep, tol=1e-12)
