@@ -45,10 +45,10 @@ from .engine import (
     compare,
     density_process,
     discount_transform,
+    expected_utility_profile,
     numeraire_transform,
     semigroup_residual,
     time_consistency_check,
-    v_functional,
 )
 from .filtered_space import (
     Act,

@@ -34,15 +34,14 @@ SUBGRID = (-1, 0, 1, 2)  # value set for act pairs in the sure-thing search
 # or the slope-amplified overshoot fails legitimate equivalence queries
 BISECT_TOL = 1e-12
 NULL_PROBE_ACTS = 8  # grid acts each null-event derivation tests per atom
+MAX_DISTINCT = 3  # distinct values per simple act when the caller sets no cap
 
 
 @dataclass(frozen=True)
 class ActGrid:
-    """Finite outcome grid for simple acts: sorted values containing 0, and
-    the maximum number of distinct values per act."""
+    """Finite outcome grid for simple acts: sorted values containing 0."""
 
     values: tuple[Number, ...] = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
-    depth: int = 3
 
     def __post_init__(self) -> None:
         if 0 not in self.values:
@@ -112,7 +111,7 @@ def enumerate_simple_acts(
 ) -> list[Act]:
     """Deterministic enumeration of grid simple acts at a time level:
     constants first, then products over atoms with a distinct-value cap."""
-    maxd = max_distinct if max_distinct is not None else grid.depth
+    maxd = max_distinct if max_distinct is not None else MAX_DISTINCT
     acts = [Act.constant(space, level, v) for v in grid.values]
     seen = {a.values for a in acts}
     m = space.n_atoms(level)
@@ -244,6 +243,7 @@ def check_T(
     report = TransitionReport(step=i)
 
     null_i = _null_indices(oracle, i, grid)
+    null_union = space.union_event(i, null_i)
     ess_atoms = [space.atom_event(i, k) for k in range(space.n_atoms(i)) if k not in null_i]
     f_acts = enumerate_simple_acts(space, i + 1, grid, cap=160)
     if i == 0:
@@ -289,11 +289,10 @@ def check_T(
                 )
                 break
     if res.passed and i >= 1:
-        null_states = {s for k in null_i for s in space.atom_members(i, k)}
         for f, g, h in budget.each(itertools.product(f_acts[:32], g_acts, g_acts)):
             if oracle.ask(i, g, f).succeq and oracle.ask(i, h, f).preceq:
                 where = {s for s in range(space.n_states) if g.values[s] < h.values[s]}
-                if not where <= null_states:
+                if not where <= null_union.members:
                     res = CheckResult(
                         False,
                         f"g={_vals(g)} succeq f={_vals(f)}, h={_vals(h)} preceq f, "
@@ -307,8 +306,7 @@ def check_T(
     null_events: list[Event] = [Event(space, frozenset(), i)]
     null_events += [space.atom_event(i, k) for k in sorted(null_i)]
     if len(null_i) > 1:
-        members = {s for k in null_i for s in space.atom_members(i, k)}
-        null_events.append(Event(space, frozenset(members), i))
+        null_events.append(null_union)
     for A, B in budget.each(itertools.product(null_events, repeat=2)):
         if not oracle.ask(i, A.indicator(i), B.indicator(i + 1)).equiv:
             res = CheckResult(False, f"1_{A.label()} !~ 1_{B.label()} despite both null")
@@ -610,9 +608,9 @@ def tri_partition(
     neither way is reported as a local-completeness violation."""
     space = oracle.space
     nulls = _null_indices(oracle, i, grid)
-    a_states: set[int] = set()
-    b_states: set[int] = set()
-    c_states: set[int] = set()
+    a: list[int] = []
+    b: list[int] = []
+    c: list[int] = []
     violations: list[str] = []
     for k in range(space.n_atoms(i)):
         if k in nulls:
@@ -620,18 +618,14 @@ def tri_partition(
         ev = space.atom_event(i, k)
         ans = oracle.ask(i, g, f, ev)
         if ans.equiv:
-            a_states.update(ev.members)
+            a.append(k)
         elif ans.succeq:
-            b_states.update(ev.members)
+            b.append(k)
         elif ans.preceq:
-            c_states.update(ev.members)
+            c.append(k)
         else:
             violations.append(f"atom {ev.label()} unclassifiable (local completeness fails)")
-    tri = TriPartition(
-        Event(space, frozenset(a_states), i),
-        Event(space, frozenset(b_states), i),
-        Event(space, frozenset(c_states), i),
-    )
+    tri = TriPartition.of_atoms(space, i, a, b, c)
     return tri, violations
 
 

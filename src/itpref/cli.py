@@ -106,12 +106,9 @@ def _cmd_semigroup(args) -> int:
     if any(x is not None for x in given) and any(x is None for x in given):
         raise ScenarioError("--s, --t and --v must be given together")
     cases = []
-    if args.f is not None:
-        names = [args.f]
-    else:
-        names = sorted(spec.acts)
+    names = sorted(spec.acts) if args.f is None else [args.f]
     for name in names:
-        f = spec.acts[name]
+        f = _named_act(spec, name)
         for v in range(max(2, f.time_index), last + 1):
             for s in range(0, v - 1):
                 for t in range(s + 1, v):
@@ -137,7 +134,11 @@ def _cmd_axioms(args) -> int:
     spec = _load(args.scenario)
     oracle = InducedOracle(spec.representation(), tol=args.tol)
     grid = _grid(args)
-    steps = [args.step] if args.step is not None else list(oracle.steps())
+    steps = oracle.steps()
+    if args.step is not None:
+        if args.step not in steps:
+            raise ScenarioError(f"--step {args.step} out of range 0..{len(steps) - 1}")
+        steps = [args.step]
     ok = True
     blocks = []
     for i in steps:
@@ -223,22 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required, help="scenario file path")
-        p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
-        p.add_argument("--grid", default=None, help="comma-separated outcome grid (use --grid=-2,... for negative leads)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
+    flags = {
+        "--tol": dict(type=float, default=1e-9, help="tolerance (default 1e-9)"),
+        "--grid": dict(default=None, help="comma-separated outcome grid (use --grid=-2,... for negative leads)"),
+        "--seed": dict(type=int, default=0, help="seed for randomized suites"),
+        "--format": dict(choices=("text", "tsv"), default="text"),
+    }
+
+    def common(p, *names):
+        p.add_argument("--scenario", required=True, help="scenario file path")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("cce", help="conditional certainty equivalent of a named act")
-    common(p)
+    common(p, "--tol", "--format")
     p.add_argument("--f", required=True, help="act name")
     p.add_argument("--s", type=int, default=0, help="valuation time index")
     p.add_argument("--t", type=int, default=None, help="act time index (default: its own)")
     p.set_defaults(fn=_cmd_cce)
 
     p = sub.add_parser("compare", help="verdict between two named acts")
-    common(p)
+    common(p, "--tol", "--format")
     p.add_argument("--g", required=True, help="earlier act name")
     p.add_argument("--f", required=True, help="later act name")
     p.add_argument("--s", type=int, default=None)
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("semigroup", help="nested-vs-direct certainty equivalent residuals")
-    common(p)
+    common(p, "--tol", "--format")
     p.add_argument("--f", default=None, help="act name (default: all)")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
@@ -254,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_semigroup)
 
     p = sub.add_parser("axioms", help="audit the axioms of the induced oracle")
-    common(p)
+    common(p, "--tol", "--grid", "--seed")
     p.add_argument("--step", type=int, default=None, help="single step index")
     p.set_defaults(fn=_cmd_axioms)
 
     p = sub.add_parser("recover", help="reconstruct the representing pair from the induced oracle")
-    common(p)
+    common(p, "--tol", "--grid", "--seed", "--format")
     p.add_argument("--out", default=None, help="write the recovered scenario here")
     p.add_argument("--pairs", type=int, default=100, help="verdict-agreement sample size")
     p.add_argument(
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("uniqueness", help="relative-uniqueness check between two scenarios")
-    common(p)
+    common(p, "--tol", "--grid", "--format")
     p.add_argument("--other", required=True, help="second scenario file")
     p.set_defaults(fn=_cmd_uniqueness)
 
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="villa arithmetic variant (default: the scenario file's, else paper-arithmetic)",
     )
-    common(p, scenario_required=False)
+    p.add_argument("--scenario", default=None, help="scenario file path")
     p.set_defaults(fn=_cmd_example)
 
     return parser

@@ -116,7 +116,7 @@ class MeanMaxOracle(PreferenceOracle):
         return float(self.P.expectation(f)) + max(float(f.values[s]) for s in pos)
 
     def query(self, i, g, f, A=None):
-        if A is not None and self.P.mass(A.members) == 0:
+        if A is not None and self.P.event_mass(A) == 0:
             return QueryAnswer(True, True)
         # time-0 information is trivial, so any essential A is the whole space
         u = float(g.values[0])  # identity initial utility; g is constant

@@ -83,6 +83,14 @@ class TriPartition:
     B: Event
     C: Event
 
+    @classmethod
+    def of_atoms(
+        cls, space: FilteredSpace, i: int, a: list[int], b: list[int], c: list[int]
+    ) -> "TriPartition":
+        """The partition whose events are the unions of the time-``i`` atoms
+        in ``a``, ``b`` and ``c``."""
+        return cls(space.union_event(i, a), space.union_event(i, b), space.union_event(i, c))
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -113,13 +121,6 @@ def _lift(act: Act, j: int) -> Act:
     return act if act.time_index == j else act.at_time(j)
 
 
-def v_functional(rep: Representation, i: int, f: Act) -> Act:
-    """One-step functional E[u(t_{i+1}, f) | F_{t_i}]."""
-    rep.space.check_time_index(i + 1)
-    f = _lift(f, i + 1)
-    return conditional_expectation(rep.space, rep.P, rep.field.eval(i + 1, f), i)
-
-
 def expected_utility_profile(rep: Representation, s: int, t: int, f: Act) -> Act:
     """E[u(t, f) | F_s] for arbitrary grid times s <= t."""
     f = _lift(f, t)
@@ -137,10 +138,9 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
     if not 0 <= s < t <= rep.space.last_index:
         raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
     target = expected_utility_profile(rep, s, t, f)
-    values: list[Number] = [0] * rep.space.n_states
+    per_atom: list[Number] = [0] * rep.space.n_atoms(s)
     for k in rep.P.positive_atoms(s):
-        members = rep.space.atom_members(s, k)
-        y = target.values[members[0]]
+        y = target.value_on_atom(k)
         curve = rep.field.curve_on_atom(s, k)
         try:
             inv = curve.invert_detailed(y, tol)
@@ -153,9 +153,8 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
                 f"conditional expected utility {y!r} falls in a jump gap of "
                 f"{curve.spec()} on atom {rep.space.atom_label(s, k)}"
             )
-        for sidx in members:
-            values[sidx] = inv.x
-    return Act(rep.space, s, tuple(values), frozenset(target.null_fill))
+        per_atom[k] = inv.x
+    return Act.from_atom_values(rep.space, s, per_atom, rep.P.null_atoms(s))
 
 
 def compare(
@@ -177,28 +176,26 @@ def compare(
 def _verdict(
     space: FilteredSpace, P: ProbabilityMeasure, s: int, margin: Act, tol: float
 ) -> Verdict:
-    a_states: set[int] = set()
-    b_states: set[int] = set()
-    c_states: set[int] = set()
+    a: list[int] = []
+    b: list[int] = []
+    c: list[int] = []
+    part = space.partitions[s]
     for k in P.positive_atoms(s):
-        members = space.atom_members(s, k)
-        d = margin.values[members[0]]
+        # the first state of the time-s atom: a margin from a field that is not
+        # measurable can be tagged at a finer level than s
+        d = margin.values[part[k][0]]
         if abs(d) <= tol:
-            a_states.update(members)
+            a.append(k)
         elif d > tol:
-            b_states.update(members)
+            b.append(k)
         else:
-            c_states.update(members)
-    tri = TriPartition(
-        Event(space, frozenset(a_states), s),
-        Event(space, frozenset(b_states), s),
-        Event(space, frozenset(c_states), s),
-    )
-    if not b_states and not c_states:
+            c.append(k)
+    tri = TriPartition.of_atoms(space, s, a, b, c)
+    if not b and not c:
         tag = "equiv"
-    elif not c_states:
+    elif not c:
         tag = "succeq"
-    elif not b_states:
+    elif not b:
         tag = "preceq"
     else:
         tag = "mixed"
@@ -248,18 +245,11 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
         raise InvariantError("stochastic discount factor requires an equivalent measure")
     betas = []
     for i in range(rep.space.n_times):
-        values: list[Number] = [1] * rep.space.n_states
-        filled: set[int] = set()
-        for k in range(rep.space.n_atoms(i)):
-            members = rep.space.atom_members(i, k)
-            q = P_star.mass(members)
-            if q > 0:
-                ratio = rep.P.mass(members) / q
-                for sidx in members:
-                    values[sidx] = ratio
-            else:
-                filled.update(members)
-        betas.append(Act(rep.space, i, tuple(values), frozenset(filled)))
+        per_atom = [
+            p / q if q > 0 else 1
+            for p, q in zip(rep.P.atom_masses(i), P_star.atom_masses(i))
+        ]
+        betas.append(Act.from_atom_values(rep.space, i, per_atom, P_star.null_atoms(i)))
     return tuple(betas)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 Number = Union[int, float, Fraction]
 
 MEASURE_TOL = 1e-12  # normalization and measurability absolute tolerance
-ACT_TOL = 1e-9       # default sup-norm tolerance for act equality
+ACT_TOL = 1e-9       # default tie tolerance of verdicts and oracle answers
 
 
 class InvariantError(ValueError):
@@ -158,6 +158,11 @@ class FilteredSpace:
     def whole_event(self, i: int | None = None) -> "Event":
         return Event(self, frozenset(range(self.n_states)), i)
 
+    def union_event(self, i: int, ks: Iterable[int]) -> "Event":
+        """The union of the time-``i`` atoms with indices ``ks``."""
+        part = self.partitions[self.check_time_index(i)]
+        return Event(self, frozenset(s for k in ks for s in part[k]), i)
+
 
 @dataclass(frozen=True)
 class Event:
@@ -252,18 +257,27 @@ class Act:
         return cls(space, i, (value,) * space.n_states)
 
     @classmethod
-    def from_atom_values(cls, space: FilteredSpace, i: int, per_atom: Sequence[Number]) -> "Act":
-        space.check_time_index(i)
-        if len(per_atom) != space.n_atoms(i):
-            raise InvariantError("one value per atom required")
+    def from_atom_values(
+        cls,
+        space: FilteredSpace,
+        i: int,
+        per_atom: Sequence[Number],
+        null_atoms: Iterable[int] = (),
+    ) -> "Act":
+        """The time-``i`` act with value ``per_atom[k]`` on atom ``k``; the
+        states of ``null_atoms`` form its ``null_fill``."""
         amap = space.atom_index_map(i)
-        return cls(space, i, tuple(per_atom[amap[s]] for s in range(space.n_states)))
+        part = space.partitions[i]
+        if len(per_atom) != len(part):
+            raise InvariantError("one value per atom required")
+        null_fill = frozenset(s for k in null_atoms for s in part[k])
+        return cls(space, i, tuple([per_atom[k] for k in amap]), null_fill)
 
     def value_on_atom(self, k: int) -> Number:
-        return self.values[self.space.atom_members(self.time_index, k)[0]]
+        return self.values[self.space.partitions[self.time_index][k][0]]
 
     def atom_values(self) -> tuple[Number, ...]:
-        return tuple(self.value_on_atom(k) for k in range(self.space.n_atoms(self.time_index)))
+        return tuple(self.values[atom[0]] for atom in self.space.partitions[self.time_index])
 
     def at_time(self, j: int) -> "Act":
         """Reinterpret at a later (finer) time index."""
@@ -276,9 +290,6 @@ class Act:
 
     def shift(self, c: Number) -> "Act":
         return Act(self.space, self.time_index, tuple(v + c for v in self.values))
-
-    def scale(self, c: Number) -> "Act":
-        return Act(self.space, self.time_index, tuple(v * c for v in self.values))
 
     def plus(self, other: "Act") -> "Act":
         j = max(self.time_index, other.time_index)
@@ -300,9 +311,6 @@ class Act:
             if P is None or P.weights[s] > 0
         )
         return float(max(gaps, default=0))
-
-    def equals(self, other: "Act", tol: float = ACT_TOL, P: "ProbabilityMeasure | None" = None) -> bool:
-        return self.sup_dist(other, P) <= tol
 
 
 @dataclass(frozen=True)
@@ -336,8 +344,28 @@ class ProbabilityMeasure:
     def mass(self, states: Iterable[int]) -> Number:
         return sum((self.weights[s] for s in states), 0)
 
+    @cached_property
+    def _atom_masses(self) -> tuple[tuple[Number, ...], ...]:
+        return tuple(tuple(self.mass(atom) for atom in part) for part in self.space.partitions)
+
+    @cached_property
+    def _positive_atoms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(k for k, m in enumerate(masses) if m > 0) for masses in self._atom_masses
+        )
+
+    @cached_property
+    def _null_atoms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(k for k, m in enumerate(masses) if m == 0) for masses in self._atom_masses
+        )
+
+    def atom_masses(self, i: int) -> tuple[Number, ...]:
+        """The masses of the time-``i`` atoms, in atom order."""
+        return self._atom_masses[self.space.check_time_index(i)]
+
     def atom_mass(self, i: int, k: int) -> Number:
-        return self.mass(self.space.atom_members(i, k))
+        return self.atom_masses(i)[k]
 
     def event_mass(self, A: Event) -> Number:
         return self.mass(A.members)
@@ -346,10 +374,10 @@ class ProbabilityMeasure:
         return sum((w * v for w, v in zip(self.weights, f.values)), 0)
 
     def positive_atoms(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k in range(self.space.n_atoms(i)) if self.atom_mass(i, k) > 0)
+        return self._positive_atoms[self.space.check_time_index(i)]
 
     def null_atoms(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k in range(self.space.n_atoms(i)) if self.atom_mass(i, k) == 0)
+        return self._null_atoms[self.space.check_time_index(i)]
 
     def positive_states(self) -> tuple[int, ...]:
         return tuple(s for s, w in enumerate(self.weights) if w > 0)
@@ -367,17 +395,13 @@ def atoms(space: FilteredSpace, i: int) -> list[Event]:
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:
     """True iff ``obj`` is constant per atom (acts) / a union of atoms (events)
     of the time-``i`` partition."""
-    space.check_time_index(i)
-    if isinstance(obj, Event):
-        for atom in space.partitions[i]:
-            inter = obj.members & set(atom)
-            if inter and inter != set(atom):
-                return False
-        return True
-    for atom in space.partitions[i]:
-        v0 = obj.values[atom[0]]
-        if any(abs(obj.values[s] - v0) > MEASURE_TOL for s in atom[1:]):
-            return False
+    try:
+        if isinstance(obj, Event):
+            Event(space, obj.members, i)
+        else:
+            Act(space, i, obj.values)
+    except InvariantError:
+        return False
     return True
 
 
@@ -395,17 +419,12 @@ def conditional_expectation(
         raise InvariantError(
             f"cannot condition a time-{f.time_index} act on later time index {i}"
         )
-    values: list[Number] = [0] * space.n_states
-    filled: set[int] = set()
-    for atom in space.partitions[i]:
-        mass = P.mass(atom)
-        if mass > 0:
-            avg = sum((P.weights[s] * f.values[s] for s in atom), 0) / mass
-            for s in atom:
-                values[s] = avg
-        else:
-            filled.update(atom)
-    return Act(space, i, tuple(values), frozenset(filled))
+    weights, values = P.weights, f.values
+    per_atom = [
+        sum((weights[s] * values[s] for s in atom), 0) / mass if mass > 0 else 0
+        for atom, mass in zip(space.partitions[i], P.atom_masses(i))
+    ]
+    return Act.from_atom_values(space, i, per_atom, P.null_atoms(i))
 
 
 def null_events(space: FilteredSpace, P: ProbabilityMeasure, i: int) -> list[Event]:
@@ -415,10 +434,7 @@ def null_events(space: FilteredSpace, P: ProbabilityMeasure, i: int) -> list[Eve
 
 
 def maximal_null_event(space: FilteredSpace, P: ProbabilityMeasure, i: int) -> Event:
-    members: set[int] = set()
-    for k in P.null_atoms(i):
-        members.update(space.atom_members(i, k))
-    return Event(space, frozenset(members), i)
+    return space.union_event(i, P.null_atoms(i))
 
 
 def is_null_event(P: ProbabilityMeasure, A: Event) -> bool:

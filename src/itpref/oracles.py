@@ -85,12 +85,13 @@ class InducedOracle(PreferenceOracle):
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
         row = self.rep.field.curves_by_state[i]
+        part = self.space.partitions[i]
         succ = prec = True
         for k in self.rep.P.positive_atoms(i):
-            members = self.space.atom_members(i, k)
-            if A is not None and members[0] not in A.members:
+            first = part[k][0]
+            if A is not None and first not in A.members:
                 continue
-            d = row[members[0]](g.values[members[0]]) - values[k]
+            d = row[first](g.values[first]) - values[k]
             if d < -self.tol:
                 succ = False
             if d > self.tol:
@@ -164,16 +165,14 @@ def indifference_profile(
     hit = oracle._cce_memo.get(key)
     if hit is not None:
         return hit
-    values: list[Number] = [0] * space.n_states
-    filled: set[int] = set()
-    for k in range(space.n_atoms(i)):
+    per_atom: list[Number] = [0] * space.n_atoms(i)
+    insensitive: list[int] = []
+    for k in range(len(per_atom)):
         A = space.atom_event(i, k)
         if atom_is_insensitive(oracle, i, f, A):
-            filled.update(A.members)
+            insensitive.append(k)
             continue
-        c = indifference_constant(oracle, i, f, A, tol)
-        for s in A.members:
-            values[s] = c
-    act = Act(space, i, tuple(values), frozenset(filled))
+        per_atom[k] = indifference_constant(oracle, i, f, A, tol)
+    act = Act.from_atom_values(space, i, per_atom, insensitive)
     oracle._cce_memo[key] = act
     return act

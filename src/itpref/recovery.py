@@ -208,10 +208,7 @@ def recover_step_i(
         return raw
 
     amap_lo = space.atom_index_map(i)
-    parent = {
-        k: amap_lo[space.atom_members(i + 1, k)[0]]
-        for k in range(space.n_atoms(i + 1))
-    }
+    parent = [amap_lo[atom[0]] for atom in space.partitions[i + 1]]
     parent_mass: dict[int, Number] = {}
     for k in range(space.n_atoms(i + 1)):
         parent_mass[parent[k]] = parent_mass.get(parent[k], 0) + raw.masses[k]
@@ -301,12 +298,10 @@ def recover_representation(
             oracle, i, last, grid, tol, require_three_essential, debreu_tol
         )
         steps.append(last)
-    weights = [0.0] * space.n_states
-    for k in range(space.n_atoms(last.level)):
-        members = space.atom_members(last.level, k)
-        for s in members:
-            weights[s] = last.masses[k] / len(members)
-    P = ProbabilityMeasure(space, tuple(weights))
+    part = space.partitions[last.level]
+    P = ProbabilityMeasure(
+        space, tuple(last.masses[k] / len(part[k]) for k in space.atom_index_map(last.level))
+    )
     per_time: list[Sequence[MonotoneCurve]] = [[u0]]
     for step in steps:
         per_time.append(step.curves)
@@ -346,8 +341,7 @@ def check_relative_uniqueness(
     witness = None
     for i in range(space.n_times):
         for k in rep_a.P.positive_atoms(i):
-            members = space.atom_members(i, k)
-            delta = rep_a.P.mass(members) / rep_b.P.mass(members) if i >= 1 else 1
+            delta = rep_a.P.atom_mass(i, k) / rep_b.P.atom_mass(i, k) if i >= 1 else 1
             ua = rep_a.field.curve_on_atom(i, k)
             ub = rep_b.field.curve_on_atom(i, k)
             for x in xs:

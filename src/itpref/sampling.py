@@ -144,12 +144,10 @@ def scaled_clone(rep: Representation, P_star: ProbabilityMeasure) -> Representat
     per_time: list[list[MonotoneCurve]] = [[rep.u0]]
     for i in range(1, space.n_times):
         row = []
-        for k in range(space.n_atoms(i)):
+        for k, (p, q) in enumerate(zip(rep.P.atom_masses(i), P_star.atom_masses(i))):
             base = rep.field.curve_on_atom(i, k)
-            members = space.atom_members(i, k)
-            q = P_star.mass(members)
             if q > 0:
-                delta = rep.P.mass(members) / q
+                delta = p / q
                 row.append(ValueScaledCurve(base, delta) if delta != 1 else base)
             else:
                 row.append(base)

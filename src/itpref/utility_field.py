@@ -66,16 +66,13 @@ class UtilityField:
     ) -> "UtilityField":
         field = cls(space, tuple(tuple(row) for row in per_time))
         if validate_measurability:
-            for i in range(space.n_times):
-                for k in range(space.n_atoms(i)):
-                    members = space.atom_members(i, k)
-                    first = field.curves_by_state[i][members[0]]
-                    for s in members[1:]:
-                        if field.curves_by_state[i][s] != first:
-                            raise InvariantError(
-                                f"curve assignment at time index {i} is not measurable: "
-                                f"atom {space.atom_label(i, k)} mixes curves"
-                            )
+            for i, row in enumerate(field.curves_by_state):
+                for k, atom in enumerate(space.partitions[i]):
+                    if any(row[s] != row[atom[0]] for s in atom[1:]):
+                        raise InvariantError(
+                            f"curve assignment at time index {i} is not measurable: "
+                            f"atom {space.atom_label(i, k)} mixes curves"
+                        )
         return field
 
     def curve_on_atom(self, i: int, k: int) -> MonotoneCurve:
@@ -155,11 +152,8 @@ def is_star_continuous(
         jumps = curve.jumps()
         if jumps:
             jump = jumps[0]
-            atom = space.atom_event(j, k)
-            witness = Act(
-                space,
-                j,
-                tuple(jump.x if s in atom.members else 0 for s in range(space.n_states)),
-            )
-            return StarContinuityResult(False, witness, atom, jump)
+            per_atom = [0] * space.n_atoms(j)
+            per_atom[k] = jump.x
+            witness = Act.from_atom_values(space, j, per_atom)
+            return StarContinuityResult(False, witness, space.atom_event(j, k), jump)
     return StarContinuityResult(True)

@@ -88,6 +88,12 @@ class TestSemigroup:
         assert code == 2
         assert "together" in err
 
+    def test_unknown_act_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["semigroup", "--scenario", VILLA, "--f", "nosuch"])
+        assert code == 2
+        assert out == ""
+        assert "unknown act 'nosuch'" in err
+
 
 class TestGridFlag:
     def test_axioms_with_custom_grid(self, capsys):
@@ -119,6 +125,13 @@ class TestAxioms:
         _, first, _ = run(capsys, args)
         _, second, _ = run(capsys, args)
         assert first == second
+
+    @pytest.mark.parametrize("step", ["7", "-1"])
+    def test_step_out_of_range_is_input_error(self, capsys, step):
+        code, out, err = run(capsys, ["axioms", "--scenario", VILLA, "--step", step])
+        assert code == 2
+        assert out == ""
+        assert f"--step {step} out of range 0..1" in err
 
 
 class TestRecoverUniqueness:
@@ -171,3 +184,30 @@ class TestExamples:
         _, first, _ = run(capsys, ["example", "villa"])
         _, second, _ = run(capsys, ["example", "villa"])
         assert first == second
+
+
+# (subcommand with its required arguments, flag it does not read)
+UNREAD_FLAGS = [
+    (["cce", "--scenario", VILLA, "--f", "villa_t1"], "--grid=0,1"),
+    (["cce", "--scenario", VILLA, "--f", "villa_t1"], "--seed=1"),
+    (["compare", "--scenario", VILLA, "--g", "cash", "--f", "villa_t2"], "--grid=0,1"),
+    (["compare", "--scenario", VILLA, "--g", "cash", "--f", "villa_t2"], "--seed=1"),
+    (["semigroup", "--scenario", VILLA], "--grid=0,1"),
+    (["semigroup", "--scenario", VILLA], "--seed=1"),
+    (["uniqueness", "--scenario", VILLA, "--other", VILLA], "--seed=1"),
+    (["axioms", "--scenario", VILLA, "--step", "0"], "--format=tsv"),
+    (["example", "villa"], "--tol=1e-3"),
+    (["example", "villa"], "--grid=0,1"),
+    (["example", "villa"], "--seed=1"),
+    (["example", "villa"], "--format=tsv"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", UNREAD_FLAGS, ids=[f"{a[0]}{f.split('=')[0]}" for a, f in UNREAD_FLAGS]
+)
+def test_subcommand_rejects_flags_it_does_not_read(capsys, args, flag):
+    code, out, err = run(capsys, args + [flag])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err

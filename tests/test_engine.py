@@ -27,10 +27,10 @@ from itpref import (
     conditional_expectation,
     density_process,
     discount_transform,
+    expected_utility_profile,
     numeraire_transform,
     semigroup_residual,
     time_consistency_check,
-    v_functional,
 )
 from itpref.apps import villa_scenario
 from itpref.sampling import (
@@ -66,7 +66,7 @@ def exp_cce_oracle(P: ProbabilityMeasure, f: Act, s: int, a: float = 1.0) -> lis
 
 class TestVFunctional:
     def test_identity_is_conditional_expectation(self, four_state_identity_rep, staircase):
-        got = v_functional(four_state_identity_rep, 1, staircase)
+        got = expected_utility_profile(four_state_identity_rep, 1, 2, staircase)
         want = conditional_expectation(
             four_state_identity_rep.space, four_state_identity_rep.P, staircase, 1
         )
@@ -76,8 +76,8 @@ class TestVFunctional:
         # V(f 1_A) = V(f) 1_A for A known at the conditioning time
         space = four_state_identity_rep.space
         A = Event.of_states(space, ("w1", "w2"), time_index=1)
-        lhs = v_functional(four_state_identity_rep, 1, staircase.restrict(A))
-        rhs = v_functional(four_state_identity_rep, 1, staircase).restrict(A)
+        lhs = expected_utility_profile(four_state_identity_rep, 1, 2, staircase.restrict(A))
+        rhs = expected_utility_profile(four_state_identity_rep, 1, 2, staircase).restrict(A)
         assert lhs.sup_dist(rhs) < 1e-12
 
     def test_localization_nonlinear(self):
@@ -87,15 +87,15 @@ class TestVFunctional:
         f = random_act(rng, space, 2)
         for k in range(space.n_atoms(1)):
             A = space.atom_event(1, k)
-            lhs = v_functional(rep, 1, f.restrict(A))
-            rhs = v_functional(rep, 1, f).restrict(A)
+            lhs = expected_utility_profile(rep, 1, 2, f.restrict(A))
+            rhs = expected_utility_profile(rep, 1, 2, f).restrict(A)
             assert lhs.sup_dist(rhs, rep.P) < 1e-12
 
     def test_exponential_two_branches(self, two_branch_space):
         P = ProbabilityMeasure(two_branch_space, (Fraction(1, 2), Fraction(1, 2)))
         rep = exp_rep(two_branch_space, P)
         f = Act(two_branch_space, 1, (0.0, math.log(2)))
-        got = v_functional(rep, 0, f)
+        got = expected_utility_profile(rep, 0, 1, f)
         assert got.values[0] == pytest.approx(0.25, abs=1e-15)
 
 

@@ -22,7 +22,7 @@ from itpref import (
     paste,
 )
 from itpref.apps import villa_scenario, villa_t2_formula
-from itpref.sampling import random_act, random_measure, random_space
+from itpref.sampling import random_act, random_measure, random_representation, random_space
 
 
 class TestConstruction:
@@ -216,6 +216,107 @@ class TestNullEvents:
         )
         got = null_events(spec.space, P0, 1)
         assert [e.names for e in got] == [("d1",)]
+
+
+def _fleet(seed: int = 41, n: int = 10) -> list[tuple[FilteredSpace, ProbabilityMeasure]]:
+    """Seeded (space, measure) pairs: the float measures of random
+    representations, and exact Fraction measures on the same spaces with one
+    terminal atom null."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        rep = random_representation(rng)
+        space = rep.space
+        out.append((space, rep.P))
+        raw = [Fraction(rng.randint(1, 9)) for _ in range(space.n_states)]
+        for s in rng.choice(space.partitions[space.last_index]):
+            raw[s] = Fraction(0)
+        total = sum(raw)
+        out.append((space, ProbabilityMeasure(space, tuple(w / total for w in raw))))
+    return out
+
+
+FLEET = _fleet()
+
+
+def _constructs(build) -> bool:
+    try:
+        build()
+    except InvariantError:
+        return False
+    return True
+
+
+class TestPerAtomFacts:
+    def test_atom_masses_follow_the_weights(self):
+        assert any(P.null_atoms(space.last_index) for space, P in FLEET)
+        for space, P in FLEET:
+            for i in range(space.n_times):
+                want = tuple(sum((P.weights[s] for s in atom), 0) for atom in space.partitions[i])
+                assert P.atom_masses(i) == want
+                assert tuple(P.atom_mass(i, k) for k in range(len(want))) == want
+                assert P.positive_atoms(i) == tuple(k for k, m in enumerate(want) if m > 0)
+                assert P.null_atoms(i) == tuple(k for k, m in enumerate(want) if m == 0)
+
+    def test_from_atom_values_sets_values_and_null_fill(self):
+        rng = random.Random(42)
+        for space, P in FLEET:
+            for i in range(space.n_times):
+                part = space.partitions[i]
+                per_atom = [rng.uniform(-1, 1) for _ in part]
+                f = Act.from_atom_values(space, i, per_atom, P.null_atoms(i))
+                assert f.time_index == i
+                assert all(f.values[s] == per_atom[k] for k, atom in enumerate(part) for s in atom)
+                assert f.atom_values() == tuple(per_atom)
+                null_states = {
+                    s for atom in part if all(P.weights[m] == 0 for m in atom) for s in atom
+                }
+                assert f.null_fill == null_states
+                with pytest.raises(InvariantError, match="one value per atom"):
+                    Act.from_atom_values(space, i, per_atom + [0])
+
+    def test_union_event_is_the_union_of_its_atoms(self):
+        rng = random.Random(43)
+        for space, P in FLEET:
+            for i in range(space.n_times):
+                ks = [k for k in range(space.n_atoms(i)) if rng.random() < 0.5]
+                ev = space.union_event(i, ks)
+                want = set()
+                for k in ks:
+                    want |= space.atom_event(i, k).members
+                assert ev.members == want and ev.time_index == i
+                nulls = set()
+                for e in null_events(space, P, i):
+                    nulls |= e.members
+                assert maximal_null_event(space, P, i).members == nulls
+
+    def test_is_measurable_agrees_with_the_constructors(self):
+        rng = random.Random(44)
+        for space, _ in FLEET:
+            last = space.last_index
+            terminal = space.atom_index_map(last)
+            distinct = Act.from_atom_values(space, last, [float(k) for k in range(space.n_atoms(last))])
+            for i in range(space.n_times):
+                part = space.partitions[i]
+                exact = Act.from_atom_values(space, i, [rng.uniform(-1, 1) for _ in part])
+                nudged = Act(space, i, tuple(v + rng.uniform(0, 5e-13) for v in exact.values))
+                one_each = all(len({terminal[s] for s in atom}) == 1 for atom in part)
+                assert is_measurable(space, i, exact)
+                assert is_measurable(space, i, nudged)
+                assert is_measurable(space, i, distinct) == one_each
+                ev = space.union_event(i, [k for k in range(len(part)) if rng.random() < 0.5])
+                assert is_measurable(space, i, ev)
+                wide = [atom for atom in part if len(atom) > 1]
+                if wide:
+                    assert not is_measurable(space, i, Event(space, frozenset(wide[0][:1])))
+                for h in range(space.n_times):
+                    for f in (exact, nudged, distinct):
+                        assert is_measurable(space, h, f) == _constructs(
+                            lambda: Act(space, h, f.values)
+                        )
+                    assert is_measurable(space, h, ev) == _constructs(
+                        lambda: Event(space, ev.members, h)
+                    )
 
 
 class TestPaste:
