@@ -106,12 +106,11 @@ def enumerate_simple_acts(
     space: FilteredSpace,
     level: int,
     grid: ActGrid,
-    max_distinct: int | None = None,
+    max_distinct: int = MAX_DISTINCT,
     cap: int = 128,
 ) -> list[Act]:
     """Deterministic enumeration of grid simple acts at a time level:
     constants first, then products over atoms with a distinct-value cap."""
-    maxd = max_distinct if max_distinct is not None else MAX_DISTINCT
     acts = [Act.constant(space, level, v) for v in grid.values]
     seen = {a.values for a in acts}
     m = space.n_atoms(level)
@@ -119,7 +118,7 @@ def enumerate_simple_acts(
         for combo in itertools.product(grid.values, repeat=m):
             if len(acts) >= cap:
                 break
-            if len(set(combo)) > maxd:
+            if len(set(combo)) > max_distinct:
                 continue
             act = Act.from_atom_values(space, level, combo)
             if act.values not in seen:
@@ -142,27 +141,19 @@ def derive_null_events(
         raise ValueError("null events are derived from the preceding step; need i >= 1")
     step = i - 1
     candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=NULL_PROBE_ACTS)
-    out = []
-    for k in range(space.n_atoms(i)):
-        A = space.atom_event(i, k)
-        null = True
-        for f in candidates:
-            try:
-                g = indifference_profile(oracle, step, f, BISECT_TOL)
-            except BracketError:
-                continue
-            if not oracle.ask(step, g, f).equiv:
-                continue
-            for c in grid.values:
-                pasted = paste(Act.constant(space, i, c), f, A)
-                if not oracle.ask(step, g, pasted).equiv:
-                    null = False
-                    break
-            if not null:
-                break
-        if null:
-            out.append(A)
-    return out
+
+    def rewrite_keeps_equivalence(f: Act, A: Event) -> bool:
+        try:
+            g = indifference_profile(oracle, step, f, BISECT_TOL)
+        except BracketError:
+            return True
+        return not oracle.ask(step, g, f).equiv or all(
+            oracle.ask(step, g, paste(Act.constant(space, i, c), f, A)).equiv
+            for c in grid.values
+        )
+
+    atoms = (space.atom_event(i, k) for k in range(space.n_atoms(i)))
+    return [A for A in atoms if all(rewrite_keeps_equivalence(f, A) for f in candidates)]
 
 
 def _null_indices(oracle: PreferenceOracle, level: int, grid: ActGrid) -> frozenset[int]:
@@ -173,28 +164,17 @@ def _null_indices(oracle: PreferenceOracle, level: int, grid: ActGrid) -> frozen
     return frozenset(amap[min(e.members)] for e in nulls)
 
 
-def _essential_atom_events(
-    oracle: PreferenceOracle, level: int, grid: ActGrid
-) -> list[Event]:
-    space = oracle.space
+def _essential_atoms(oracle: PreferenceOracle, level: int, grid: ActGrid) -> list[int]:
     nulls = _null_indices(oracle, level, grid)
-    return [space.atom_event(level, k) for k in range(space.n_atoms(level)) if k not in nulls]
+    return [k for k in range(oracle.space.n_atoms(level)) if k not in nulls]
 
 
-def _union_events(
-    space: FilteredSpace, level: int, atoms: Sequence[Event], max_size: int, cap: int = 64
-) -> list[Event]:
-    """Nonempty unions of the given atoms, smallest first, deterministic."""
-    out: list[Event] = []
-    for size in range(1, min(max_size, len(atoms)) + 1):
-        for combo in itertools.combinations(range(len(atoms)), size):
-            members: set[int] = set()
-            for idx in combo:
-                members |= atoms[idx].members
-            out.append(Event(space, frozenset(members), level))
-            if len(out) >= cap:
-                return out
-    return out
+def _atom_unions(ks: Sequence[int], max_size: int, cap: int) -> list[tuple[int, ...]]:
+    """The first ``cap`` nonempty unions of the atoms ``ks``, as index tuples,
+    smallest first."""
+    sizes = range(1, min(max_size, len(ks)) + 1)
+    unions = itertools.chain.from_iterable(itertools.combinations(ks, n) for n in sizes)
+    return list(itertools.islice(unions, cap))
 
 
 class _Budget:
@@ -244,7 +224,8 @@ def check_T(
 
     null_i = _null_indices(oracle, i, grid)
     null_union = space.union_event(i, null_i)
-    ess_atoms = [space.atom_event(i, k) for k in range(space.n_atoms(i)) if k not in null_i]
+    ess = [k for k in range(space.n_atoms(i)) if k not in null_i]
+    ess_atoms = [space.atom_event(i, k) for k in ess]
     f_acts = enumerate_simple_acts(space, i + 1, grid, cap=160)
     if i == 0:
         g_acts = [Act.constant(space, 0, v) for v in grid.values]
@@ -342,7 +323,7 @@ def check_T(
     else:
         res5 = CheckResult(True)
         res6 = CheckResult(True)
-        masks = _union_events(space, i, ess_atoms, max_size=len(ess_atoms), cap=32)
+        masks = [space.union_event(i, ks) for ks in _atom_unions(ess, len(ess), cap=32)]
         for g, f in budget.each(itertools.product(g_acts[:8], f_acts[:48])):
             answers = {ev.members: oracle.ask(i, g, f, ev) for ev in masks}
             for ev in masks:
@@ -392,48 +373,34 @@ def check_M(
     must strictly improve the pasted act somewhere essential."""
     space = oracle.space
     budget = _Budget(oracle, cap)
-    up_atoms = _essential_atom_events(oracle, i + 1, grid)
-    ess_i = _essential_atom_events(oracle, i, grid)
-    events = _union_events(space, i + 1, up_atoms, max_size=2, cap=12)
+    up = _essential_atoms(oracle, i + 1, grid)
+    ess_i = [space.atom_event(i, k) for k in _essential_atoms(oracle, i, grid)]
+    events = [space.union_event(i + 1, ks) for ks in _atom_unions(up, 2, cap=12)]
     f_acts = enumerate_simple_acts(space, i + 1, grid, max_distinct=2, cap=12)
-    pairs = [(a, b) for a, b in itertools.combinations(grid.values, 2)]
+    pairs = list(itertools.combinations(grid.values, 2))
     skipped = 0
-
-    def strict_on_some_atom(c: Act, X: Act, want_prec: bool) -> bool:
-        for b in ess_i:
-            ans = oracle.ask(i, c, X, b)
-            if want_prec and ans.preceq and not ans.equiv:
-                return True
-            if not want_prec and ans.succeq and not ans.equiv:
-                return True
-        return False
 
     for A, f, (g1, g2) in budget.each(itertools.product(events, f_acts, pairs)):
         X1 = paste(Act.constant(space, i + 1, g1), f, A)
         X2 = paste(Act.constant(space, i + 1, g2), f, A)
-        try:
-            c1 = indifference_profile(oracle, i, X1, BISECT_TOL)
-        except BracketError:
-            skipped += 1
-            continue
-        if oracle.ask(i, c1, X1).equiv:
-            if not strict_on_some_atom(c1, X2, want_prec=True):
+        # the equivalent of each paste must sit strictly on its side of the other
+        for X, Y, below, side in (
+            (X1, X2, True, "g1-paste is not strictly below the g2-paste"),
+            (X2, X1, False, "g2-paste is not strictly above the g1-paste"),
+        ):
+            try:
+                c = indifference_profile(oracle, i, X, BISECT_TOL)
+            except BracketError:
+                skipped += 1
+                break
+            if oracle.ask(i, c, X).equiv and not any(
+                (ans.preceq if below else ans.succeq) and not ans.equiv
+                for ans in (oracle.ask(i, c, Y, b) for b in ess_i)
+            ):
                 return budget.close(CheckResult(
                     False,
                     f"A={A.label()} f={_vals(f)} g1={g1} g2={g2}: equivalent of the "
-                    f"g1-paste is not strictly below the g2-paste on any essential event",
-                ))
-        try:
-            c2 = indifference_profile(oracle, i, X2, BISECT_TOL)
-        except BracketError:
-            skipped += 1
-            continue
-        if oracle.ask(i, c2, X2).equiv:
-            if not strict_on_some_atom(c2, X1, want_prec=False):
-                return budget.close(CheckResult(
-                    False,
-                    f"A={A.label()} f={_vals(f)} g1={g1} g2={g2}: equivalent of the "
-                    f"g2-paste is not strictly above the g1-paste on any essential event",
+                    f"{side} on any essential event",
                 ))
     note = f"{skipped} premises not instantiable" if skipped else ""
     return budget.close(CheckResult(True, note=note))
@@ -451,23 +418,18 @@ def check_ST(
     extended grid; absence within the grid closure is the failure."""
     space = oracle.space
     budget = _Budget(oracle, cap)
-    up_atoms = _essential_atom_events(oracle, i + 1, grid)
-    events = _union_events(space, i + 1, up_atoms, max_size=2, cap=10)
-    events.append(space.whole_event(i + 1))
+    unions = _atom_unions(_essential_atoms(oracle, i + 1, grid), 2, cap=10)
+    unions.append(tuple(range(space.n_atoms(i + 1))))
     consts = list(grid.values)
     ext = grid.extended()
 
-    for A in events:
-        amap = space.atom_index_map(i + 1)
-        atoms_in = sorted({amap[s] for s in A.members})
-        combos = list(itertools.product(SUBGRID, repeat=len(atoms_in)))
-        if len(combos) > 32:
-            combos = combos[:32]
+    for atoms in unions:
+        A = space.union_event(i + 1, atoms)
         f_cands = []
-        for combo in combos:
+        for combo in itertools.islice(itertools.product(SUBGRID, repeat=len(atoms)), 32):
             per_atom = [0] * space.n_atoms(i + 1)
-            for idx, k in enumerate(atoms_in):
-                per_atom[k] = combo[idx]
+            for k, v in zip(atoms, combo):
+                per_atom[k] = v
             f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
         for f1, f2 in budget.each(itertools.product(f_cands, repeat=2)):
             if f1.values == f2.values:
@@ -556,7 +518,7 @@ def check_C(
     ess_i = (
         [space.whole_event(i)]
         if i == 0
-        else _essential_atom_events(oracle, i, grid)
+        else [space.atom_event(i, k) for k in _essential_atoms(oracle, i, grid)]
     )
     try:
         profile = indifference_profile(oracle, i, f, BISECT_TOL)
@@ -564,32 +526,29 @@ def check_C(
         return budget.close(
             CheckResult(True, note="no certainty equivalent bracketable; premise vacuous")
         )
-    samples: list[tuple[Act, str]] = []
+    samples: list[tuple[Act, bool]] = []  # (strict act, whether it lies below f)
     for delta in C_DELTAS:
-        below = profile.shift(-delta)
-        if oracle.ask(i, below, f).preceq and not any(
-            oracle.ask(i, below, f, b).equiv for b in ess_i
-        ):
-            samples.append((below, "prec"))
-        above = profile.shift(delta)
-        if oracle.ask(i, above, f).succeq and not any(
-            oracle.ask(i, above, f, b).equiv for b in ess_i
-        ):
-            samples.append((above, "succ"))
+        for below in (True, False):
+            g = profile.shift(-delta if below else delta)
+            ans = oracle.ask(i, g, f)
+            if (ans.preceq if below else ans.succeq) and not any(
+                oracle.ask(i, g, f, b).equiv for b in ess_i
+            ):
+                samples.append((g, below))
     if not samples:
         return budget.close(
             CheckResult(True, note="no strictly comparable act found; premise vacuous")
         )
     tail = _sequence(style, f, C_LAST_N, seed)
-    for g, direction in samples:
+    for g, below in samples:
         for fn in tail:
             for b in ess_i:
                 ans = oracle.ask(i, g, fn, b)
-                if not (ans.preceq if direction == "prec" else ans.succeq):
+                if not (ans.preceq if below else ans.succeq):
                     return budget.close(CheckResult(
                         False,
                         f"style={style} atom={b.label()}: no tail of the sequence keeps "
-                        f"the {'dominated' if direction == 'prec' else 'dominating'} act "
+                        f"the {'dominated' if below else 'dominating'} act "
                         f"on its side (g offset from the equivalent of f)",
                     ))
     return budget.close(
@@ -607,14 +566,11 @@ def tri_partition(
     """Classify every essential atom by two oracle queries; an atom answering
     neither way is reported as a local-completeness violation."""
     space = oracle.space
-    nulls = _null_indices(oracle, i, grid)
     a: list[int] = []
     b: list[int] = []
     c: list[int] = []
     violations: list[str] = []
-    for k in range(space.n_atoms(i)):
-        if k in nulls:
-            continue
+    for k in _essential_atoms(oracle, i, grid):
         ev = space.atom_event(i, k)
         ans = oracle.ask(i, g, f, ev)
         if ans.equiv:

@@ -87,7 +87,7 @@ def _cmd_compare(args) -> int:
     f = _named_act(spec, args.f)
     s = args.s if args.s is not None else g.time_index
     t = args.t if args.t is not None else f.time_index
-    verdict = compare(rep, s, t, g.at_time(s) if g.time_index < s else g, f, args.tol)
+    verdict = compare(rep, s, t, g, f, args.tol)
     rows = [
         ("verdict", verdict.tag.upper()),
         ("equivalent on", verdict.tri.A.label()),
@@ -151,6 +151,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.pairs < 1:
+        raise ScenarioError(f"--pairs must be at least 1, got {args.pairs}")
     spec = _load(args.scenario)
     rep = spec.representation()
     oracle = InducedOracle(rep, tol=args.tol)

@@ -253,6 +253,13 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
     return tuple(betas)
 
 
+def check_pair_count(n_pairs: int) -> None:
+    """A randomized verdict audit must check at least one pair: over none it
+    would report success without evidence."""
+    if n_pairs < 1:
+        raise PreconditionError(f"need at least one pair to audit, got n_pairs={n_pairs}")
+
+
 def _random_pair(rng: random.Random, space: FilteredSpace) -> tuple[int, int, Act, Act]:
     s = rng.randrange(0, space.last_index)
     t = rng.randrange(s + 1, space.last_index + 1)
@@ -275,6 +282,7 @@ def discount_transform(
     """Stochastic discount factor for evaluating the same preference under an
     equivalent subjective measure, plus a randomized verdict-preservation
     audit of the identity  beta_s u(s,g) >= E_{P*}[beta_t u(t,f) | F_s]."""
+    check_pair_count(n_pairs)
     betas = density_process(rep, P_star)
     rng = random.Random(seed)
     flips = 0
@@ -313,6 +321,7 @@ def numeraire_transform(
     """Rebase the utility field on a strictly positive numeraire process:
     u*(t, x) = u(t, x * B_t), with verdicts on discounted acts audited against
     the original ones on a randomized test grid."""
+    check_pair_count(n_pairs)
     space = rep.space
     if len(numeraire) != space.n_times:
         raise InvariantError("one numeraire act per time label required")

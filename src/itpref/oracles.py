@@ -20,7 +20,6 @@ from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
-MAX_EXPAND = 60
 
 
 class BracketError(RuntimeError):
@@ -111,43 +110,29 @@ def atom_is_insensitive(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> b
 
 
 def indifference_constant(
-    oracle: PreferenceOracle,
-    i: int,
-    f: Act,
-    A: Event,
-    tol: float = 1e-9,
-    lo: float = -1.0,
-    hi: float = 1.0,
+    oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9
 ) -> float:
-    """Bisect for the constant c with c·1_A ~ f·1_A, expanding the bracket
-    geometrically from [-1, 1].  Converges to inf{c : c·1_A >= f·1_A}."""
+    """Bisect for the constant c with c·1_A ~ f·1_A.  Each end of the bracket
+    doubles from [-1, 1] until it answers its side, up to ``BRACKET_LIMIT``.
+    Converges to inf{c : c·1_A >= f·1_A}."""
     space = oracle.space
 
-    def succ(c: float) -> bool:
-        return oracle.ask(i, Act.constant(space, i, c), f, A).succeq
+    def answer(c: float) -> QueryAnswer:
+        return oracle.ask(i, Act.constant(space, i, c), f, A)
 
-    def prec(c: float) -> bool:
-        return oracle.ask(i, Act.constant(space, i, c), f, A).preceq
-
-    for _ in range(MAX_EXPAND):
-        if succ(hi):
-            break
+    hi = 1.0
+    while not answer(hi).succeq:
         hi *= 2
-        if abs(hi) > BRACKET_LIMIT:
+        if hi > BRACKET_LIMIT:
             raise BracketError(f"no upper bracket on {A.label()} at step {i}")
-    else:
-        raise BracketError(f"no upper bracket on {A.label()} at step {i}")
-    for _ in range(MAX_EXPAND):
-        if prec(lo):
-            break
+    lo = -1.0
+    while not answer(lo).preceq:
         lo *= 2
-        if abs(lo) > BRACKET_LIMIT:
+        if lo < -BRACKET_LIMIT:
             raise BracketError(f"no lower bracket on {A.label()} at step {i}")
-    else:
-        raise BracketError(f"no lower bracket on {A.label()} at step {i}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if succ(mid):
+        if answer(mid).succeq:
             hi = mid
         else:
             lo = mid

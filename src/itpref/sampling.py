@@ -29,7 +29,7 @@ from .curves import (
     PowerCurve,
     ValueScaledCurve,
 )
-from .engine import Representation, compare
+from .engine import Representation, check_pair_count, compare
 from .filtered_space import Act, FilteredSpace, ProbabilityMeasure
 from .utility_field import UtilityField
 
@@ -188,6 +188,7 @@ def verdict_agreement(
     margin: float = 1e-5,
 ) -> tuple[int, int]:
     """(pairs checked, mismatching verdict tags) over margin-guarded pairs."""
+    check_pair_count(n_pairs)
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(n_pairs):

@@ -22,7 +22,7 @@ Grammar (UTF-8, ``key = value`` lines inside ``[section]`` headers)::
     * = 1000000                        # '*' assigns every state
 
     [strategies]
-    t = 1
+    t = 1                              # t and horizon are integer literals
     horizon = 2
     endowment = X1
     strategy a0 = W_a0_1, W_a0_2       # wealth path, one act per time t..horizon
@@ -110,6 +110,13 @@ def parse_number(text: str, line: int | None = None) -> Number:
         return int(text)
     except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"not a number: {text!r}", line) from None
+
+
+def _parse_int(key: str, text: str, line: int) -> int:
+    value = parse_number(text, line)
+    if not isinstance(value, int):
+        raise ScenarioError(f"{key} must be an integer, got {text.strip()!r}", line)
+    return value
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -342,8 +349,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
         for required in ("t", "horizon", "endowment"):
             if required not in entries:
                 raise ScenarioError(f"[strategies] is missing {required!r}", sec.line)
-        t = int(parse_number(*entries["t"]))
-        horizon = int(parse_number(*entries["horizon"]))
+        t = _parse_int("t", *entries["t"])
+        horizon = _parse_int("horizon", *entries["horizon"])
         endowment = entries["endowment"][0]
         if not 0 <= t < horizon <= space.last_index:
             raise ScenarioError(

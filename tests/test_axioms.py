@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from itpref import (
     Act,
     DEFAULT_GRID,
+    FilteredSpace,
     InducedOracle,
     ProbabilityMeasure,
     cce,
@@ -189,6 +191,22 @@ class TestCheckST:
     def test_whole_event_instance_trivial(self, valid_oracle):
         # A = whole space leaves nothing off A; the премise transfers directly
         assert check_ST(valid_oracle, 0).passed
+
+    def test_candidates_drawn_lazily(self):
+        # the whole event over 10 atoms has 4**10 sign patterns; at most 32
+        # are ever drawn, so memory stays flat even when the cap ends the run
+        states = tuple(f"s{k}" for k in range(10))
+        space = FilteredSpace.build(states, (0, 1), [[list(states)], [[s] for s in states]])
+        P = ProbabilityMeasure(space, (Fraction(1, 10),) * 10)
+        oracle = InducedOracle(identity_representation(space, P))
+        tracemalloc.start()
+        try:
+            res = check_ST(oracle, 0, cap=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.passed and res.note.startswith("query cap reached")
+        assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(

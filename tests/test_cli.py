@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from itpref.cli import main
 from itpref.scenario import load_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO_ROOT / "scenarios"
 VILLA = str(SCENARIO_DIR / "villa.sdu")
 RANDOM8 = str(SCENARIO_DIR / "random8.sdu")
 BINOMIAL = str(SCENARIO_DIR / "binomial.sdu")
@@ -59,6 +62,15 @@ class TestCompare:
         )
         assert code == 0
         assert "verdict\tPRECEQ" in out
+
+    @pytest.mark.parametrize("flag, value", [("--s", "3"), ("--t", "3"), ("--s", "-1")])
+    def test_time_index_out_of_range_is_input_error(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, ["compare", "--scenario", VILLA, "--g", "cash", "--f", "villa_t2", flag, value]
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: need time indices 0 <= s < t" in err
 
 
 class TestSemigroup:
@@ -163,6 +175,17 @@ class TestRecoverUniqueness:
         assert code == 2
         assert "three" in err
 
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_pairs_below_one_is_input_error(self, capsys, pairs):
+        code, out, err = run(
+            capsys,
+            ["recover", "--scenario", VILLA, "--pairs", pairs,
+             "--allow-few-essential", "--accept-tol", "1e-3"],
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--pairs must be at least 1, got {pairs}" in err
+
 
 class TestExamples:
     @pytest.mark.parametrize("name", ["villa", "dpp", "forward"])
@@ -211,3 +234,26 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, args, flag):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag}" in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``itpref`` lines of the README's "## Command line" block, without
+    trailing comments."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n+```\n(.*?)^```", text, re.S | re.M).group(1)
+    return [
+        shlex.split(line.split("#")[0])
+        for line in block.splitlines()
+        if line.startswith("itpref ")
+    ]
+
+
+def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
+    commands = _readme_commands()
+    assert commands
+    monkeypatch.chdir(REPO_ROOT)
+    out_path = str(tmp_path / "out.sdu")
+    for words in commands:
+        args = [out_path if w == "out.sdu" else w for w in words[1:]]
+        code, _, err = run(capsys, args)
+        assert code == 0, f"{' '.join(words)} exited {code}: {err}"

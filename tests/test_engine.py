@@ -398,6 +398,12 @@ class TestDiscount:
         with pytest.raises(InvariantError, match="equivalent"):
             discount_transform(rep, bad)
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_pair_count_below_one_rejected(self, four_state_identity_rep, n_pairs):
+        rep = four_state_identity_rep
+        with pytest.raises(ValueError, match="at least one pair"):
+            discount_transform(rep, rep.P, n_pairs=n_pairs)
+
 
 class TestNumeraire:
     def test_unit_numeraire_is_identity_transform(self):
@@ -436,6 +442,13 @@ class TestNumeraire:
         bad[1] = Act.constant(space, 1, 0)
         with pytest.raises(InvariantError, match="positive"):
             numeraire_transform(four_state_identity_rep, bad)
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_pair_count_below_one_rejected(self, four_state_identity_rep, n_pairs):
+        space = four_state_identity_rep.space
+        ones = [Act.constant(space, i, 1) for i in range(space.n_times)]
+        with pytest.raises(ValueError, match="at least one pair"):
+            numeraire_transform(four_state_identity_rep, ones, n_pairs=n_pairs)
 
 
 class TestScaleInvariance:

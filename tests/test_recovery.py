@@ -369,3 +369,11 @@ class TestRelativeUniqueness:
         assert not res.accepted
         assert res.max_deviation == math.inf
         assert "z" in res.witness
+
+
+class TestVerdictAgreement:
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_pair_count_below_one_rejected(self, four_state_identity_rep, n_pairs):
+        rep = four_state_identity_rep
+        with pytest.raises(ValueError, match="at least one pair"):
+            verdict_agreement(rep, rep, n_pairs)

@@ -211,6 +211,29 @@ strategy solo = X
         with pytest.raises(ScenarioError, match="needs 2 acts"):
             loads_scenario(text)
 
+    @pytest.mark.parametrize(
+        "key, value", [("t", "1/2"), ("t", "0.0"), ("horizon", "3/2"), ("horizon", "1/1")]
+    )
+    def test_window_must_be_integer_literals(self, key, value):
+        # each of these used to be truncated by int() into the window t=0, horizon=1
+        window = {"t": "0", "horizon": "1", key: value}
+        text = MINIMAL + f"""
+[act X t=0]
+* = 1
+
+[act W1 t=1]
+* = 2
+
+[strategies]
+t = {window["t"]}
+horizon = {window["horizon"]}
+endowment = X
+strategy solo = X, W1
+"""
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ScenarioError, match=rf"^line {line}: {key} must be an integer"):
+            loads_scenario(text)
+
     def test_unknown_endowment(self):
         text = MINIMAL + """
 [strategies]
