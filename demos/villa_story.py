@@ -19,9 +19,9 @@ from fractions import Fraction
 from itpref.apps import run_villa, villa_scenario, villa_t1_value
 from itpref.engine import cce, compare
 
-print(run_villa("paper-arithmetic").text)
+print(run_villa(villa_scenario("paper-arithmetic")).text)
 print()
-print(run_villa("paper-stated").text)
+print(run_villa(villa_scenario("paper-stated")).text)
 
 # ---------------------------------------------------------------------------
 # the same numbers through the library API

@@ -2,25 +2,24 @@
 programming principle on a binomial market, and the forward-performance
 conditions.  Each produces a deterministic text report plus a pass flag.
 
-The villa story ships in two variants because its source arithmetic is
-internally inconsistent: ``paper-arithmetic`` reproduces the displayed sums
-verbatim in exact rationals (the time-1 comparison lands on 10^6 exactly,
-making waiting costless), while ``paper-stated`` treats the stated 1% election
-default probability as an actual measure (the time-1 value is then 1,099,900).
-Branch verdicts after the election agree under both variants.
+Each scenario builder returns a fresh load of a packaged ``scenarios/*.sdu``.
+The villa story has two variants, a tag on its one file, because its source
+arithmetic is internally inconsistent: ``paper-arithmetic`` reproduces the
+displayed sums verbatim in exact rationals (the time-1 comparison lands on
+10^6 exactly, making waiting costless), while ``paper-stated`` treats the
+stated 1% election default probability as an actual measure (the time-1 value
+is then 1,099,900).  Branch verdicts after the election agree under both
+variants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from importlib import resources
 
-from .curves import ExponentialCurve, IdentityCurve, PiecewiseLinearCurve
 from .engine import compare, expected_utility_profile
-from .filtered_space import Act, ProbabilityMeasure
-from .scenario import ScenarioSpec, StrategySet
-from .utility_field import UtilityField
-from .filtered_space import FilteredSpace
+from .scenario import ScenarioSpec, loads_scenario
 
 VILLA_VARIANTS = ("paper-arithmetic", "paper-stated")
 
@@ -37,6 +36,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _shipped(name: str) -> ScenarioSpec:
+    """A fresh load of the packaged ``scenarios/<name>.sdu``."""
+    path = resources.files(__package__) / "scenarios" / f"{name}.sdu"
+    return loads_scenario(path.read_text(encoding="utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # villa
 
@@ -46,37 +51,7 @@ def villa_scenario(variant: str = "paper-arithmetic") -> ScenarioSpec:
     that halves gains and doubles losses once a default has occurred."""
     if variant not in VILLA_VARIANTS:
         raise ValueError(f"variant must be one of {VILLA_VARIANTS}")
-    space = FilteredSpace.build(
-        states=("d1", "d2", "ok"),
-        times=(0, 1, 2),
-        partitions=[
-            [["d1", "d2", "ok"]],
-            [["d1"], ["d2", "ok"]],
-            [["d1"], ["d2"], ["ok"]],
-        ],
-    )
-    # P(election default) = 1/100; P(later default | no election default) = 1e-6
-    p_d1 = Fraction(1, 100)
-    p_d2 = Fraction(99, 100) * Fraction(1, 10**6)
-    measure = ProbabilityMeasure(space, (p_d1, p_d2, 1 - p_d1 - p_d2))
-    after_default = PiecewiseLinearCurve.from_points(
-        [(-1, -2), (0, 0), (1, Fraction(1, 2))]
-    )
-    ident = IdentityCurve()
-    field = UtilityField.from_atom_curves(
-        space,
-        [
-            [ident],
-            [after_default, ident],
-            [after_default, after_default, ident],
-        ],
-    )
-    acts = {
-        "cash": Act.constant(space, 0, 10**6),
-        "villa_t1": Act(space, 1, (200_000, 1_110_000, 1_110_000)),
-        "villa_t2": Act(space, 2, (200_000, 200_000, 1_800_000)),
-    }
-    return ScenarioSpec(space, measure, field, acts, None, "villa", variant)
+    return replace(_shipped("villa"), variant=variant)
 
 
 def villa_t2_formula() -> Fraction:
@@ -87,33 +62,39 @@ def villa_t2_formula() -> Fraction:
     return big * (1 - eps1 - eps2) + small * (eps1 + eps2)
 
 
-def villa_t1_value(variant: str = "paper-arithmetic") -> Fraction:
-    """Time-1 expected payoff entering the t0 comparison, exact."""
+def _villa_values(spec: ScenarioSpec, variant: str) -> tuple[Fraction, Fraction]:
+    """The time-1 and time-2 expected payoffs, exact: the displayed sums
+    under ``paper-arithmetic``, the scenario's own measure otherwise."""
     if variant == "paper-arithmetic":
         # the source's own weights: 9/10 on the intact branch, 1/100 on default
-        return Fraction(111, 100) * 10**6 * Fraction(9, 10) + Fraction(1, 2) * 2 * 10**5 * Fraction(1, 100)
-    spec = villa_scenario(variant)
+        t1 = Fraction(111, 100) * 10**6 * Fraction(9, 10) + Fraction(1, 2) * 2 * 10**5 * Fraction(1, 100)
+        return t1, villa_t2_formula()
     rep = spec.representation()
-    value = rep.P.expectation(rep.field.eval(1, spec.acts["villa_t1"]))
-    return Fraction(value)
+    t1, t2 = (rep.P.expectation(rep.field.eval(i, spec.acts[f"villa_t{i}"])) for i in (1, 2))
+    return Fraction(t1), Fraction(t2)
+
+
+def villa_t1_value(variant: str = "paper-arithmetic") -> Fraction:
+    """Time-1 expected payoff entering the t0 comparison, exact."""
+    return _villa_values(villa_scenario(variant), variant)[0]
 
 
 def villa_t2_value(variant: str = "paper-arithmetic") -> Fraction:
-    if variant == "paper-arithmetic":
-        return villa_t2_formula()
-    spec = villa_scenario(variant)
-    rep = spec.representation()
-    return Fraction(rep.P.expectation(rep.field.eval(2, spec.acts["villa_t2"])))
+    return _villa_values(villa_scenario(variant), variant)[1]
 
 
-def run_villa(variant: str = "paper-arithmetic") -> AppResult:
-    spec = villa_scenario(variant)
+def run_villa(spec: ScenarioSpec | None = None) -> AppResult:
+    """The villa report on ``spec`` (default: the shipped villa) under its variant tag."""
+    spec = spec if spec is not None else villa_scenario()
+    variant = spec.variant or "paper-arithmetic"
+    if variant not in VILLA_VARIANTS:
+        raise ValueError(f"variant must be one of {VILLA_VARIANTS}")
+    missing = [n for n in ("cash", "villa_t1", "villa_t2") if n not in spec.acts]
+    if missing:
+        raise ValueError(f"villa scenario has no act {', '.join(missing)}")
+    t1_value, t2_value = _villa_values(spec, variant)
     rep = spec.representation()
-    cash, villa_t1, villa_t2 = (
-        spec.acts["cash"], spec.acts["villa_t1"], spec.acts["villa_t2"],
-    )
-    t2_value = villa_t2_value(variant)
-    t1_value = villa_t1_value(variant)
+    cash, villa_t2 = spec.acts["cash"], spec.acts["villa_t2"]
     v02 = compare(rep, 0, 2, cash, villa_t2)
     branch = compare(rep, 1, 2, cash.at_time(1), villa_t2)
     on_d1 = "SUCCEQ" if {0} <= branch.tri.B.members else "PRECEQ"
@@ -124,7 +105,7 @@ def run_villa(variant: str = "paper-arithmetic") -> AppResult:
         "",
         "t0 versus t2 (neglecting the intermediate time):",
         f"  expected payoff = 1.8e6*(1 - 1e-2 - 1e-6) + (1/2)*2e5*(1e-2 + 1e-6)"
-        f" = {villa_t2_formula()} = {float(villa_t2_formula()):.1f}"
+        f" = {t2_value} = {float(t2_value):.1f}"
         if variant == "paper-arithmetic"
         else f"  expected payoff under the stated measure = {t2_value} = {float(t2_value):.3f}",
         f"  verdict cash vs villa at t2: {v02.tag.upper()} (the villa wins this comparison)",
@@ -167,41 +148,7 @@ def dpp_scenario() -> ScenarioSpec:
     """Two-period binomial market with momentum: after good news the risky
     asset is attractive, after bad news it is not; terminal utility is
     exponential."""
-    space = FilteredSpace.build(
-        states=("uu", "ud", "du", "dd"),
-        times=(0, 1, 2),
-        partitions=[
-            [["uu", "ud", "du", "dd"]],
-            [["uu", "ud"], ["du", "dd"]],
-            [["uu"], ["ud"], ["du"], ["dd"]],
-        ],
-    )
-    measure = ProbabilityMeasure(
-        space, (Fraction(2, 5), Fraction(1, 10), Fraction(1, 20), Fraction(9, 20))
-    )
-    ident = IdentityCurve()
-    expo = ExponentialCurve(1.0)
-    field = UtilityField.from_atom_curves(
-        space, [[ident], [ident, ident], [expo, expo, expo, expo]]
-    )
-    up, down = 1.2, 0.95
-    acts = {
-        "X1": Act.constant(space, 1, 1),
-        "W_a0_2": Act.constant(space, 2, 1),
-        "W_a05_2": Act(space, 2, tuple(1 + 0.5 * (r - 1) for r in (up, down, up, down))),
-        "W_a1_2": Act(space, 2, (up, down, up, down)),
-    }
-    strategies = StrategySet(
-        t=1,
-        horizon=2,
-        endowment="X1",
-        members=(
-            ("a0", ("X1", "W_a0_2")),
-            ("a05", ("X1", "W_a05_2")),
-            ("a1", ("X1", "W_a1_2")),
-        ),
-    )
-    return ScenarioSpec(space, measure, field, acts, strategies, "binomial-dpp", None)
+    return _shipped("binomial")
 
 
 def run_dpp(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> AppResult:
@@ -274,45 +221,7 @@ def forward_scenario() -> ScenarioSpec:
     """Martingale binomial market with risk-neutral utility: every
     self-financing strategy is optimal and the identity field is a forward
     performance."""
-    space = FilteredSpace.build(
-        states=("uu", "ud", "du", "dd"),
-        times=(0, 1, 2),
-        partitions=[
-            [["uu", "ud", "du", "dd"]],
-            [["uu", "ud"], ["du", "dd"]],
-            [["uu"], ["ud"], ["du"], ["dd"]],
-        ],
-    )
-    measure = ProbabilityMeasure(
-        space, (Fraction(1, 9), Fraction(2, 9), Fraction(2, 9), Fraction(4, 9))
-    )
-    ident = IdentityCurve()
-    field = UtilityField.from_atom_curves(
-        space, [[ident], [ident, ident], [ident, ident, ident, ident]]
-    )
-    up, down = 1.2, 0.9
-
-    def wealth(frac: float) -> tuple[Act, Act, Act]:
-        x1 = (1 + frac * (up - 1), 1 + frac * (up - 1), 1 + frac * (down - 1), 1 + frac * (down - 1))
-        x2 = (
-            x1[0] * (1 + frac * (up - 1)),
-            x1[1] * (1 + frac * (down - 1)),
-            x1[2] * (1 + frac * (up - 1)),
-            x1[3] * (1 + frac * (down - 1)),
-        )
-        return Act.constant(space, 0, 1), Act(space, 1, x1), Act(space, 2, x2)
-
-    acts: dict[str, Act] = {}
-    members = []
-    for name, frac in (("a0", 0.0), ("a05", 0.5), ("a1", 1.0)):
-        x0, x1, x2 = wealth(frac)
-        acts[f"W_{name}_0"] = x0
-        acts[f"W_{name}_1"] = x1
-        acts[f"W_{name}_2"] = x2
-        members.append((name, (f"W_{name}_0", f"W_{name}_1", f"W_{name}_2")))
-    acts["X0"] = Act.constant(space, 0, 1)
-    strategies = StrategySet(0, 2, "X0", tuple(members))
-    return ScenarioSpec(space, measure, field, acts, strategies, "forward-martingale", None)
+    return _shipped("forward")
 
 
 def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> AppResult:
@@ -407,42 +316,4 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
 
 def random8_scenario() -> ScenarioSpec:
     """Fixed 8-state, 4-time scenario with mixed curve kinds."""
-    from .curves import LinearCurve, PowerCurve
-
-    states = tuple(f"s{i}" for i in range(8))
-    space = FilteredSpace.build(
-        states=states,
-        times=(0, 1, 2, 3),
-        partitions=[
-            [states],
-            [states[:4], states[4:]],
-            [states[:2], states[2:4], states[4:6], states[6:]],
-            [[s] for s in states],
-        ],
-    )
-    measure = ProbabilityMeasure(
-        space,
-        tuple(Fraction(n, 60) for n in (5, 7, 9, 4, 11, 13, 3, 8)),
-    )
-    pl = PiecewiseLinearCurve.from_points(
-        [(-2, Fraction(-5, 2)), (-1, -1), (0, 0), (1, Fraction(1, 2)), (2, Fraction(3, 2))]
-    )
-    field = UtilityField.from_atom_curves(
-        space,
-        [
-            [IdentityCurve()],
-            [ExponentialCurve(0.4), pl],
-            [LinearCurve(Fraction(4, 5)), IdentityCurve(), PowerCurve(1.5), pl],
-            [
-                IdentityCurve(), LinearCurve(Fraction(6, 5)), ExponentialCurve(0.3),
-                pl, PowerCurve(0.8), IdentityCurve(), LinearCurve(Fraction(1, 2)),
-                IdentityCurve(),
-            ],
-        ],
-    )
-    acts = {
-        "payoff_a": Act(space, 3, (0.5, -0.25, 0.75, 0.1, -0.6, 0.3, 0.9, -0.4)),
-        "payoff_b": Act(space, 3, (-0.8, 0.2, 0.45, -0.15, 0.7, -0.3, 0.05, 0.6)),
-        "payoff_mid": Act.from_atom_values(space, 2, (0.4, -0.2, 0.35, -0.5)),
-    }
-    return ScenarioSpec(space, measure, field, acts, None, "random8", None)
+    return _shipped("random8")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .apps import (
     dpp_scenario,
@@ -16,6 +17,7 @@ from .apps import (
     run_dpp,
     run_forward_check,
     run_villa,
+    villa_scenario,
     VILLA_VARIANTS,
 )
 from .axioms import ActGrid, DEFAULT_GRID, audit_step, render_audit
@@ -203,17 +205,17 @@ def _cmd_uniqueness(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    if args.name == "villa":
-        variant = args.variant
-        if variant is None and args.scenario:
-            variant = _load(args.scenario).variant
-        result = run_villa(variant or "paper-arithmetic")
-    elif args.name == "dpp":
-        spec = _load(args.scenario) if args.scenario else dpp_scenario()
-        result = run_dpp(spec)
-    else:
-        spec = _load(args.scenario) if args.scenario else forward_scenario()
-        result = run_forward_check(spec)
+    if args.variant is not None and args.name != "villa":
+        raise ScenarioError(f"--variant applies to example villa only, not example {args.name}")
+    build, run = {
+        "villa": (villa_scenario, run_villa),
+        "dpp": (dpp_scenario, run_dpp),
+        "forward": (forward_scenario, run_forward_check),
+    }[args.name]
+    spec = _load(args.scenario) if args.scenario else build()
+    if args.variant is not None:
+        spec = replace(spec, variant=args.variant)
+    result = run(spec)
     print(result.text, end="")
     return 0 if result.passed else 1
 
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant",
         choices=VILLA_VARIANTS,
         default=None,
-        help="villa arithmetic variant (default: the scenario file's, else paper-arithmetic)",
+        help="example villa only: arithmetic variant (default: the scenario's, else paper-arithmetic)",
     )
     p.add_argument("--scenario", default=None, help="scenario file path")
     p.set_defaults(fn=_cmd_example)

@@ -29,8 +29,9 @@ Grammar (UTF-8, ``key = value`` lines inside ``[section]`` headers)::
 
 Curves: ``identity``, ``linear(s)``, ``exp(a)``, ``power(p)``,
 ``pl((x,y)|(x,l,v,r),...)``, ``ascaled(curve,b)``, ``vscaled(curve,k)``.
-Saving is canonical (fixed section order, every state listed, numbers
-normalized), so ``save(load(p))`` is byte-identical for canonical files.
+Any other section header or preamble key is an error.  Saving is canonical
+(fixed section order, every state listed, numbers normalized), so
+``save(load(p))`` is byte-identical for canonical files.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def _read_sections(text: str) -> tuple[dict[str, str], list[_Section]]:
         key, _, value = stripped.partition(sep)
         key, value = key.strip(), value.strip()
         if current is None:
+            if key not in ("title", "variant"):
+                raise ScenarioError(f"unknown preamble key {key!r}", lineno)
             if key in preamble:
                 raise ScenarioError(f"duplicate preamble key {key!r}", lineno)
             preamble[key] = value
@@ -226,6 +229,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
     preamble, sections = _read_sections(text)
     by_header: dict[str, _Section] = {}
     for sec in sections:
+        if not re.fullmatch(r"space|measure|strategies|utility\s+t=\d+|act\s+\S+\s+t=\d+", sec.header):
+            raise ScenarioError(f"unknown section [{sec.header}]", sec.line)
         if sec.header in by_header:
             raise ScenarioError(f"duplicate section [{sec.header}]", sec.line)
         by_header[sec.header] = sec

@@ -32,7 +32,9 @@ from itpref import (
     semigroup_residual,
 )
 from itpref.axioms import C_STYLES
-from itpref.apps import dpp_scenario, run_dpp, run_villa, villa_t1_value, villa_t2_formula
+from itpref.apps import (
+    dpp_scenario, run_dpp, run_villa, villa_scenario, villa_t1_value, villa_t2_formula,
+)
 from itpref.controls import (
     always_succeq,
     flat_segment,
@@ -71,7 +73,7 @@ def test_criterion_1_villa_reproduction():
     with criterion(1, "villa: exact 1e6 indifference, formula match, branch verdicts", 1.0):
         assert villa_t1_value("paper-arithmetic") == Fraction(10**6)  # exact rational
         formula = villa_t2_formula()
-        result = run_villa("paper-arithmetic")
+        result = run_villa(villa_scenario("paper-arithmetic"))
         assert result.passed
         # the engine's measure-path terminal value agrees with the displayed
         # formula to 1e-6 relative

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from itpref import (
+    Act,
     ExponentialCurve,
     IdentityCurve,
     LinearCurve,
@@ -29,7 +31,8 @@ from itpref.scenario import ScenarioSpec, StrategySet
 class TestVilla:
     def test_output_byte_identical_across_runs(self):
         assert run_villa().text == run_villa().text
-        assert run_villa("paper-stated").text == run_villa("paper-stated").text
+        stated = run_villa(villa_scenario("paper-stated")).text
+        assert stated == run_villa(villa_scenario("paper-stated")).text
 
     def test_paper_arithmetic_values(self):
         assert villa_t1_value("paper-arithmetic") == 10**6
@@ -49,14 +52,32 @@ class TestVilla:
         assert run_villa().passed
 
     def test_stated_variant_prefers_waiting_strictly(self):
-        result = run_villa("paper-stated")
+        result = run_villa(villa_scenario("paper-stated"))
         assert "1099900" in result.text
         assert "PRECEQ (waiting is strictly attractive)" in result.text
         assert result.passed
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            run_villa("paper-wrong")
+            villa_scenario("paper-wrong")
+        with pytest.raises(ValueError, match="variant"):
+            run_villa(replace(villa_scenario(), variant="paper-wrong"))
+
+    def test_runs_on_the_spec_it_is_given(self):
+        # a spec's own data, not the shipped villa's, decides the report
+        spec = villa_scenario("paper-stated")
+        cheaper = Act(spec.space, 1, (200_000, 1_000_000, 1_000_000))
+        text = run_villa(replace(spec, acts={**spec.acts, "villa_t1": cheaper})).text
+        assert "expected payoff = 1099900 " in run_villa(spec).text
+        assert "expected payoff = 991000 " in text
+
+    def test_spec_without_villa_acts_rejected(self):
+        with pytest.raises(ValueError, match="cash, villa_t1, villa_t2"):
+            run_villa(dpp_scenario())
+        spec = villa_scenario()
+        no_cash = replace(spec, acts={k: v for k, v in spec.acts.items() if k != "cash"})
+        with pytest.raises(ValueError, match=r"no act cash$"):
+            run_villa(no_cash)
 
 
 def direct_profile(spec: ScenarioSpec, name: str) -> list[float]:

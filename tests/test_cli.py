@@ -208,6 +208,34 @@ class TestExamples:
         _, second, _ = run(capsys, ["example", "villa"])
         assert first == second
 
+    @pytest.mark.parametrize("variant", [[], ["--variant", "paper-stated"]])
+    def test_villa_on_the_shipped_file_matches_the_builtin(self, capsys, variant):
+        _, builtin, _ = run(capsys, ["example", "villa"] + variant)
+        code, out, _ = run(capsys, ["example", "villa", "--scenario", VILLA] + variant)
+        assert code == 0 and out == builtin
+
+    def test_villa_examines_the_file_it_is_given(self, capsys):
+        code, out, err = run(capsys, ["example", "villa", "--scenario", BINOMIAL])
+        assert code == 2
+        assert out == ""
+        assert "no act cash, villa_t1, villa_t2" in err
+
+    @pytest.mark.parametrize("name", ["dpp", "forward"])
+    def test_variant_is_for_villa_only(self, capsys, name):
+        code, out, err = run(capsys, ["example", name, "--variant", "paper-stated"])
+        assert code == 2
+        assert out == ""
+        assert f"--variant applies to example villa only, not example {name}" in err
+
+    def test_unknown_section_header_is_input_error(self, capsys, tmp_path):
+        text = Path(VILLA).read_text(encoding="utf-8")
+        typo = tmp_path / "typo.sdu"
+        typo.write_text(text.replace("[act villa_t2 t=2]", "[act villa_t2 at t=2]"), encoding="utf-8")
+        code, out, err = run(capsys, ["example", "villa", "--scenario", str(typo)])
+        assert code == 2
+        assert out == ""
+        assert "unknown section [act villa_t2 at t=2]" in err
+
 
 # (subcommand with its required arguments, flag it does not read)
 UNREAD_FLAGS = [

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,21 +23,25 @@ class TestShippedFiles:
         original = path.read_text(encoding="utf-8")
         assert dumps_scenario(loads_scenario(original)) == original
 
-    def test_villa_file_matches_builder(self):
-        shipped = (SCENARIO_DIR / "villa.sdu").read_text(encoding="utf-8")
-        assert dumps_scenario(villa_scenario()) == shipped
-
     @pytest.mark.parametrize(
         "name, builder",
         [
+            ("villa", villa_scenario),
             ("binomial", dpp_scenario),
             ("forward", forward_scenario),
             ("random8", random8_scenario),
         ],
     )
-    def test_other_files_match_builders(self, name, builder):
-        shipped = (SCENARIO_DIR / f"{name}.sdu").read_text(encoding="utf-8")
-        assert dumps_scenario(builder()) == shipped
+    def test_builder_loads_its_packaged_file(self, name, builder):
+        path = SCENARIO_DIR / f"{name}.sdu"
+        assert builder() == load_scenario(path)
+        packaged = resources.files("itpref") / "scenarios" / f"{name}.sdu"
+        assert packaged.read_bytes() == path.read_bytes()
+
+    def test_villa_variants_differ_only_in_the_tag(self):
+        stated = villa_scenario("paper-stated")
+        assert stated.variant == "paper-stated"
+        assert stated == replace(villa_scenario(), variant="paper-stated")
 
     def test_villa_contents(self):
         spec = load_scenario(SCENARIO_DIR / "villa.sdu")
@@ -172,6 +178,23 @@ c = 1/3
         text = MINIMAL + "\n[act fine t=0]\na = 1\nb = 2\n"
         with pytest.raises(ScenarioError, match="not measurable"):
             loads_scenario(text)
+
+    @pytest.mark.parametrize(
+        "header", ["act villa_t2 at t=2", "utilty t=1", "act t=1", "strategy", "measures"]
+    )
+    def test_unknown_section_header_rejected(self, header):
+        # a misspelt header would otherwise drop its whole section silently
+        text = MINIMAL + f"\n[{header}]\na = 1\n"
+        line = text.splitlines().index(f"[{header}]") + 1
+        with pytest.raises(ScenarioError, match=rf"^line {line}: unknown section \[{header}\]"):
+            loads_scenario(text)
+
+    def test_unknown_preamble_key_rejected(self):
+        # save would drop it, so save(load(p)) would not be byte-identical
+        text = "title = t\nauthor = someone\n\n" + MINIMAL
+        with pytest.raises(ScenarioError, match=r"^line 2: unknown preamble key 'author'"):
+            loads_scenario(text)
+        assert loads_scenario("title = t\nvariant = v\n\n" + MINIMAL).variant == "v"
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + MINIMAL
