@@ -152,8 +152,10 @@ def derive_null_events(
             for c in grid.values
         )
 
-    atoms = (space.atom_event(i, k) for k in range(space.n_atoms(i)))
-    return [A for A in atoms if all(rewrite_keeps_equivalence(f, A) for f in candidates)]
+    return [
+        A for A in space.atom_events(i)
+        if all(rewrite_keeps_equivalence(f, A) for f in candidates)
+    ]
 
 
 def _null_indices(oracle: PreferenceOracle, level: int, grid: ActGrid) -> frozenset[int]:

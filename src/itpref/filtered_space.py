@@ -118,7 +118,7 @@ class FilteredSpace:
         return len(self.times) - 1
 
     def check_time_index(self, i: int) -> int:
-        if not 0 <= i <= self.last_index:
+        if not 0 <= i < len(self.times):
             raise IndexError(f"time index {i} out of range 0..{self.last_index}")
         return i
 
@@ -137,6 +137,13 @@ class FilteredSpace:
             maps.append(tuple(m))
         return tuple(maps)
 
+    @cached_property
+    def _atom_events(self) -> tuple[tuple["Event", ...], ...]:
+        return tuple(
+            tuple(Event(self, frozenset(atom), i) for atom in part)
+            for i, part in enumerate(self.partitions)
+        )
+
     def n_atoms(self, i: int) -> int:
         return len(self.partitions[self.check_time_index(i)])
 
@@ -146,8 +153,12 @@ class FilteredSpace:
     def atom_label(self, i: int, k: int) -> str:
         return "{" + ",".join(self.states[s] for s in self.atom_members(i, k)) + "}"
 
+    def atom_events(self, i: int) -> tuple["Event", ...]:
+        """The time-``i`` atoms as events, in atom order."""
+        return self._atom_events[self.check_time_index(i)]
+
     def atom_event(self, i: int, k: int) -> "Event":
-        return Event(self, frozenset(self.atom_members(i, k)), i)
+        return self.atom_events(i)[k]
 
     def state_index(self, name: str) -> int:
         try:
@@ -237,16 +248,18 @@ class Act:
     null_fill: frozenset[int] = field(default_factory=frozenset, compare=False)
 
     def __post_init__(self) -> None:
+        values = self.values
         self.space.check_time_index(self.time_index)
-        if len(self.values) != self.space.n_states:
+        if len(values) != self.space.n_states:
             raise InvariantError("one value per state required")
-        for v in self.values:
-            if not _is_finite(v):
-                raise InvariantError("act values must be finite")
+        if not all(map(_is_finite, values)):
+            raise InvariantError("act values must be finite")
         for atom in self.space.partitions[self.time_index]:
-            v0 = self.values[atom[0]]
+            if len(atom) == 1:
+                continue
+            v0 = values[atom[0]]
             for s in atom[1:]:
-                if abs(self.values[s] - v0) > MEASURE_TOL:
+                if abs(values[s] - v0) > MEASURE_TOL:
                     raise InvariantError(
                         f"act not measurable at time index {self.time_index}: values differ "
                         f"inside atom {self.space.atom_label(self.time_index, self.space.atom_index_map(self.time_index)[atom[0]])}"
@@ -254,7 +267,16 @@ class Act:
 
     @classmethod
     def constant(cls, space: FilteredSpace, i: int, value: Number) -> "Act":
-        return cls(space, i, (value,) * space.n_states)
+        """The act equal to ``value`` on every state.  It is measurable at
+        every time index, so only ``i`` and the one value are checked."""
+        space.check_time_index(i)
+        if not _is_finite(value):
+            raise InvariantError("act values must be finite")
+        act = object.__new__(cls)
+        act.__dict__.update(
+            space=space, time_index=i, values=(value,) * space.n_states, null_fill=frozenset()
+        )
+        return act
 
     @classmethod
     def from_atom_values(
@@ -389,7 +411,7 @@ class ProbabilityMeasure:
 
 def atoms(space: FilteredSpace, i: int) -> list[Event]:
     """The time-``i`` atoms as events, in deterministic order."""
-    return [space.atom_event(i, k) for k in range(space.n_atoms(i))]
+    return list(space.atom_events(i))
 
 
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:

@@ -86,8 +86,7 @@ def _recover_additive(
     xs = _recovery_xs(grid)
     m = space.n_atoms(level)
     tab: list[dict[Number, float]] = []
-    for k in range(m):
-        A = space.atom_event(level, k)
+    for A in space.atom_events(level):
         col = {}
         for x in xs:
             col[x] = value_fn(Act.constant(space, level, x).restrict(A))

@@ -65,6 +65,21 @@ class TestConstruction:
         with pytest.raises(InvariantError, match="finite"):
             Act(four_state_space, 0, (float("inf"),) * 4)
 
+    def test_constant_act_checks_its_value_and_time_index(self, four_state_space):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(InvariantError, match="finite"):
+                Act.constant(four_state_space, 1, bad)
+        for i in (3, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                Act.constant(four_state_space, i, 0)
+
+    def test_constant_act_equals_the_validated_act(self, four_state_space):
+        for i in range(3):
+            c = Act.constant(four_state_space, i, Fraction(7, 3))
+            want = Act(four_state_space, i, (Fraction(7, 3),) * 4)
+            assert c == want and hash(c) == hash(want)
+            assert c.null_fill == frozenset()
+
     def test_event_atom_union_check(self, four_state_space):
         with pytest.raises(InvariantError, match="union of atoms"):
             Event.of_states(four_state_space, ("w1",), time_index=1)
@@ -88,6 +103,16 @@ class TestAtoms:
     def test_index_out_of_range(self, four_state_space):
         with pytest.raises(IndexError):
             atoms(four_state_space, 3)
+
+    def test_atom_events_built_once_and_equal_to_fresh_events(self, four_state_space):
+        for i in range(3):
+            for k, members in enumerate(four_state_space.partitions[i]):
+                ev = four_state_space.atom_event(i, k)
+                assert ev is four_state_space.atom_events(i)[k]
+                assert ev is four_state_space.atom_event(i, k)
+                fresh = Event(four_state_space, frozenset(members), i)
+                assert ev == fresh and hash(ev) == hash(fresh)
+            assert atoms(four_state_space, i) == list(four_state_space.atom_events(i))
 
 
 class TestMeasurability:

@@ -10,15 +10,23 @@ import pytest
 from itpref import (
     Act,
     BracketError,
+    FilteredSpace,
     InducedOracle,
     ProbabilityMeasure,
     cce,
     compare,
     indifference_profile,
 )
-from itpref.controls import AlwaysSucceqOracle, three_atom_space, identity_representation
-from itpref.oracles import atom_is_insensitive, indifference_constant
-from itpref.sampling import margin_guarded_pair, random_act, random_representation
+from itpref.controls import (
+    AlwaysSucceqOracle,
+    identity_representation,
+    intransitive_band,
+    nonadditive_meanmax,
+    three_atom_space,
+)
+from itpref.engine import Representation
+from itpref.oracles import PreferenceOracle, QueryAnswer, atom_is_insensitive, indifference_constant
+from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
 
 from conftest import identity_rep
 
@@ -71,6 +79,24 @@ class TestInducedOracle:
         first = oracle.ask(0, g, f)
         assert all(oracle.ask(0, g, f) == first for _ in range(5))
 
+    def test_batched_answers_equal_single_queries(self):
+        rng = random.Random(13)
+        for _ in range(6):
+            rep = random_representation(rng, n_times=3, min_first_split=3)
+            space = rep.space
+            P = random_measure(rng, space, null_states=space.atom_members(1, 0))
+            rep = Representation(space, P, rep.field)
+            batched, single = InducedOracle(rep), InducedOracle(rep)
+            f = random_act(rng, space, 2)
+            ks = list(range(space.n_atoms(1)))
+            cs = [rng.uniform(-3, 3) for _ in ks]
+            want = [
+                single.ask(1, Act.constant(space, 1, c), f, space.atom_event(1, k))
+                for k, c in zip(ks, cs)
+            ]
+            assert batched.ask_atoms(1, f, ks, cs) == want
+            assert batched.queries == single.queries == len(ks)
+
 
 class TestIndifference:
     def test_profile_matches_engine_cce(self):
@@ -108,3 +134,100 @@ class TestIndifference:
         assert prof.null_fill == frozenset({2, 3})
         assert prof.values[2] == 0 and prof.values[3] == 0
         assert prof.values[0] == pytest.approx(2, abs=1e-8)
+
+
+def sequential_profile(oracle, i, f, tol):
+    """The atom-by-atom reference: the probe, then the bisection, one atom
+    after another."""
+    space = oracle.space
+    per_atom, insensitive = [0] * space.n_atoms(i), []
+    for k in range(space.n_atoms(i)):
+        A = space.atom_event(i, k)
+        if atom_is_insensitive(oracle, i, f, A):
+            insensitive.append(k)
+            continue
+        per_atom[k] = indifference_constant(oracle, i, f, A, tol)
+    return Act.from_atom_values(space, i, per_atom, insensitive)
+
+
+class TestLockstepProfile:
+    """``indifference_profile`` searches every atom of a level together; it
+    must return, and ask, exactly what the atom-by-atom search does."""
+
+    @staticmethod
+    def assert_same_as_sequential(make_oracle, i, f, tol=1e-10):
+        lockstep, reference = make_oracle(), make_oracle()
+        got = indifference_profile(lockstep, i, f, tol)
+        want = sequential_profile(reference, i, f, tol)
+        assert got.values == want.values
+        assert got.null_fill == want.null_fill
+        assert lockstep.queries == reference.queries > 0
+
+    def test_induced_oracles_with_a_null_atom(self):
+        rng = random.Random(11)
+        for case in range(6):
+            rep = random_representation(rng, n_times=3, min_first_split=3)
+            space = rep.space
+            dead = space.atom_members(1, case % space.n_atoms(1))
+            P = random_measure(rng, space, null_states=dead)
+            rep = Representation(space, P, rep.field)
+            assert P.null_atoms(1)
+            for i in (0, 1):
+                f = random_act(rng, space, i + 1)
+                self.assert_same_as_sequential(lambda: InducedOracle(rep, tol=1e-12), i, f)
+
+    def test_overriding_query_keeps_its_answers(self):
+        band = intransitive_band()
+        for f in (band.target, Act.from_atom_values(band.space, 1, [1, 0, -1])):
+            self.assert_same_as_sequential(intransitive_band, 0, f)
+        honest = InducedOracle(band.rep)
+        banded = indifference_profile(intransitive_band(), 0, band.target, 1e-10)
+        assert banded.values != indifference_profile(honest, 0, band.target, 1e-10).values
+
+    def test_overriding_ask_sees_every_query(self):
+        class Logged(InducedOracle):
+            def ask(self, i, g, f, A=None):
+                self.asked.append(A)
+                return super().ask(i, g, f, A)
+
+        rep = random_representation(random.Random(17), n_times=3, min_first_split=3)
+        oracle = Logged(rep)
+        oracle.asked = []
+        indifference_profile(oracle, 1, random_act(random.Random(18), rep.space, 2))
+        assert len(oracle.asked) == oracle.queries > 0
+
+    def test_mean_max_control(self):
+        space = nonadditive_meanmax().space
+        for per_atom in ([1, 0, -1], [2, 2, 2], [-3, 0, Fraction(1, 3)]):
+            f = Act.from_atom_values(space, 1, per_atom)
+            self.assert_same_as_sequential(nonadditive_meanmax, 0, f)
+
+    def test_degenerate_oracle_raises_the_same_error(self):
+        space = three_atom_space()[0]
+        f = Act.constant(space, 1, 0)
+        lockstep, reference = AlwaysSucceqOracle(space), AlwaysSucceqOracle(space)
+        with pytest.raises(BracketError) as got:
+            indifference_profile(lockstep, 0, f)
+        with pytest.raises(BracketError) as want:
+            sequential_profile(reference, 0, f, 1e-9)
+        assert str(got.value) == str(want.value) == "no lower bracket on {x,y,z} at step 0"
+        assert lockstep.queries == reference.queries
+
+    def test_lowest_failing_atom_wins_over_an_earlier_round(self):
+        class ThreeFaults(PreferenceOracle):
+            """Atoms {x} and {z} lose their lower bracket after 44 asks;
+            atom {y} loses its upper bracket one round earlier."""
+
+            def query(self, i, g, f, A=None):
+                if 1 in A.members:
+                    return QueryAnswer(False, True)
+                return QueryAnswer(True, False)
+
+        singletons = [["x"], ["y"], ["z"]]
+        space = FilteredSpace.build(("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], singletons, singletons])
+        f = Act.constant(space, 2, 0)
+        with pytest.raises(BracketError) as got:
+            indifference_profile(ThreeFaults(space), 1, f)
+        with pytest.raises(BracketError) as want:
+            sequential_profile(ThreeFaults(space), 1, f, 1e-9)
+        assert str(got.value) == str(want.value) == "no lower bracket on {x} at step 1"
