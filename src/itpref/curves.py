@@ -12,6 +12,7 @@ limits) so the discontinuity machinery downstream is non-vacuous.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -255,19 +256,24 @@ class PiecewiseLinearCurve(MonotoneCurve):
             for (x0, _, _, r0), (x1, l1, _, _) in zip(self.anchors, self.anchors[1:])
         )
 
+    @cached_property
+    def _xs(self) -> tuple[Number, ...]:
+        return tuple(a[0] for a in self.anchors)
+
     def __call__(self, x: Number) -> Number:
-        first, last = self.anchors[0], self.anchors[-1]
-        slopes = self._slopes
-        if x < first[0]:
+        anchors, xs, slopes = self.anchors, self._xs, self._slopes
+        if x < xs[0]:
+            first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])
-        if x > last[0]:
+        if x > xs[-1]:
+            last = anchors[-1]
             return last[3] + slopes[-1] * (x - last[0])
-        for i, a in enumerate(self.anchors):
-            if x == a[0]:
-                return a[2]
-            if i + 1 < len(self.anchors) and x < self.anchors[i + 1][0]:
-                return a[3] + slopes[i] * (x - a[0])
-        raise AssertionError("unreachable")  # pragma: no cover
+        # xs[i] <= x < xs[i + 1], or x is the last anchor
+        i = bisect_right(xs, x) - 1
+        a = anchors[i]
+        if x == a[0]:
+            return a[2]
+        return a[3] + slopes[i] * (x - a[0])
 
     def invert_detailed(self, y: Number, tol: float = INVERT_TOL) -> Inversion:
         slopes = self._slopes

@@ -2,21 +2,26 @@
 
 An oracle answers conditional one-step comparisons "g at t_i versus f at
 t_{i+1}, restricted to an event A known at t_i" with a (holds_succeq,
-holds_preceq) pair.  Answers must be deterministic and stable.  The induced
-oracle reads the answers off a representation; hand-corrupted oracles used as
+holds_preceq) pair.  The contract every oracle keeps: answers are
+deterministic, and an answer on A depends only on g and f on A (a
+conditional comparison sees nothing outside its event).  The induced oracle
+reads the answers off a representation; hand-corrupted oracles used as
 negative controls live in :mod:`itpref.controls`.
 
 ``ask_atoms`` asks one such comparison per time-i atom at once, "constant
 c_k on A_k vs f on A_k": the base class loops over ``ask``, so every oracle
 answers it; the induced oracle answers all atoms in one pass over its value
-profile and curves.  ``queries`` counts one query per atom answered either way.
+profile and curves.  ``queries`` counts one query per atom answered either
+way, and only queries actually asked: a memo hit asks none.
 
 Also here: constant-act bisection against an oracle (the workhorse of both
 axiom checking and recovery) and oracle-level null-atom detection.  One
 search body probes, brackets and bisects an atom; ``indifference_profile``
 runs it for every atom of a level in lockstep, one ``ask_atoms`` call per
 round, and ``atom_is_insensitive`` and ``indifference_constant`` run it
-through ``ask`` on a single event.
+through ``ask`` on a single event.  By the contract an atom's certainty
+equivalent depends only on f on that atom, so ``indifference_profile``
+stores each atom's completed search on the oracle and never repeats it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
+_UNSEARCHED = object()  # an atom memo miss: None is a stored result (insensitive)
 
 
 class BracketError(RuntimeError):
@@ -63,6 +69,7 @@ class PreferenceOracle(ABC):
         self.space = space
         self.queries = 0
         self._cce_memo: dict = {}
+        self._atom_memo: dict = {}  # one entry per completed atom search
 
     def steps(self) -> range:
         """Supported step indices i for the (i, i+1) relation."""
@@ -230,21 +237,29 @@ def indifference_profile(
     queries alone.  Insensitive (null-behaving) atoms are filled with 0 and
     flagged, mirroring the conditional-expectation convention.
 
-    The atoms are searched in lockstep, one :meth:`~PreferenceOracle.ask_atoms`
-    call per round for every atom still searching; each atom is asked exactly
-    what :func:`atom_is_insensitive` and :func:`indifference_constant` would
-    ask it.  When atoms fail to bracket, the lowest-index failure is raised."""
+    Each atom's completed search is memoized on the oracle under ``f``'s
+    values on that atom, so an atom whose restriction was searched before
+    asks no query.  The other atoms are searched in lockstep, one
+    :meth:`~PreferenceOracle.ask_atoms` call per round for every atom still
+    searching; each is asked exactly what :func:`atom_is_insensitive` and
+    :func:`indifference_constant` would ask it.  When atoms fail to bracket,
+    the lowest-index failure is raised, and failed searches are not stored."""
     space = oracle.space
     key = (i, f.time_index, f.values, tol)
     hit = oracle._cce_memo.get(key)
     if hit is not None:
         return hit
-    searches = [_atom_search(i, A, tol) for A in space.atom_events(i)]
-    per_atom: list[Number] = [0] * len(searches)
-    insensitive: list[int] = []
+    values, memo = f.values, oracle._atom_memo
+    keys = [
+        (i, k, f.time_index, tuple([values[s] for s in atom]), tol)
+        for k, atom in enumerate(space.partitions[i])
+    ]
+    found = [memo.get(atom_key, _UNSEARCHED) for atom_key in keys]
+    live = [k for k, c in enumerate(found) if c is _UNSEARCHED]
+    events = space.atom_events(i)
+    searches = {k: _atom_search(i, events[k], tol) for k in live}
     failure: BracketError | None = None
-    live = list(range(len(searches)))
-    asks = [next(search) for search in searches]
+    asks = [next(searches[k]) for k in live]
     while live:
         answers = oracle.ask_atoms(i, f, live, asks)
         searching, asks = [], []
@@ -253,16 +268,15 @@ def indifference_profile(
                 asks.append(searches[k].send(answer))
                 searching.append(k)
             except StopIteration as done:
-                if done.value is None:
-                    insensitive.append(k)
-                else:
-                    per_atom[k] = done.value
+                found[k] = memo[keys[k]] = done.value
             except BracketError as exc:
                 failure = exc  # atoms after k can no longer change the outcome
                 break
         live = searching
     if failure is not None:
         raise failure
+    per_atom = [0 if c is None else c for c in found]
+    insensitive = [k for k, c in enumerate(found) if c is None]
     act = Act.from_atom_values(space, i, per_atom, insensitive)
     oracle._cce_memo[key] = act
     return act

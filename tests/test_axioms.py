@@ -310,11 +310,11 @@ PINNED_RESULTS = {
         ("M", 50): (_capped(216),),
         ("ST", 50): (_capped(158),),
         ("T", 400): (_capped(401),) * 6,
-        ("M", 400): (_capped(506),),
-        ("ST", 400): (_capped(1131),),
+        ("M", 400): (_capped(420),),
+        ("ST", 400): (_capped(1037),),
         ("T", 3000): (_capped(3001),) * 6,
-        ("M", 3000): (_capped(3009),),
-        ("ST", 3000): (_capped(3137),),
+        ("M", 3000): (_capped(3003),),
+        ("ST", 3000): (_capped(3002),),
         ("C/uniform", None): (_checked(2),),
         ("C/atomwise", None): (_checked(1),),
         ("C/random", None): (_checked(1),),

@@ -118,6 +118,44 @@ class TestPiecewiseLinear:
         (j,) = u.jumps()
         assert (j.x, j.left, j.value, j.right) == (1, 1, 1, 2)
 
+    def test_evaluation_matches_the_anchor_scan(self):
+        def scan(u, x):
+            """Reference: find the segment by walking the anchors in order."""
+            first, last, slopes = u.anchors[0], u.anchors[-1], u._slopes
+            if x < first[0]:
+                return first[1] + slopes[0] * (x - first[0])
+            if x > last[0]:
+                return last[3] + slopes[-1] * (x - last[0])
+            for i, a in enumerate(u.anchors):
+                if x == a[0]:
+                    return a[2]
+                if x < u.anchors[i + 1][0]:
+                    return a[3] + slopes[i] * (x - a[0])
+
+        curves = [
+            PiecewiseLinearCurve.from_points(
+                [(-2.5, -3.0), (-1, -1.25), (-0.3, -0.2), (0, 0), (0.5, 0.4, 0.45, 0.9),
+                 (1.25, 1.1), (3, 2.0)]
+            ),
+            PiecewiseLinearCurve.from_points(
+                [(-2, Fraction(-7, 3)), (Fraction(-1, 3), Fraction(-1, 5)), (0, 0),
+                 (Fraction(2, 3), Fraction(1, 2), Fraction(3, 5), 1), (4, Fraction(9, 2))]
+            ),
+        ]
+        for u in curves:
+            xs = [a[0] for a in u.anchors]
+            points = [xs[0] - 1, xs[-1] + Fraction(7, 3)] + xs
+            points += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+            points += [a + (b - a) / 7 for a, b in zip(xs, xs[1:])]
+            for x in points + [float(x) for x in points] + [Fraction(x) for x in points]:
+                got, want = u(x), scan(u, x)
+                assert (type(got), repr(got)) == (type(want), repr(want)), x
+        jump = curves[1].anchors[3]
+        assert curves[1](jump[0]) == jump[2] == Fraction(3, 5)
+        assert curves[1](Fraction(1, 3)) == Fraction(1, 4)
+        assert isinstance(curves[1](Fraction(1, 3)), Fraction)
+        assert curves[0](0.5) == 0.45 and curves[0](0.25) == 0.2
+
     def test_inversion_in_gap_flags(self):
         u = PiecewiseLinearCurve.from_points([(0, 0), (1, 1, 1, 2), (2, 3)])
         hit = u.invert_detailed(1)

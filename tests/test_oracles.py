@@ -136,18 +136,21 @@ class TestIndifference:
         assert prof.values[0] == pytest.approx(2, abs=1e-8)
 
 
+def atom_search(oracle, i, f, k, tol):
+    """The reference search of one atom: the probe, then the bisection;
+    None when the atom is insensitive."""
+    A = oracle.space.atom_event(i, k)
+    if atom_is_insensitive(oracle, i, f, A):
+        return None
+    return indifference_constant(oracle, i, f, A, tol)
+
+
 def sequential_profile(oracle, i, f, tol):
-    """The atom-by-atom reference: the probe, then the bisection, one atom
-    after another."""
-    space = oracle.space
-    per_atom, insensitive = [0] * space.n_atoms(i), []
-    for k in range(space.n_atoms(i)):
-        A = space.atom_event(i, k)
-        if atom_is_insensitive(oracle, i, f, A):
-            insensitive.append(k)
-            continue
-        per_atom[k] = indifference_constant(oracle, i, f, A, tol)
-    return Act.from_atom_values(space, i, per_atom, insensitive)
+    """The atom-by-atom reference: one :func:`atom_search` after another."""
+    found = [atom_search(oracle, i, f, k, tol) for k in range(oracle.space.n_atoms(i))]
+    per_atom = [0 if c is None else c for c in found]
+    insensitive = [k for k, c in enumerate(found) if c is None]
+    return Act.from_atom_values(oracle.space, i, per_atom, insensitive)
 
 
 class TestLockstepProfile:
@@ -231,3 +234,98 @@ class TestLockstepProfile:
         with pytest.raises(BracketError) as want:
             sequential_profile(ThreeFaults(space), 1, f, 1e-9)
         assert str(got.value) == str(want.value) == "no lower bracket on {x} at step 1"
+
+
+class AtomLog(InducedOracle):
+    """Induced oracle that records which atoms each batched call asks."""
+
+    def __init__(self, rep):
+        super().__init__(rep, tol=1e-12)
+        self.asked = set()
+
+    def ask_atoms(self, i, f, atoms, constants):
+        self.asked.update(atoms)
+        return super().ask_atoms(i, f, atoms, constants)
+
+
+def with_atom_values(f, i, k, new):
+    """``f`` with the states of time-``i`` atom ``k`` set to ``new``."""
+    members = set(f.space.partitions[i][k])
+    return Act(f.space, f.time_index, tuple(new if s in members else v for s, v in enumerate(f.values)))
+
+
+class TestAtomMemo:
+    """``indifference_profile`` searches each (level, atom, restriction of f,
+    tol) once per oracle; a repeat asks nothing and returns the same constant."""
+
+    def test_shared_restrictions_ask_nothing(self):
+        rng = random.Random(29)
+        for _ in range(4):
+            rep = random_representation(rng, n_times=3, min_first_split=3)
+            space = rep.space
+            f = random_act(rng, space, 2)
+            k = rng.randrange(space.n_atoms(1))
+            g = with_atom_values(f, 1, k, 1.25)
+            oracle = AtomLog(rep)
+            indifference_profile(oracle, 1, f, 1e-10)
+            oracle.asked.clear()
+            before = oracle.queries
+            got = indifference_profile(oracle, 1, g, 1e-10)
+            assert oracle.asked == {k}
+            alone = InducedOracle(rep, tol=1e-12)
+            atom_search(alone, 1, g, k, 1e-10)
+            assert oracle.queries - before == alone.queries
+            want = indifference_profile(InducedOracle(rep, tol=1e-12), 1, g, 1e-10)
+            assert got.values == want.values
+            assert got.null_fill == want.null_fill
+
+    def test_other_tol_or_time_index_searches_again(self):
+        rep = random_representation(random.Random(31), n_times=3, min_first_split=3)
+        space = rep.space
+        f1 = random_act(random.Random(32), space, 1)
+        f2 = Act(space, 2, f1.values)
+        oracle = AtomLog(rep)
+        first = indifference_profile(oracle, 1, f1, 1e-10)
+        for f, tol in ((f1, 1e-9), (f2, 1e-10)):
+            oracle.asked.clear()
+            again = indifference_profile(oracle, 1, f, tol)
+            assert oracle.asked == set(range(space.n_atoms(1)))
+            assert again.sup_dist(first) < 1e-8
+
+    def test_bracket_failure_is_searched_again_and_never_stored(self):
+        class FaultOnY(PreferenceOracle):
+            """Identity comparisons on singleton atoms, except that {y}
+            never answers "at least as good": its upper bracket fails."""
+
+            def query(self, i, g, f, A=None):
+                if 1 in A.members:
+                    return QueryAnswer(False, True)
+                c, v = g.values[0], f.values[min(A.members)]
+                return QueryAnswer(c >= v, c <= v)
+
+        singletons = [["x"], ["y"], ["z"]]
+        space = FilteredSpace.build(("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], singletons, singletons])
+        f = Act(space, 2, (0.5, 0.25, -0.75))
+        alone = FaultOnY(space)
+        with pytest.raises(BracketError):
+            atom_search(alone, 1, f, 1, 1e-9)
+        oracle = FaultOnY(space)
+        spent = []
+        for _ in range(3):
+            before = oracle.queries
+            with pytest.raises(BracketError) as err:
+                indifference_profile(oracle, 1, f)
+            assert str(err.value) == "no upper bracket on {y} at step 1"
+            spent.append(oracle.queries - before)
+        assert spent[0] > spent[1] == spent[2] == alone.queries
+
+    def test_insensitive_atom_is_stored_as_insensitive(self, four_state_space):
+        P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+        oracle = AtomLog(identity_rep(four_state_space, P))
+        indifference_profile(oracle, 1, Act(four_state_space, 2, (1, 3, 5, 7)))
+        oracle.asked.clear()
+        prof = indifference_profile(oracle, 1, Act(four_state_space, 2, (2, 4, 5, 7)))
+        assert oracle.asked == {0}
+        assert prof.null_fill == frozenset({2, 3})
+        assert prof.values[2] == prof.values[3] == 0
+        assert prof.values[0] == pytest.approx(3, abs=1e-8)

@@ -117,7 +117,7 @@ SEED1_STEPS = (
         ),
     ),
 )
-SEED1_QUERIES = 14756
+SEED1_QUERIES = 4382
 
 
 class TestCCEFromOracle:
