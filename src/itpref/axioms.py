@@ -423,6 +423,7 @@ def check_ST(
     unions = _atom_unions(_essential_atoms(oracle, i + 1, grid), 2, cap=10)
     unions.append(tuple(range(space.n_atoms(i + 1))))
     consts = list(grid.values)
+    h_acts = [Act.constant(space, i + 1, h) for h in consts]
     ext = grid.extended()
 
     for atoms in unions:
@@ -433,13 +434,14 @@ def check_ST(
             for k, v in zip(atoms, combo):
                 per_atom[k] = v
             f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
-        for f1, f2 in budget.each(itertools.product(f_cands, repeat=2)):
+        # pasted[j][n]: candidate j on A and the n-th grid constant off it, built once
+        pasted = [[paste(f, h, A) for h in h_acts] for f in f_cands]
+        for j1, j2 in budget.each(itertools.product(range(len(f_cands)), repeat=2)):
+            f1, f2 = f_cands[j1], f_cands[j2]
             if f1.values == f2.values:
                 continue
             premise_h = None
-            for h in consts:
-                X1 = paste(f1, Act.constant(space, i + 1, h), A)
-                X2 = paste(f2, Act.constant(space, i + 1, h), A)
+            for h, X1, X2 in zip(consts, pasted[j1], pasted[j2]):
                 try:
                     c1 = indifference_profile(oracle, i, X1, BISECT_TOL)
                 except BracketError:
@@ -449,9 +451,7 @@ def check_ST(
                     break
             if premise_h is None:
                 continue
-            for k in consts:
-                Y1 = paste(f1, Act.constant(space, i + 1, k), A)
-                Y2 = paste(f2, Act.constant(space, i + 1, k), A)
+            for k, Y1, Y2 in zip(consts, pasted[j1], pasted[j2]):
                 found = False
                 try:
                     g2 = indifference_profile(oracle, i, Y1, BISECT_TOL)

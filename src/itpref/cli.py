@@ -23,7 +23,7 @@ from .apps import (
 from .axioms import ActGrid, DEFAULT_GRID, audit_step, render_audit
 from .engine import cce, compare, semigroup_residual
 from .filtered_space import InvariantError
-from .oracles import InducedOracle
+from .oracles import BracketError, InducedOracle
 from .recovery import (
     RecoveryError,
     check_relative_uniqueness,
@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ScenarioError, InvariantError, RecoveryError, ValueError) as exc:
+    except (ScenarioError, InvariantError, RecoveryError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,17 @@
 """Recovery of the representing pair (probability, utility field) from a
 preference oracle, and the relative-uniqueness audit.
 
-Step i builds the composite unconditional functional
-f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], tabulates it through the oracle's certainty
-equivalents, audits its additive decomposability across the time-(i+1) atoms
-(the Debreu residual), splits each per-atom component canonically at the
-calibration outcome x̄ into a probability mass and a normalized utility curve,
-and reweights by the conditional density so the new probability agrees with
-the old one on the coarser information.  Step 0 is the same step started
-from trivial information: mass 1 and the initial utility u0.
+Step i (``recover_step_i``) runs in one pass.  It builds the composite
+unconditional functional f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], tabulates it
+through the oracle's certainty equivalents, finds the null atoms, audits its
+additive decomposability across the time-(i+1) atoms (the Debreu residual),
+and splits each essential component canonically at the calibration outcome
+x̄ into an auxiliary mass P̃ and a utility curve.  The Bayesian reweighting
+then fixes each atom's final mass and curve once: Z = dP_i/dP̃ makes the new
+probability agree with the old one on the coarser information, and the
+curve is built from its points scaled by κ = dP̃/dP_{i+1}.  Step 0 is the
+same step started from trivial information: mass 1 and the initial utility
+u0, where Z = κ = 1.
 
 Recovered curves are tabulated on the grid and piecewise-linear interpolated,
 so recovery is grid-exact only for piecewise-linear ground truth.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .axioms import DEFAULT_GRID, ActGrid
 from .curves import IdentityCurve, MonotoneCurve, PiecewiseLinearCurve
@@ -75,79 +78,6 @@ def _debreu_candidates(
     return out
 
 
-def _recover_additive(
-    value_fn: Callable[[Act], float],
-    space: FilteredSpace,
-    level: int,
-    grid: ActGrid,
-    require_three_essential: bool,
-    debreu_tol: float,
-) -> RecoveredStep:
-    xs = _recovery_xs(grid)
-    m = space.n_atoms(level)
-    tab: list[dict[Number, float]] = []
-    for A in space.atom_events(level):
-        col = {}
-        for x in xs:
-            col[x] = value_fn(Act.constant(space, level, x).restrict(A))
-        tab.append(col)
-
-    null_atoms = tuple(
-        k for k in range(m) if max(abs(v) for v in tab[k].values()) <= NULL_VALUE_TOL
-    )
-    essential = [k for k in range(m) if k not in null_atoms]
-    if require_three_essential and len(essential) < 3:
-        raise RecoveryError(
-            f"level {level} has {len(essential)} essential atoms; the additive "
-            f"decomposition needs at least three"
-        )
-
-    residual = 0.0
-    # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
-    for f in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
-        total = value_fn(f)
-        split = sum(tab[k][f.value_on_atom(k)] for k in range(m))
-        residual = max(residual, abs(total - split))
-    if residual > debreu_tol:
-        raise RecoveryError(
-            f"level {level}: additive decomposition fails, Debreu residual "
-            f"{residual:.3g} exceeds {debreu_tol:.3g}"
-        )
-
-    offsets = tuple(float(tab[k][0]) for k in range(m))
-    weights = []
-    for k in essential:
-        w = tab[k][X_BAR] - tab[k][0]
-        if not w > 0:
-            raise RecoveryError(
-                f"level {level} atom {space.atom_label(level, k)}: component value "
-                f"{w!r} at the calibration outcome {X_BAR} is not positive; the "
-                f"oracle does not rank {X_BAR} above 0 on an essential atom"
-            )
-        weights.append(w)
-    total_weight = sum(weights)
-
-    masses: list[Number] = [0] * m
-    curves: list[MonotoneCurve] = [IdentityCurve()] * m
-    for k, w in zip(essential, weights):
-        p = w / total_weight
-        masses[k] = p
-        points = []
-        for x in xs:
-            y = 0 if x == 0 else (tab[k][x] - tab[k][0]) / p
-            points.append((x, y))
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if not y1 > y0:
-                raise RecoveryError(
-                    f"level {level} atom {space.atom_label(level, k)}: recovered values "
-                    f"not strictly increasing between x={x0} and x={x1}"
-                )
-        curves[k] = PiecewiseLinearCurve.from_points(points)
-    return RecoveredStep(
-        level, tuple(masses), tuple(curves), residual, null_atoms, offsets
-    )
-
-
 def recover_step0(
     oracle: PreferenceOracle,
     u0: MonotoneCurve,
@@ -179,14 +109,17 @@ def recover_step_i(
     """Recover (P_{i+1}, u_{i+1}) given the step-i output.
 
     Routes through the auxiliary unconditional functional
-    f ↦ E_{P_i}[u_i(C_{i,i+1}(f))], recovers an additive pair at the
-    (i+1)-atoms, then reweights by Z = dP_i/dP̃|F_i so the new probability
-    agrees with P_i on the time-i atoms and the utility absorbs dP̃/dP_{i+1}.
+    f ↦ E_{P_i}[u_i(C_{i,i+1}(f))]: its additive split across the
+    (i+1)-atoms gives an auxiliary probability P̃ and curves, and reweighting
+    by Z = dP_i/dP̃|F_i makes the new probability agree with P_i on the
+    time-i atoms while the curves absorb κ = dP̃/dP_{i+1}.
     The Debreu audit takes at most 81 acts at i = 0 and 64 later.
     """
     space = oracle.space
     if prev.level != i:
         raise RecoveryError(f"previous step recovered level {prev.level}, expected {i}")
+    level = i + 1
+    m = space.n_atoms(level)
 
     def value(f: Act) -> float:
         c = indifference_profile(oracle, i, f, tol)
@@ -198,19 +131,63 @@ def recover_step_i(
             )
         )
 
-    raw = _recover_additive(
-        value, space, i + 1, grid, require_three_essential, debreu_tol
+    xs = _recovery_xs(grid)
+    tab = [
+        {x: value(Act.constant(space, level, x).restrict(A)) for x in xs}
+        for A in space.atom_events(level)
+    ]
+    null_atoms = tuple(
+        k for k in range(m) if max(abs(v) for v in tab[k].values()) <= NULL_VALUE_TOL
     )
-    if i == 0:
-        # P_0 is the unit mass: the raw masses are P_1 already, and dividing
-        # by their float sum, which can miss 1 in the last bit, would perturb them
-        return raw
+    essential = [k for k in range(m) if k not in null_atoms]
+    if require_three_essential and len(essential) < 3:
+        raise RecoveryError(
+            f"level {level} has {len(essential)} essential atoms; the additive "
+            f"decomposition needs at least three"
+        )
+
+    residual = 0.0
+    # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
+    for f in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
+        total = value(f)
+        split = sum(tab[k][f.value_on_atom(k)] for k in range(m))
+        residual = max(residual, abs(total - split))
+    if residual > debreu_tol:
+        raise RecoveryError(
+            f"level {level}: additive decomposition fails, Debreu residual "
+            f"{residual:.3g} exceeds {debreu_tol:.3g}"
+        )
+
+    weights = {}
+    for k in essential:
+        w = tab[k][X_BAR] - tab[k][0]
+        if not w > 0:
+            raise RecoveryError(
+                f"level {level} atom {space.atom_label(level, k)}: component value "
+                f"{w!r} at the calibration outcome {X_BAR} is not positive; the "
+                f"oracle does not rank {X_BAR} above 0 on an essential atom"
+            )
+        weights[k] = w
+    total_weight = sum(weights.values())
+
+    # the auxiliary split P̃ and each essential atom's curve points under it
+    aux: dict[int, Number] = {}
+    points: dict[int, list[tuple[Number, Number]]] = {}
+    for k, w in weights.items():
+        aux[k] = p = w / total_weight
+        points[k] = [(x, 0 if x == 0 else (tab[k][x] - tab[k][0]) / p) for x in xs]
+        for (x0, y0), (x1, y1) in zip(points[k], points[k][1:]):
+            if not y1 > y0:
+                raise RecoveryError(
+                    f"level {level} atom {space.atom_label(level, k)}: recovered values "
+                    f"not strictly increasing between x={x0} and x={x1}"
+                )
 
     amap_lo = space.atom_index_map(i)
-    parent = [amap_lo[atom[0]] for atom in space.partitions[i + 1]]
+    parent = [amap_lo[atom[0]] for atom in space.partitions[level]]
     parent_mass: dict[int, Number] = {}
-    for k in range(space.n_atoms(i + 1)):
-        parent_mass[parent[k]] = parent_mass.get(parent[k], 0) + raw.masses[k]
+    for k in range(m):
+        parent_mass[parent[k]] = parent_mass.get(parent[k], 0) + aux.get(k, 0)
     for a in range(space.n_atoms(i)):
         if prev.masses[a] > 0 and not parent_mass.get(a, 0) > 0:
             raise RecoveryError(
@@ -219,46 +196,32 @@ def recover_step_i(
                 f"across the step"
             )
 
-    masses: list[Number] = [0] * space.n_atoms(i + 1)
-    curves: list[MonotoneCurve] = [IdentityCurve()] * space.n_atoms(i + 1)
-    for k in range(space.n_atoms(i + 1)):
+    masses: list[Number] = [0] * m
+    curves: list[MonotoneCurve] = [IdentityCurve()] * m
+    for k, p in aux.items():
         a = parent[k]
-        if raw.masses[k] == 0 or prev.masses[a] == 0:
+        if prev.masses[a] == 0:
             continue
-        z = prev.masses[a] / parent_mass[a]
-        masses[k] = raw.masses[k] * z
-        kappa = parent_mass[a] / prev.masses[a]  # dP̃/dP_{i+1} on the child atom
-        curves[k] = _scale_values(raw.curves[k], kappa)
+        # Z = dP_i/dP̃ and κ = dP̃/dP_{i+1} on the child atom.  P_0 is the unit
+        # mass, so both are 1 at step 0: dividing by P̃'s float sum, which can
+        # miss 1 in the last bit, would perturb P_1
+        if i == 0:
+            z = kappa = 1
+        else:
+            z, kappa = prev.masses[a] / parent_mass[a], parent_mass[a] / prev.masses[a]
+        masses[k] = p * z
+        if kappa != 1:  # at κ = 1 the points stay as tabulated, their 0 an exact int
+            points[k] = [(x, kappa * y) for x, y in points[k]]
+        curves[k] = PiecewiseLinearCurve.from_points(points[k])
     for a in range(space.n_atoms(i)):
-        children_total = sum(
-            masses[k] for k in range(space.n_atoms(i + 1)) if parent[k] == a
-        )
+        children_total = sum(masses[k] for k in range(m) if parent[k] == a)
         if abs(children_total - prev.masses[a]) > 1e-9:
             raise RecoveryError(
                 f"updated probability does not agree with the step-{i} one on "
                 f"atom {space.atom_label(i, a)}"
             )
-    return RecoveredStep(
-        i + 1, tuple(masses), tuple(curves), raw.debreu_residual,
-        raw.null_atoms, raw.normalization_offsets,
-    )
-
-
-def _scale_values(curve: MonotoneCurve, kappa: Number) -> MonotoneCurve:
-    if kappa == 1:
-        return curve
-    if isinstance(curve, PiecewiseLinearCurve):
-        anchors = tuple(
-            (x, kappa * l, kappa * v, kappa * r) for x, l, v, r in curve.anchors
-        )
-        return PiecewiseLinearCurve(anchors)
-    if isinstance(curve, IdentityCurve):
-        from .curves import LinearCurve
-
-        return LinearCurve(kappa)
-    from .curves import ValueScaledCurve
-
-    return ValueScaledCurve(curve, kappa)
+    offsets = tuple(float(col[0]) for col in tab)
+    return RecoveredStep(level, tuple(masses), tuple(curves), residual, null_atoms, offsets)
 
 
 @dataclass(frozen=True)

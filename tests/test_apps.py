@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,9 @@ from itpref.apps import (
     villa_t2_formula,
     villa_t2_value,
 )
-from itpref.scenario import ScenarioSpec, StrategySet
+from itpref.scenario import ScenarioSpec, StrategySet, loads_scenario
+
+VILLA_SDU = Path(__file__).resolve().parent.parent / "scenarios" / "villa.sdu"
 
 
 class TestVilla:
@@ -70,6 +73,40 @@ class TestVilla:
         text = run_villa(replace(spec, acts={**spec.acts, "villa_t1": cheaper})).text
         assert "expected payoff = 1099900 " in run_villa(spec).text
         assert "expected payoff = 991000 " in text
+
+    def test_verdicts_follow_the_spec(self):
+        # the t1 value cut below the cash: waiting no longer pays, the story fails
+        spec = villa_scenario("paper-stated")
+        cheaper = Act(spec.space, 1, (200_000, 1_000_000, 1_000_000))
+        result = run_villa(replace(spec, acts={**spec.acts, "villa_t1": cheaper}))
+        assert "verdict cash vs villa at t1: SUCCEQ (waiting is strictly unattractive)" in result.text
+        assert not result.passed
+
+    @pytest.mark.parametrize("variant", ["paper-arithmetic", "paper-stated"])
+    def test_less_cash_makes_waiting_strictly_attractive(self, variant):
+        spec = villa_scenario(variant)
+        cash = Act(spec.space, 0, (900_000,) * 3)
+        result = run_villa(replace(spec, acts={**spec.acts, "cash": cash}))
+        assert "immediate cash at t0: 900000\n" in result.text
+        assert "verdict cash vs villa at t1: PRECEQ (waiting is strictly attractive)" in result.text
+        assert "on {d1} (election default): SUCCEQ (take the cash)" in result.text
+        assert result.passed
+
+    def test_branches_are_read_from_the_time1_atoms(self):
+        text = VILLA_SDU.read_text()
+        spec = loads_scenario(text.replace("states = d1, d2, ok", "states = ok, d2, d1"))
+        result = run_villa(spec)
+        assert "on {d1} (election default): SUCCEQ (take the cash)" in result.text
+        assert "on {ok,d2} (no election default): PRECEQ (take the villa)" in result.text
+        assert "the cash on {d1} and the villa on {ok,d2}" in result.text
+        assert result.passed
+
+    def test_villa_needs_two_time1_atoms(self):
+        text = VILLA_SDU.read_text()
+        text = text.replace("partition t=1 = d1 | d2, ok", "partition t=1 = d1 | d2 | ok")
+        text = text.replace("\nd2, ok = identity", "\nd2 = identity\nok = identity")
+        with pytest.raises(ValueError, match="two time-1 atoms .* got 3"):
+            run_villa(loads_scenario(text))
 
     def test_spec_without_villa_acts_rejected(self):
         with pytest.raises(ValueError, match="cash, villa_t1, villa_t2"):

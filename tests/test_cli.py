@@ -175,6 +175,22 @@ class TestRecoverUniqueness:
         assert code == 2
         assert "three" in err
 
+    def test_bracket_failure_is_input_error(self, capsys, tmp_path):
+        # exp(2) at t0 is bounded above by 1/2, so no constant brackets a
+        # terminal act worth more than that
+        path = tmp_path / "exp2.sdu"
+        path.write_text(
+            "title = exp2\n\n[space]\nstates = a, b, c\ntimes = 0, 1\n"
+            "partition t=0 = a, b, c\npartition t=1 = a | b | c\n\n"
+            "[measure]\na = 1/3\nb = 1/3\nc = 1/3\n\n"
+            "[utility t=0]\na, b, c = exp(2)\n\n"
+            "[utility t=1]\na = identity\nb = identity\nc = identity\n"
+        )
+        code, out, err = run(capsys, ["recover", "--scenario", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: no upper bracket on {a,b,c} at step 0\n"
+
     @pytest.mark.parametrize("pairs", ["0", "-1"])
     def test_pairs_below_one_is_input_error(self, capsys, pairs):
         code, out, err = run(

@@ -28,7 +28,7 @@ from itpref import (
 )
 from itpref.recovery import RecoveryError
 from itpref.apps import villa_scenario
-from itpref.controls import three_atom_space, identity_representation
+from itpref.controls import flat_segment, three_atom_space, identity_representation
 from itpref.sampling import (
     random_equivalent_measure,
     random_representation,
@@ -48,6 +48,29 @@ def worked_example_rep() -> Representation:
         space, [[IdentityCurve()], [IdentityCurve(), LinearCurve(2), LinearCurve(4)]]
     )
     return Representation(space, P, field)
+
+
+class LinearOracle(PreferenceOracle):
+    """Compares a constant g on A against V_A(f) = sum of c_s f(s) over A's
+    states, and answers both ways on every event inside ``indifferent``."""
+
+    def __init__(self, space, c, indifferent=frozenset()):
+        super().__init__(space)
+        self.c = c
+        self.indifferent = frozenset(space.state_index(n) for n in indifferent)
+
+    def query(self, i, g, f, A=None):
+        members = range(self.space.n_states) if A is None else A.members
+        if self.indifferent and set(members) <= self.indifferent:
+            return QueryAnswer(True, True)
+        v = sum(self.c[s] * f.values[s] for s in members)
+        u = g.values[min(members)]
+        return QueryAnswer(u >= v - 1e-12, u <= v + 1e-12)
+
+
+class AlwaysIndifferentOracle(PreferenceOracle):
+    def query(self, i, g, f, A=None):
+        return QueryAnswer(True, True)
 
 
 # recover_representation on random_representation(random.Random(1), n_times=3,
@@ -224,6 +247,28 @@ class TestRecoverStep0:
         assert isinstance(step.curves[1], IdentityCurve)
 
 
+    def test_non_positive_calibration_weight_rejected(self):
+        space, _ = three_atom_space()
+        oracle = LinearOracle(space, (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2)))
+        with pytest.raises(RecoveryError, match=r"component value -0\.25 .* not positive"):
+            recover_step0(oracle, IdentityCurve())
+
+    def test_non_monotone_values_rejected(self):
+        with pytest.raises(
+            RecoveryError, match="not strictly increasing between x=-1/2 and x=0"
+        ):
+            recover_step0(flat_segment(), IdentityCurve())
+
+    def test_always_indifferent_oracle_vanishes_at_step0(self):
+        # every atom is null, so the step has no probability to hand on
+        space, _ = three_atom_space()
+        oracle = AlwaysIndifferentOracle(space)
+        with pytest.raises(RecoveryError, match=r"vanishes on essential atom \{x,y,z\}"):
+            recover_step0(oracle, IdentityCurve(), require_three_essential=False)
+        with pytest.raises(RecoveryError, match=r"vanishes on essential atom \{x,y,z\}"):
+            recover_representation(oracle, IdentityCurve(), require_three_essential=False)
+
+
 class TestRecoverInductive:
     def test_single_time_space_rejected_up_front(self):
         from itpref import FilteredSpace
@@ -295,6 +340,28 @@ class TestRecoverInductive:
             assert sum(step2.masses[k] for k in children) == pytest.approx(
                 float(step1.masses[a]), abs=1e-9
             )
+
+    def test_wrong_previous_level_rejected(self):
+        rep = worked_example_rep()
+        oracle = InducedOracle(rep, tol=1e-12)
+        with pytest.raises(RecoveryError, match="previous step recovered level 1, expected 0"):
+            recover_step_i(oracle, 0, recover_step0(oracle, rep.u0))
+
+    def test_parent_with_vanishing_children_rejected(self):
+        from itpref import FilteredSpace
+
+        states = ("a", "b", "c", "d", "e", "f")
+        space = FilteredSpace.build(
+            states, (0, 1, 2),
+            [[list(states)], [["a", "b"], ["c", "d"], ["e", "f"]], [[s] for s in states]],
+        )
+        oracle = LinearOracle(
+            space, tuple(Fraction(n, 21) for n in range(1, 7)), indifferent={"a", "b"}
+        )
+        step1 = recover_step0(oracle, IdentityCurve())
+        assert step1.masses[0] > 0
+        with pytest.raises(RecoveryError, match=r"vanishes on essential atom \{a,b\}"):
+            recover_step_i(oracle, 1, step1)
 
     def test_seed1_steps_pinned_bit_for_bit(self):
         # the time-1 masses sum to 1 - 2**-53 in floats, so a step 0 that
