@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .engine import compare, expected_utility_profile
@@ -74,6 +75,26 @@ def _villa_values(spec: ScenarioSpec, variant: str) -> tuple[Fraction, Fraction]
     return Fraction(t1), Fraction(t2)
 
 
+# what the displayed sums are computed from, read per state
+_VILLA_SUM_PARTS = {
+    "measure": lambda spec: spec.measure.weights,
+    "t=1 utility": lambda spec: spec.field.curves_by_state[1],
+    "t=2 utility": lambda spec: spec.field.curves_by_state[2],
+    "villa_t1": lambda spec: spec.acts["villa_t1"].values,
+    "villa_t2": lambda spec: spec.acts["villa_t2"].values,
+}
+
+
+def _villa_sum_parts(spec: ScenarioSpec) -> dict[str, dict]:
+    """Each part of ``spec`` in ``_VILLA_SUM_PARTS`` as a state name → value map."""
+    return {name: dict(zip(spec.space.states, read(spec))) for name, read in _VILLA_SUM_PARTS.items()}
+
+
+@lru_cache(maxsize=1)
+def _shipped_villa_sum_parts() -> dict[str, dict]:
+    return _villa_sum_parts(_shipped("villa"))
+
+
 def villa_t1_value(variant: str = "paper-arithmetic") -> Fraction:
     """Time-1 expected payoff entering the t0 comparison, exact."""
     return _villa_values(villa_scenario(variant), variant)[0]
@@ -106,10 +127,13 @@ def run_villa(spec: ScenarioSpec | None = None) -> AppResult:
     """The villa report on ``spec`` (default: the shipped villa) under its
     variant tag.  Its two time-1 atoms are the election default, the branch
     on which ``villa_t1`` is worth least, and the branch without one.
-    ``passed`` says whether the story holds on ``spec``: the villa wins when
-    the intermediate time is neglected, waiting at t0 is at least as good as
-    the cash, and after the election the cash wins on the default branch and
-    the villa on the other."""
+    ``paper-arithmetic``'s displayed sums describe the shipped villa only: a
+    spec whose measure, t=1 or t=2 utility, ``villa_t1`` or ``villa_t2``
+    differs from the shipped file's is a ``ValueError`` under that variant
+    (the cash may change).  ``passed`` says whether the story holds on
+    ``spec``: the villa wins when the intermediate time is neglected, waiting
+    at t0 is at least as good as the cash, and after the election the cash
+    wins on the default branch and the villa on the other."""
     spec = spec if spec is not None else villa_scenario()
     variant = spec.variant or "paper-arithmetic"
     if variant not in VILLA_VARIANTS:
@@ -122,6 +146,15 @@ def run_villa(spec: ScenarioSpec | None = None) -> AppResult:
         raise ValueError(
             f"villa scenario needs two time-1 atoms (default, no default), got {space.n_atoms(1)}"
         )
+    if variant == "paper-arithmetic":
+        shipped = _shipped_villa_sum_parts()
+        unlike = [name for name, part in _villa_sum_parts(spec).items() if part != shipped[name]]
+        if unlike:
+            raise ValueError(
+                f"variant paper-arithmetic prints the shipped villa's displayed sums, but this "
+                f"scenario's {', '.join(unlike)} differ from the shipped file's; "
+                f"run it as paper-stated (--variant paper-stated)"
+            )
     t1_value, t2_value = _villa_values(spec, variant)
     rep = spec.representation()
     cash, villa_t2 = spec.acts["cash"], spec.acts["villa_t2"]

@@ -260,8 +260,24 @@ class PiecewiseLinearCurve(MonotoneCurve):
     def _xs(self) -> tuple[Number, ...]:
         return tuple(a[0] for a in self.anchors)
 
+    @cached_property
+    def _float_xs(self) -> tuple[Number, ...]:
+        """The abscissae a float argument is compared with: as floats when
+        some are ``Fraction``s and every one converts exactly, so each
+        comparison gives the same result without converting the argument to
+        a ``Fraction``; else ``_xs``."""
+        xs = self._xs
+        if Fraction not in map(type, xs):
+            return xs  # ints and floats compare with a float without conversion
+        try:
+            fxs = tuple(float(a) for a in xs)
+        except OverflowError:
+            return xs
+        return fxs if all(f == a for f, a in zip(fxs, xs)) else xs
+
     def __call__(self, x: Number) -> Number:
-        anchors, xs, slopes = self.anchors, self._xs, self._slopes
+        anchors, slopes = self.anchors, self._slopes
+        xs = self._float_xs if type(x) is float else self._xs
         if x < xs[0]:
             first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])
@@ -271,7 +287,7 @@ class PiecewiseLinearCurve(MonotoneCurve):
         # xs[i] <= x < xs[i + 1], or x is the last anchor
         i = bisect_right(xs, x) - 1
         a = anchors[i]
-        if x == a[0]:
+        if x == xs[i]:
             return a[2]
         return a[3] + slopes[i] * (x - a[0])
 

@@ -21,7 +21,8 @@ runs it for every atom of a level in lockstep, one ``ask_atoms`` call per
 round, and ``atom_is_insensitive`` and ``indifference_constant`` run it
 through ``ask`` on a single event.  By the contract an atom's certainty
 equivalent depends only on f on that atom, so ``indifference_profile``
-stores each atom's completed search on the oracle and never repeats it.
+stores each atom's search on the oracle, the bracket failures with the rest,
+and never repeats it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class PreferenceOracle(ABC):
         self.space = space
         self.queries = 0
         self._cce_memo: dict = {}
-        self._atom_memo: dict = {}  # one entry per completed atom search
+        # one entry per atom search: its constant, None (insensitive) or its
+        # BracketError message
+        self._atom_memo: dict = {}
 
     def steps(self) -> range:
         """Supported step indices i for the (i, i+1) relation."""
@@ -237,13 +240,16 @@ def indifference_profile(
     queries alone.  Insensitive (null-behaving) atoms are filled with 0 and
     flagged, mirroring the conditional-expectation convention.
 
-    Each atom's completed search is memoized on the oracle under ``f``'s
-    values on that atom, so an atom whose restriction was searched before
-    asks no query.  The other atoms are searched in lockstep, one
+    Each atom's search is memoized on the oracle under ``f``'s values on
+    that atom, so an atom whose restriction was searched before asks no
+    query.  The other atoms are searched in lockstep, one
     :meth:`~PreferenceOracle.ask_atoms` call per round for every atom still
     searching; each is asked exactly what :func:`atom_is_insensitive` and
     :func:`indifference_constant` would ask it.  When atoms fail to bracket,
-    the lowest-index failure is raised, and failed searches are not stored."""
+    the lowest-index failure is raised.  A failed search is stored as its
+    message: a stored failure counts from the start, so only unsearched atoms
+    below it are searched, and each raise is a fresh :class:`BracketError`.
+    Only completed profiles enter the whole-profile memo."""
     space = oracle.space
     key = (i, f.time_index, f.values, tol)
     hit = oracle._cce_memo.get(key)
@@ -255,10 +261,11 @@ def indifference_profile(
         for k, atom in enumerate(space.partitions[i])
     ]
     found = [memo.get(atom_key, _UNSEARCHED) for atom_key in keys]
-    live = [k for k, c in enumerate(found) if c is _UNSEARCHED]
+    # the lowest stored failure is raised unless an atom below it fails too
+    failure = next((k for k, c in enumerate(found) if type(c) is str), len(found))
+    live = [k for k in range(failure) if found[k] is _UNSEARCHED]
     events = space.atom_events(i)
     searches = {k: _atom_search(i, events[k], tol) for k in live}
-    failure: BracketError | None = None
     asks = [next(searches[k]) for k in live]
     while live:
         answers = oracle.ask_atoms(i, f, live, asks)
@@ -270,11 +277,12 @@ def indifference_profile(
             except StopIteration as done:
                 found[k] = memo[keys[k]] = done.value
             except BracketError as exc:
-                failure = exc  # atoms after k can no longer change the outcome
+                found[k] = memo[keys[k]] = str(exc)
+                failure = k  # atoms after k can no longer change the outcome
                 break
         live = searching
-    if failure is not None:
-        raise failure
+    if failure < len(found):
+        raise BracketError(found[failure])
     per_atom = [0 if c is None else c for c in found]
     insensitive = [k for k, c in enumerate(found) if c is None]
     act = Act.from_atom_values(space, i, per_atom, insensitive)

@@ -101,6 +101,42 @@ class TestVilla:
         assert "the cash on {d1} and the villa on {ok,d2}" in result.text
         assert result.passed
 
+    @pytest.mark.parametrize(
+        "name, time, values, part",
+        [
+            ("villa_t2", 2, (200_000, 200_000, 900_000), "villa_t2"),
+            ("villa_t1", 1, (200_000, 1_000_000, 1_000_000), "villa_t1"),
+        ],
+        ids=["villa_t2", "villa_t1"],
+    )
+    def test_paper_arithmetic_refuses_an_edited_villa(self, name, time, values, part):
+        # the displayed sums describe the shipped villa only; before, these
+        # printed t2 = 1782998.3 beside SUCCEQ, and t1 = 1000000 beside EQUIV
+        spec = villa_scenario()
+        edited = replace(spec, acts={**spec.acts, name: Act(spec.space, time, values)})
+        with pytest.raises(ValueError, match=rf"paper-arithmetic .* {part} differ .* paper-stated"):
+            run_villa(edited)
+        assert run_villa(replace(edited, variant="paper-stated")).text.startswith(
+            "villa scenario, variant = paper-stated"
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, part",
+        [
+            ("d1 = 1/100\nd2 = 99/100000000\nok = 98999901/100000000",
+             "d1 = 1/50\nd2 = 98/100000000\nok = 97999902/100000000", "measure"),
+            ("[utility t=1]\nd1 = pl((-1,-2),(0,0),(1,1/2))", "[utility t=1]\nd1 = identity",
+             "t=1 utility"),
+            ("ok = identity\n\n[act cash", "ok = linear(2)\n\n[act cash", "t=2 utility"),
+        ],
+        ids=["measure", "t1-utility", "t2-utility"],
+    )
+    def test_paper_arithmetic_names_what_differs(self, old, new, part):
+        text = VILLA_SDU.read_text()
+        assert old in text
+        with pytest.raises(ValueError, match=rf"scenario's {part} differ"):
+            run_villa(loads_scenario(text.replace(old, new)))
+
     def test_villa_needs_two_time1_atoms(self):
         text = VILLA_SDU.read_text()
         text = text.replace("partition t=1 = d1 | d2, ok", "partition t=1 = d1 | d2 | ok")

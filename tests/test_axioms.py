@@ -322,16 +322,16 @@ PINNED_RESULTS = {
     "always-succeq": {
         ("T", 5): (_capped(6),) * 4 + (VACUOUS,) * 2,
         ("M", 5): (PASS,),
-        ("ST", 5): (_capped(1056),),
+        ("ST", 5): (_capped(352),),
         ("T", 50): (_capped(51),) * 4 + (VACUOUS,) * 2,
         ("M", 50): (PASS,),
-        ("ST", 50): (_capped(1056),),
+        ("ST", 50): (_capped(352),),
         ("T", 400): (_capped(401),) * 4 + (VACUOUS,) * 2,
         ("M", 400): (PASS,),
-        ("ST", 400): (_capped(1056),),
+        ("ST", 400): (_capped(440),),
         ("T", 3000): (PASS,) + (_capped(3010),) * 3 + (VACUOUS,) * 2,
         ("M", 3000): (PASS,),
-        ("ST", 3000): (_capped(3212),),
+        ("ST", 3000): (PASS,),
         ("T", None): (PASS,) * 2 + (
             (False, "1_{} !~ 1_{} despite both null", ""),
             (

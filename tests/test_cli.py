@@ -236,6 +236,19 @@ class TestExamples:
         assert out == ""
         assert "no act cash, villa_t1, villa_t2" in err
 
+    def test_edited_villa_under_paper_arithmetic_is_input_error(self, capsys, tmp_path):
+        text = Path(VILLA).read_text(encoding="utf-8")
+        edited = tmp_path / "edited.sdu"
+        edited.write_text(text.replace("ok = 1800000", "ok = 900000"), encoding="utf-8")
+        code, out, err = run(capsys, ["example", "villa", "--scenario", str(edited)])
+        assert code == 2
+        assert out == ""
+        assert "villa_t2 differ" in err and "--variant paper-stated" in err
+        code, out, _ = run(
+            capsys, ["example", "villa", "--scenario", str(edited), "--variant", "paper-stated"]
+        )
+        assert out.startswith("villa scenario, variant = paper-stated")
+
     @pytest.mark.parametrize("name", ["dpp", "forward"])
     def test_variant_is_for_villa_only(self, capsys, name):
         code, out, err = run(capsys, ["example", name, "--variant", "paper-stated"])

@@ -141,13 +141,26 @@ class TestPiecewiseLinear:
                 [(-2, Fraction(-7, 3)), (Fraction(-1, 3), Fraction(-1, 5)), (0, 0),
                  (Fraction(2, 3), Fraction(1, 2), Fraction(3, 5), 1), (4, Fraction(9, 2))]
             ),
+            # a recovered curve: Fraction abscissae on a dyadic grid, which
+            # float arguments compare with as floats; a jump anchor at 1/2
+            PiecewiseLinearCurve.from_points(
+                [(Fraction(-3, 2), Fraction(-9, 5)), (Fraction(-1, 4), Fraction(-1, 3)), (0, 0),
+                 (Fraction(1, 2), Fraction(2, 7), Fraction(1, 3), Fraction(5, 7)),
+                 (Fraction(5, 4), 1), (3, Fraction(11, 7))]
+            ),
+            # an abscissa 1/3 with no exact float: float arguments compare exactly
+            PiecewiseLinearCurve.from_points(
+                [(-1, Fraction(-3, 2)), (0, 0), (Fraction(1, 3), Fraction(1, 4), Fraction(1, 3), 1),
+                 (2, 3)]
+            ),
         ]
         for u in curves:
             xs = [a[0] for a in u.anchors]
             points = [xs[0] - 1, xs[-1] + Fraction(7, 3)] + xs
             points += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
             points += [a + (b - a) / 7 for a, b in zip(xs, xs[1:])]
-            for x in points + [float(x) for x in points] + [Fraction(x) for x in points]:
+            floats = [float(x) for x in points] + [float(x) + d for x in xs for d in (-1e-12, 1e-12)]
+            for x in points + floats + [Fraction(x) for x in points]:
                 got, want = u(x), scan(u, x)
                 assert (type(got), repr(got)) == (type(want), repr(want)), x
         jump = curves[1].anchors[3]
@@ -155,6 +168,9 @@ class TestPiecewiseLinear:
         assert curves[1](Fraction(1, 3)) == Fraction(1, 4)
         assert isinstance(curves[1](Fraction(1, 3)), Fraction)
         assert curves[0](0.5) == 0.45 and curves[0](0.25) == 0.2
+        assert all(type(x) is float for x in curves[2]._float_xs)
+        assert curves[2](0.5) == Fraction(1, 3) and curves[2](0.5 + 1e-12) > Fraction(5, 7)
+        assert curves[3]._float_xs is curves[3]._xs
 
     def test_inversion_in_gap_flags(self):
         u = PiecewiseLinearCurve.from_points([(0, 0), (1, 1, 1, 2), (2, 3)])

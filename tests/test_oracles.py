@@ -254,6 +254,24 @@ def with_atom_values(f, i, k, new):
     return Act(f.space, f.time_index, tuple(new if s in members else v for s, v in enumerate(f.values)))
 
 
+POISON = 9.0
+POISON_SPACE = FilteredSpace.build(
+    ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x"], ["y"], ["z"]], [["x"], ["y"], ["z"]]]
+)
+
+
+class PoisonedIdentity(PreferenceOracle):
+    """Identity comparisons on singleton atoms, except that an atom where f
+    is ``POISON`` never answers "at least as good": its upper bracket fails."""
+
+    def query(self, i, g, f, A=None):
+        v = f.values[min(A.members)]
+        if v == POISON:
+            return QueryAnswer(False, True)
+        c = g.values[0]
+        return QueryAnswer(c >= v, c <= v)
+
+
 class TestAtomMemo:
     """``indifference_profile`` searches each (level, atom, restriction of f,
     tol) once per oracle; a repeat asks nothing and returns the same constant."""
@@ -292,32 +310,50 @@ class TestAtomMemo:
             assert oracle.asked == set(range(space.n_atoms(1)))
             assert again.sup_dist(first) < 1e-8
 
-    def test_bracket_failure_is_searched_again_and_never_stored(self):
-        class FaultOnY(PreferenceOracle):
-            """Identity comparisons on singleton atoms, except that {y}
-            never answers "at least as good": its upper bracket fails."""
-
-            def query(self, i, g, f, A=None):
-                if 1 in A.members:
-                    return QueryAnswer(False, True)
-                c, v = g.values[0], f.values[min(A.members)]
-                return QueryAnswer(c >= v, c <= v)
-
-        singletons = [["x"], ["y"], ["z"]]
-        space = FilteredSpace.build(("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], singletons, singletons])
-        f = Act(space, 2, (0.5, 0.25, -0.75))
-        alone = FaultOnY(space)
+    def test_bracket_failure_is_stored_and_raised_fresh(self):
+        f = Act(POISON_SPACE, 2, (0.5, POISON, -0.75))
+        fresh = PoisonedIdentity(POISON_SPACE)
         with pytest.raises(BracketError):
-            atom_search(alone, 1, f, 1, 1e-9)
-        oracle = FaultOnY(space)
-        spent = []
+            indifference_profile(fresh, 1, f)
+        oracle = PoisonedIdentity(POISON_SPACE)
+        spent, raised = [], []
         for _ in range(3):
             before = oracle.queries
             with pytest.raises(BracketError) as err:
                 indifference_profile(oracle, 1, f)
             assert str(err.value) == "no upper bracket on {y} at step 1"
             spent.append(oracle.queries - before)
-        assert spent[0] > spent[1] == spent[2] == alone.queries
+            raised.append(err.value)
+        assert spent == [fresh.queries, 0, 0]
+        assert len({id(exc) for exc in raised}) == 3  # a fresh error each time
+
+    def test_stored_failure_yields_only_to_a_lower_one(self):
+        oracle = PoisonedIdentity(POISON_SPACE)
+
+        def spend(values, label):
+            before = oracle.queries
+            with pytest.raises(BracketError) as err:
+                indifference_profile(oracle, 1, Act(POISON_SPACE, 2, values))
+            assert str(err.value) == f"no upper bracket on {label} at step 1"
+            return oracle.queries - before
+
+        def alone(values, k):
+            fresh = PoisonedIdentity(POISON_SPACE)
+            try:
+                atom_search(fresh, 1, Act(POISON_SPACE, 2, values), k, 1e-9)
+            except BracketError:
+                pass
+            return fresh.queries
+
+        spend((0.5, 0.25, POISON), "{z}")
+        # {z}'s failure is stored: only the unsearched {x} below it is asked
+        assert spend((POISON, 0.25, POISON), "{x}") == alone((POISON, 0.25, POISON), 0)
+        assert spend((0.75, 0.25, POISON), "{z}") == alone((0.75, 0.25, POISON), 0)
+        # {x}'s failure is stored: nothing above it is searched
+        assert spend((POISON, -0.5, -0.75), "{x}") == 0
+        f = Act(POISON_SPACE, 2, (0.75, -0.5, -0.75))
+        got = indifference_profile(oracle, 1, f)
+        assert got == indifference_profile(PoisonedIdentity(POISON_SPACE), 1, f)
 
     def test_insensitive_atom_is_stored_as_insensitive(self, four_state_space):
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))

@@ -9,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from itpref import Act, InducedOracle, Representation, indifference_profile  # noqa: E402
+from itpref import Act, BracketError, InducedOracle, Representation, indifference_profile  # noqa: E402
+from itpref.oracles import QueryAnswer  # noqa: E402
 from itpref.sampling import random_act, random_measure, random_representation  # noqa: E402
 
 
@@ -59,3 +60,59 @@ def test_long_lived_oracle_profiles_equal_fresh_ones(seed, data):
         got = indifference_profile(oracle, i, f, tol)
         want = indifference_profile(InducedOracle(rep, tol=1e-12), i, f, tol)
         assert bits(got) == bits(want)
+
+
+class Unbracketed(InducedOracle):
+    """The induced oracle, except that no constant is ever "at least as good"
+    as f on an event where f takes a value in ``poison``: local
+    non-degeneracy fails on every atom where f is poisoned."""
+
+    def __init__(self, rep, poison):
+        super().__init__(rep, tol=1e-12)
+        self.poison = poison
+
+    def query(self, i, g, f, A=None):
+        if not self.poison.isdisjoint(f.values[s] for s in A.members):
+            return QueryAnswer(False, True)
+        return super().query(i, g, f, A)
+
+
+def outcome(oracle, i, f, tol):
+    """The profile's bits, or the message of the ``BracketError`` raised."""
+    try:
+        return bits(indifference_profile(oracle, i, f, tol))
+    except BracketError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stored_bracket_failures_match_a_fresh_oracle(seed, data):
+    """With bracket failures on the atoms the acts poison, one long-lived
+    oracle raises the message, or returns the profile, that a fresh oracle
+    does; a repeated call asks nothing."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=3, min_first_split=3)
+    space = rep.space
+    poisoned = [
+        Act.from_atom_values(space, t, [rng.uniform(2.5, 3) for _ in range(space.n_atoms(t))]).values
+        for t in (1, 2)
+    ]
+    poison = frozenset(v for values in poisoned for v in values)
+    pools = [
+        [random_act(rng, space, 1).values, (0,) * space.n_states, poisoned[0]],
+        [random_act(rng, space, 2).values, repeated_pattern(rng, space), poisoned[1]],
+    ]
+    owner = space.atom_index_map(1)
+    oracle = Unbracketed(rep, poison)
+    n_atoms = space.n_atoms(1)
+    for _ in range(data.draw(st.integers(2, 8), label="profiles")):
+        i = data.draw(st.sampled_from((0, 1)), label="step")
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=n_atoms, max_size=n_atoms))
+        pool = pools[i]
+        f = Act(space, i + 1, tuple(pool[picks[owner[s]]][s] for s in range(space.n_states)))
+        got = outcome(oracle, i, f, 1e-9)
+        assert got == outcome(Unbracketed(rep, poison), i, f, 1e-9)
+        before = oracle.queries
+        assert outcome(oracle, i, f, 1e-9) == got
+        assert oracle.queries == before
