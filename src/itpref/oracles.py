@@ -8,34 +8,31 @@ conditional comparison sees nothing outside its event).  The induced oracle
 reads the answers off a representation; hand-corrupted oracles used as
 negative controls live in :mod:`itpref.controls`.
 
-``ask_atoms`` asks one such comparison per time-i atom at once, "constant
-c_k on A_k vs f on A_k": the base class loops over ``ask``, so every oracle
-answers it; the induced oracle answers all atoms in one pass over its value
-profile and curves.  ``queries`` counts one query per atom answered either
-way, and only queries actually asked: a memo hit asks none.
+``atom_answers`` returns the answer function c ↦ (c·1_A vs f·1_A) of one
+time-i atom A, one query per call: the base class answers through ``ask``,
+the induced oracle from the atom's curve and f's conditional expected
+utility on that atom alone.  ``queries`` counts only queries actually asked:
+a memo hit asks none.
 
-Also here: constant-act bisection against an oracle (the workhorse of both
-axiom checking and recovery) and oracle-level null-atom detection.  One
-search body probes, brackets and bisects an atom; ``indifference_profile``
-runs it for every atom of a level in lockstep, one ``ask_atoms`` call per
-round, and ``atom_is_insensitive`` and ``indifference_constant`` run it
-through ``ask`` on a single event.  By the contract an atom's certainty
-equivalent depends only on f on that atom, so ``indifference_profile``
-stores each atom's search on the oracle, the bracket failures with the rest,
-and never repeats it.
+Also here: constant-act bisection (the workhorse of both axiom checking and
+recovery) and oracle-level null-atom detection, one search body that probes,
+brackets and bisects on an answer function.  ``indifference_profile`` runs
+it on each atom of a level in turn; by the contract an atom's certainty
+equivalent depends only on f on that atom, so it stores each atom's search
+on the oracle, the bracket failures with the rest, and never repeats it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Generator, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .engine import Representation, expected_utility_profile
-from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
+from .engine import PreconditionError, Representation
+from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, InvariantError, Number, _is_finite
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
-_UNSEARCHED = object()  # an atom memo miss: None is a stored result (insensitive)
+_UNSEARCHED = object()  # an atom memo miss or a search cut short: None means insensitive
 
 
 class BracketError(RuntimeError):
@@ -55,11 +52,13 @@ class QueryAnswer(NamedTuple):
         return not (self.succeq or self.preceq)
 
 
-# the four answers, indexed [succeq][preceq], so batched answers build none
+# the four answers, indexed [succeq][preceq], so per-atom answers build none
 _ANSWERS = (
     (QueryAnswer(False, False), QueryAnswer(False, True)),
     (QueryAnswer(True, False), QueryAnswer(True, True)),
 )
+
+Answer = Callable[[float], QueryAnswer]
 
 
 class PreferenceOracle(ABC):
@@ -82,17 +81,10 @@ class PreferenceOracle(ABC):
         self.queries += 1
         return self.query(i, g, f, A)
 
-    def ask_atoms(
-        self, i: int, f: Act, atoms: Sequence[int], constants: Sequence[float]
-    ) -> list[QueryAnswer]:
-        """Answer c·1_A vs f·1_A for each time-``i`` atom index in ``atoms``,
-        with A that atom and c its entry of ``constants``: one query each."""
-        space = self.space
-        events = space.atom_events(i)
-        return [
-            self.ask(i, Act.constant(space, i, c), f, events[k])
-            for k, c in zip(atoms, constants)
-        ]
+    def atom_answers(self, i: int, f: Act, k: int) -> Answer:
+        """The answer function of time-``i`` atom ``k``: c ↦ c·1_A vs f·1_A,
+        with A that atom, one query per call."""
+        return _answers_on(self, i, f, self.space.atom_events(i)[k])
 
     @abstractmethod
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
@@ -111,17 +103,33 @@ class InducedOracle(PreferenceOracle):
         self._value_memo: dict = {}
         self._last_profile: tuple = (None, None, ())
 
+    def _expected_utility(self, i: int, f: Act, k: int) -> Number:
+        """E[u(t_{i+1}, f) | A] on time-``i`` atom A = ``k`` alone, summed as
+        ``conditional_expectation`` sums it; 0 on a null atom."""
+        if f.time_index > i + 1:
+            raise PreconditionError(f"act at time index {f.time_index} is not measurable at {i + 1}")
+        P = self.rep.P
+        mass = P.atom_masses(i)[k]
+        if not mass > 0:
+            return 0
+        row, weights, values = self.rep.field.curves_by_state[i + 1], P.weights, f.values
+        value = sum((weights[s] * row[s](values[s]) for s in self.space.partitions[i][k]), 0) / mass
+        if not _is_finite(value):
+            raise InvariantError("act values must be finite")
+        return value
+
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
-        """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized.
+        """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
+        for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``.
         The act asked last is recognised by identity, without hashing its
-        values: a lockstep bisection asks about the same act every round."""
+        values: an audit asks about the same act many times in a row."""
         last_f, last_i, last = self._last_profile
         if f is last_f and i == last_i:
             return last
         key = (i, f.time_index, f.values)
         hit = self._value_memo.get(key)
         if hit is None:
-            hit = expected_utility_profile(self.rep, i, i + 1, f).atom_values()
+            hit = tuple([self._expected_utility(i, f, k) for k in range(self.space.n_atoms(i))])
             self._value_memo[key] = hit
         self._last_profile = (f, i, hit)
         return hit
@@ -144,93 +152,94 @@ class InducedOracle(PreferenceOracle):
                 break
         return QueryAnswer(succ, prec)
 
-    def ask_atoms(
-        self, i: int, f: Act, atoms: Sequence[int], constants: Sequence[float]
-    ) -> list[QueryAnswer]:
-        """:meth:`query`'s answers for the atoms in one pass over the value
-        profile and the curves, with no act or event built.  A subclass that
-        overrides ``query`` or ``ask`` gets the base-class loop instead."""
+    def atom_answers(self, i: int, f: Act, k: int) -> Answer:
+        """:meth:`query`'s answers on atom ``k`` from its curve and
+        :meth:`_expected_utility` alone, with no act or event built.  A
+        subclass that overrides ``query`` or ``ask`` gets the base class's."""
         cls = type(self)
         if cls.query is not InducedOracle.query or cls.ask is not PreferenceOracle.ask:
-            return super().ask_atoms(i, f, atoms, constants)
-        self.queries += len(atoms)
-        values = self.value_profile(i, f)
-        row = self.rep.field.curves_by_state[i]
-        part = self.space.partitions[i]
-        masses = self.rep.P.atom_masses(i)
+            return super().atom_answers(i, f, k)
+        value = self._expected_utility(i, f, k)
+        if not self.rep.P.atom_masses(i)[k] > 0:  # null: ``query`` answers both ways
+            return super().atom_answers(i, f, k)
+        curve = self.rep.field.curves_by_state[i][self.space.partitions[i][k][0]]
         tol = self.tol
-        answers = []
-        for k, c in zip(atoms, constants):
-            if masses[k] > 0:
-                d = row[part[k][0]](c) - values[k]
-                answers.append(_ANSWERS[not d < -tol][not d > tol])
-            else:  # no positive atom inside A: the comparison holds vacuously
-                answers.append(_ANSWERS[True][True])
-        return answers
+
+        def answer(c: float) -> QueryAnswer:
+            self.queries += 1
+            d = curve(c) - value
+            return _ANSWERS[not d < -tol][not d > tol]
+
+        return answer
 
 
-def _probe() -> Generator[float, QueryAnswer, bool]:
-    """The insensitivity probe: yields the huge and the tiny constant, is sent
-    each answer, and returns whether both compared both ways."""
-    hi = yield INSENSITIVITY_PROBE
-    lo = yield -INSENSITIVITY_PROBE
-    return hi.preceq and lo.succeq
+def _answers_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Answer:
+    """c ↦ ``oracle.ask`` of c·1_A vs f·1_A."""
+    space = oracle.space
+    return lambda c: oracle.ask(i, Act.constant(space, i, c), f, A)
 
 
-def _bisect(i: int, A: Event, tol: float) -> Generator[float, QueryAnswer, float]:
-    """Bracket and bisect for the constant c with c·1_A ~ f·1_A: yields each
-    constant to ask, is sent its answer, and returns the upper end."""
+def _search(
+    answer: Answer, i: int, A: Event, tol: float, probe: bool = True, budget: int | None = None
+):
+    """(result, constants asked) of the search for c with c·1_A ~ f·1_A on the
+    time-``i`` event A, where ``answer(c)`` answers c·1_A vs f·1_A.  None when
+    the probe's huge and tiny constants both compare both ways (A is
+    insensitive); else each end of the bracket doubles from [-1, 1] until it
+    answers its side, up to ``BRACKET_LIMIT`` (or the result is the failure's
+    message), and the bisected upper end converges to inf{c : c·1_A >= f·1_A}.
+    A search that needs more than ``budget`` constants is cut: ``_UNSEARCHED``."""
+    n = 0
+    if probe:
+        n = 2
+        huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
+        if huge.preceq and tiny.succeq:
+            return None, n
     hi = 1.0
-    while not (yield hi).succeq:
+    while n != budget:
+        n += 1
+        if answer(hi).succeq:
+            break
         hi *= 2
         if hi > BRACKET_LIMIT:
-            raise BracketError(f"no upper bracket on {A.label()} at step {i}")
+            return f"no upper bracket on {A.label()} at step {i}", n
+    else:
+        return _UNSEARCHED, n
     lo = -1.0
-    while not (yield lo).preceq:
+    while n != budget:
+        n += 1
+        if answer(lo).preceq:
+            break
         lo *= 2
         if lo < -BRACKET_LIMIT:
-            raise BracketError(f"no lower bracket on {A.label()} at step {i}")
+            return f"no lower bracket on {A.label()} at step {i}", n
+    else:
+        return _UNSEARCHED, n
     while hi - lo > tol:
+        if n == budget:
+            return _UNSEARCHED, n
+        n += 1
         mid = 0.5 * (lo + hi)
-        if (yield mid).succeq:
+        if answer(mid).succeq:
             hi = mid
         else:
             lo = mid
-    return hi
-
-
-def _atom_search(i: int, A: Event, tol: float) -> Generator[float, QueryAnswer, float | None]:
-    """The search on one atom: None when it is insensitive, else its
-    bisected constant."""
-    if (yield from _probe()):
-        return None
-    return (yield from _bisect(i, A, tol))
-
-
-def _drive(oracle: PreferenceOracle, i: int, f: Act, A: Event, search: Generator):
-    """Run one search to its end, one ``ask`` per constant it yields."""
-    space = oracle.space
-    try:
-        c = next(search)
-        while True:
-            c = search.send(oracle.ask(i, Act.constant(space, i, c), f, A))
-    except StopIteration as done:
-        return done.value
+    return hi, n
 
 
 def atom_is_insensitive(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> bool:
     """True when huge and tiny constants both compare both ways on A: the
     oracle does not react to anything there, i.e. the atom behaves as null."""
-    return _drive(oracle, i, f, A, _probe())
+    return _search(_answers_on(oracle, i, f, A), i, A, 0.0, budget=2)[0] is None
 
 
-def indifference_constant(
-    oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9
-) -> float:
-    """Bisect for the constant c with c·1_A ~ f·1_A.  Each end of the bracket
-    doubles from [-1, 1] until it answers its side, up to ``BRACKET_LIMIT``.
-    Converges to inf{c : c·1_A >= f·1_A}."""
-    return _drive(oracle, i, f, A, _bisect(i, A, tol))
+def indifference_constant(oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9) -> float:
+    """Bracket and bisect for the constant c with c·1_A ~ f·1_A, without the
+    probe; converges to inf{c : c·1_A >= f·1_A}."""
+    c = _search(_answers_on(oracle, i, f, A), i, A, tol, probe=False)[0]
+    if type(c) is str:
+        raise BracketError(c)
+    return c
 
 
 def indifference_profile(
@@ -242,47 +251,37 @@ def indifference_profile(
 
     Each atom's search is memoized on the oracle under ``f``'s values on
     that atom, so an atom whose restriction was searched before asks no
-    query.  The other atoms are searched in lockstep, one
-    :meth:`~PreferenceOracle.ask_atoms` call per round for every atom still
-    searching; each is asked exactly what :func:`atom_is_insensitive` and
-    :func:`indifference_constant` would ask it.  When atoms fail to bracket,
-    the lowest-index failure is raised.  A failed search is stored as its
-    message: a stored failure counts from the start, so only unsearched atoms
-    below it are searched, and each raise is a fresh :class:`BracketError`.
-    Only completed profiles enter the whole-profile memo."""
+    query.  The other atoms are searched one after another, each to its end
+    on :meth:`~PreferenceOracle.atom_answers`.  When atoms fail to bracket,
+    the lowest-index failure is raised, as a fresh :class:`BracketError`,
+    and a failed search is stored as its message.  Once an atom has failed
+    after r queries, each atom above it asks at most r, and is stored only
+    if it finished in fewer; a stored failure counts as one after none, so
+    the atoms above it are not searched.  Only completed profiles enter the
+    whole-profile memo."""
     space = oracle.space
     key = (i, f.time_index, f.values, tol)
     hit = oracle._cce_memo.get(key)
     if hit is not None:
         return hit
-    values, memo = f.values, oracle._atom_memo
-    keys = [
-        (i, k, f.time_index, tuple([values[s] for s in atom]), tol)
-        for k, atom in enumerate(space.partitions[i])
-    ]
-    found = [memo.get(atom_key, _UNSEARCHED) for atom_key in keys]
-    # the lowest stored failure is raised unless an atom below it fails too
-    failure = next((k for k, c in enumerate(found) if type(c) is str), len(found))
-    live = [k for k in range(failure) if found[k] is _UNSEARCHED]
-    events = space.atom_events(i)
-    searches = {k: _atom_search(i, events[k], tol) for k in live}
-    asks = [next(searches[k]) for k in live]
-    while live:
-        answers = oracle.ask_atoms(i, f, live, asks)
-        searching, asks = [], []
-        for k, answer in zip(live, answers):
-            try:
-                asks.append(searches[k].send(answer))
-                searching.append(k)
-            except StopIteration as done:
-                found[k] = memo[keys[k]] = done.value
-            except BracketError as exc:
-                found[k] = memo[keys[k]] = str(exc)
-                failure = k  # atoms after k can no longer change the outcome
+    values, memo, events = f.values, oracle._atom_memo, space.atom_events(i)
+    found, failure, budget = [], None, None
+    for k, atom in enumerate(space.partitions[i]):
+        atom_key = (i, k, f.time_index, tuple([values[s] for s in atom]), tol)
+        c, n = memo.get(atom_key, _UNSEARCHED), 0
+        if c is _UNSEARCHED:
+            c, n = _search(oracle.atom_answers(i, f, k), i, events[k], tol, budget=budget)
+            if n == budget:  # unfinished in fewer queries than a failure below
+                continue
+            memo[atom_key] = c
+        if type(c) is str:
+            failure = failure or c
+            if not n:  # stored: the atoms above it are not searched
                 break
-        live = searching
-    if failure < len(found):
-        raise BracketError(found[failure])
+            budget = n
+        found.append(c)
+    if failure is not None:
+        raise BracketError(failure)
     per_atom = [0 if c is None else c for c in found]
     insensitive = [k for k, c in enumerate(found) if c is None]
     act = Act.from_atom_values(space, i, per_atom, insensitive)

@@ -25,7 +25,14 @@ from itpref.controls import (
     three_atom_space,
 )
 from itpref.engine import Representation
-from itpref.oracles import PreferenceOracle, QueryAnswer, atom_is_insensitive, indifference_constant
+from itpref.oracles import (
+    BRACKET_LIMIT,
+    INSENSITIVITY_PROBE,
+    PreferenceOracle,
+    QueryAnswer,
+    atom_is_insensitive,
+    indifference_constant,
+)
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
 
 from conftest import identity_rep
@@ -86,16 +93,16 @@ class TestInducedOracle:
             space = rep.space
             P = random_measure(rng, space, null_states=space.atom_members(1, 0))
             rep = Representation(space, P, rep.field)
-            batched, single = InducedOracle(rep), InducedOracle(rep)
+            per_atom, single = InducedOracle(rep), InducedOracle(rep)
             f = random_act(rng, space, 2)
-            ks = list(range(space.n_atoms(1)))
-            cs = [rng.uniform(-3, 3) for _ in ks]
+            asked = [(k, rng.uniform(-3, 3)) for k in range(space.n_atoms(1)) for _ in range(3)]
             want = [
                 single.ask(1, Act.constant(space, 1, c), f, space.atom_event(1, k))
-                for k, c in zip(ks, cs)
+                for k, c in asked
             ]
-            assert batched.ask_atoms(1, f, ks, cs) == want
-            assert batched.queries == single.queries == len(ks)
+            answers = [per_atom.atom_answers(1, f, k) for k in range(space.n_atoms(1))]
+            assert [answers[k](c) for k, c in asked] == want
+            assert per_atom.queries == single.queries == len(asked)
 
 
 class TestIndifference:
@@ -137,16 +144,40 @@ class TestIndifference:
 
 
 def atom_search(oracle, i, f, k, tol):
-    """The reference search of one atom: the probe, then the bisection;
-    None when the atom is insensitive."""
-    A = oracle.space.atom_event(i, k)
-    if atom_is_insensitive(oracle, i, f, A):
+    """The reference search of one atom, written on ``oracle.ask`` apart
+    from the library's: the probe (None when the atom is insensitive), then
+    the bracket and the bisection."""
+    space = oracle.space
+    A = space.atom_event(i, k)
+
+    def ask(c):
+        return oracle.ask(i, Act.constant(space, i, c), f, A)
+
+    huge, tiny = ask(INSENSITIVITY_PROBE), ask(-INSENSITIVITY_PROBE)
+    if huge.preceq and tiny.succeq:
         return None
-    return indifference_constant(oracle, i, f, A, tol)
+    hi = 1.0
+    while not ask(hi).succeq:
+        hi *= 2
+        if hi > BRACKET_LIMIT:
+            raise BracketError(f"no upper bracket on {A.label()} at step {i}")
+    lo = -1.0
+    while not ask(lo).preceq:
+        lo *= 2
+        if lo < -BRACKET_LIMIT:
+            raise BracketError(f"no lower bracket on {A.label()} at step {i}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ask(mid).succeq:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sequential_profile(oracle, i, f, tol):
-    """The atom-by-atom reference: one :func:`atom_search` after another."""
+    """The atom-by-atom reference: one :func:`atom_search` after another,
+    each to its end, raising the first failure."""
     found = [atom_search(oracle, i, f, k, tol) for k in range(oracle.space.n_atoms(i))]
     per_atom = [0 if c is None else c for c in found]
     insensitive = [k for k, c in enumerate(found) if c is None]
@@ -154,17 +185,18 @@ def sequential_profile(oracle, i, f, tol):
 
 
 class TestLockstepProfile:
-    """``indifference_profile`` searches every atom of a level together; it
-    must return, and ask, exactly what the atom-by-atom search does."""
+    """``indifference_profile`` searches every atom of a level through
+    ``atom_answers``; it must return, and ask, exactly what the reference
+    search on ``ask`` does."""
 
     @staticmethod
     def assert_same_as_sequential(make_oracle, i, f, tol=1e-10):
-        lockstep, reference = make_oracle(), make_oracle()
-        got = indifference_profile(lockstep, i, f, tol)
+        profiled, reference = make_oracle(), make_oracle()
+        got = indifference_profile(profiled, i, f, tol)
         want = sequential_profile(reference, i, f, tol)
         assert got.values == want.values
         assert got.null_fill == want.null_fill
-        assert lockstep.queries == reference.queries > 0
+        assert profiled.queries == reference.queries > 0
 
     def test_induced_oracles_with_a_null_atom(self):
         rng = random.Random(11)
@@ -208,18 +240,18 @@ class TestLockstepProfile:
     def test_degenerate_oracle_raises_the_same_error(self):
         space = three_atom_space()[0]
         f = Act.constant(space, 1, 0)
-        lockstep, reference = AlwaysSucceqOracle(space), AlwaysSucceqOracle(space)
+        profiled, reference = AlwaysSucceqOracle(space), AlwaysSucceqOracle(space)
         with pytest.raises(BracketError) as got:
-            indifference_profile(lockstep, 0, f)
+            indifference_profile(profiled, 0, f)
         with pytest.raises(BracketError) as want:
             sequential_profile(reference, 0, f, 1e-9)
         assert str(got.value) == str(want.value) == "no lower bracket on {x,y,z} at step 0"
-        assert lockstep.queries == reference.queries
+        assert profiled.queries == reference.queries
 
     def test_lowest_failing_atom_wins_over_an_earlier_round(self):
         class ThreeFaults(PreferenceOracle):
             """Atoms {x} and {z} lose their lower bracket after 44 asks;
-            atom {y} loses its upper bracket one round earlier."""
+            atom {y} loses its upper bracket after 43."""
 
             def query(self, i, g, f, A=None):
                 if 1 in A.members:
@@ -229,23 +261,56 @@ class TestLockstepProfile:
         singletons = [["x"], ["y"], ["z"]]
         space = FilteredSpace.build(("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], singletons, singletons])
         f = Act.constant(space, 2, 0)
+        oracle = ThreeFaults(space)
         with pytest.raises(BracketError) as got:
-            indifference_profile(ThreeFaults(space), 1, f)
+            indifference_profile(oracle, 1, f)
         with pytest.raises(BracketError) as want:
             sequential_profile(ThreeFaults(space), 1, f, 1e-9)
         assert str(got.value) == str(want.value) == "no lower bracket on {x} at step 1"
+        # {x} asks 44; {y} fails after 43, below {x}'s 44, and is stored;
+        # {z} is cut at {y}'s 43 and is not
+        assert oracle.queries == 130
+        assert stored_atoms(oracle) == {
+            0: "no lower bracket on {x} at step 1",
+            1: "no upper bracket on {y} at step 1",
+        }
+
+    def test_atom_finishing_with_the_failure_is_not_stored(self):
+        tol = 5e-12
+        f = Act(POISON_SPACE, 2, (POISON, 0.5, -0.25))
+        # {x} fails after 43 queries; alone, {y} and {z} each finish after 43
+        for k in (1, 2):
+            alone = PoisonedIdentity(POISON_SPACE)
+            atom_search(alone, 1, f, k, tol)
+            assert alone.queries == 43
+        oracle = PoisonedIdentity(POISON_SPACE)
+        with pytest.raises(BracketError, match=r"no upper bracket on \{x\} at step 1"):
+            indifference_profile(oracle, 1, f, tol)
+        assert oracle.queries == 3 * 43
+        assert stored_atoms(oracle) == {0: "no upper bracket on {x} at step 1"}
 
 
 class AtomLog(InducedOracle):
-    """Induced oracle that records which atoms each batched call asks."""
+    """Induced oracle that records which atoms its per-atom answer
+    functions are asked about."""
 
     def __init__(self, rep):
         super().__init__(rep, tol=1e-12)
         self.asked = set()
 
-    def ask_atoms(self, i, f, atoms, constants):
-        self.asked.update(atoms)
-        return super().ask_atoms(i, f, atoms, constants)
+    def atom_answers(self, i, f, k):
+        answer = super().atom_answers(i, f, k)
+
+        def logged(c):
+            self.asked.add(k)
+            return answer(c)
+
+        return logged
+
+
+def stored_atoms(oracle):
+    """The atom memo as {atom index: stored result}."""
+    return {key[1]: c for key, c in oracle._atom_memo.items()}
 
 
 def with_atom_values(f, i, k, new):

@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from itpref import Act, BracketError, InducedOracle, Representation, indifference_profile  # noqa: E402
+from itpref import (  # noqa: E402
+    Act,
+    BracketError,
+    IdentityCurve,
+    InducedOracle,
+    LinearCurve,
+    PiecewiseLinearCurve,
+    PreconditionError,
+    ProbabilityMeasure,
+    Representation,
+    UtilityField,
+    indifference_profile,
+)
+from itpref.engine import expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer  # noqa: E402
 from itpref.sampling import random_act, random_measure, random_representation  # noqa: E402
 
@@ -116,3 +130,60 @@ def test_stored_bracket_failures_match_a_fresh_oracle(seed, data):
         before = oracle.queries
         assert outcome(oracle, i, f, 1e-9) == got
         assert oracle.queries == before
+
+
+def exact_representation(rng, space, null_states=()):
+    """A representation whose weights and curves are exact ``Fraction``s."""
+    raw = [0 if s in null_states else rng.randint(1, 9) for s in range(space.n_states)]
+    P = ProbabilityMeasure(space, tuple(Fraction(w, sum(raw)) for w in raw))
+
+    def curve():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return IdentityCurve()
+        if kind == 1:
+            return LinearCurve(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        up, down = Fraction(rng.randint(1, 9), 4), Fraction(rng.randint(1, 9), 4)
+        return PiecewiseLinearCurve.from_points(
+            [(-2, -2 * down), (0, 0), (Fraction(1, 3), up / 3), (2, up / 3 + Fraction(5, 3) * down)]
+        )
+
+    rows = [[curve() for _ in range(space.n_atoms(i))] for i in range(space.n_times)]
+    return Representation(space, P, UtilityField.from_atom_curves(space, rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_value_profile_is_the_engines_profile(seed, exact, null):
+    """The induced oracle's per-atom expected utilities equal the engine's
+    conditional expectation bit for bit, on float and exact representations
+    with and without a null atom; an act not measurable at t_{i+1} raises
+    before any atom, a null one included, is valued."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=4, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        rep = exact_representation(rng, space, dead)
+    elif null:
+        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    assert bool(rep.P.null_atoms(1)) == null
+    oracle = InducedOracle(rep)
+    for i in range(space.n_times - 1):
+        for t in range(i + 2):
+            per_atom = [rng.uniform(-0.9, 0.9) for _ in range(space.n_atoms(t))]
+            if exact:
+                per_atom = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in per_atom]
+            f = Act.from_atom_values(space, t, per_atom)
+            want = expected_utility_profile(rep, i, i + 1, f).atom_values()
+            got = oracle.value_profile(i, f)
+            assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+        if i + 2 < space.n_times:
+            f = random_act(rng, space, i + 2)
+            for attempt in (
+                lambda: expected_utility_profile(rep, i, i + 1, f),
+                lambda: oracle.value_profile(i, f),
+                *[lambda k=k: oracle.atom_answers(i, f, k) for k in range(space.n_atoms(i))],
+            ):
+                with pytest.raises(PreconditionError):
+                    attempt()
