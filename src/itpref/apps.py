@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .engine import compare, expected_utility_profile
+from .engine import compare, expected_utility, expected_utility_profile
 from .scenario import ScenarioSpec, loads_scenario
 
 VILLA_VARIANTS = ("paper-arithmetic", "paper-stated")
@@ -323,10 +323,9 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
         for name, path in st.members:
             xa = spec.acts[path[a - st.t]]
             xb = spec.acts[path[b - st.t]]
-            lhs = expected_utility_profile(rep, a, b, xb)
             rhs = rep.field.eval(a, xa.at_time(a))
             diffs = [
-                float(lhs.value_on_atom(k)) - float(rhs.value_on_atom(k))
+                float(expected_utility(rep, a, b, xb, k)) - float(rhs.value_on_atom(k))
                 for k in rep.P.positive_atoms(a)
             ]
             gap = max(diffs)

@@ -54,6 +54,13 @@ def _load(path: str) -> ScenarioSpec:
         raise ScenarioError(f"no such scenario file: {path}")
 
 
+def tolerance(text: str) -> float:
+    """argparse type of a tolerance: a finite float >= 0 (NaN fails the test too)."""
+    if not 0 <= float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return float(text)
+
+
 def _grid(args) -> ActGrid:
     if not args.grid:
         return DEFAULT_GRID
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--tol": dict(type=float, default=1e-9, help="tolerance (default 1e-9)"),
+        "--tol": dict(type=tolerance, default=1e-9, help="tolerance (default 1e-9)"),
         "--grid": dict(default=None, help="comma-separated outcome grid (use --grid=-2,... for negative leads)"),
         "--seed": dict(type=int, default=0, help="seed for randomized suites"),
         "--format": dict(choices=("text", "tsv"), default="text"),
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--accept-tol",
-        type=float,
+        type=tolerance,
         default=1e-6,
         help="relative-uniqueness acceptance tolerance; query noise is "
         "amplified by 1/mass on near-null atoms (default 1e-6)",

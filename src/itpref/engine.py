@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .curves import (
     ArgScaledCurve,
@@ -29,6 +30,7 @@ from .filtered_space import (
     InvariantError,
     Number,
     ProbabilityMeasure,
+    _is_finite,
     conditional_expectation,
 )
 from .utility_field import StarContinuityResult, UtilityField, is_star_continuous
@@ -113,18 +115,36 @@ class Verdict:
         return self.tag in ("preceq", "equiv")
 
 
-def _lift(act: Act, j: int) -> Act:
+def _check_measurable(act: Act, j: int) -> None:
     if act.time_index > j:
         raise PreconditionError(
             f"act at time index {act.time_index} is not measurable at {j}"
         )
-    return act if act.time_index == j else act.at_time(j)
+
+
+def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
+    """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed as
+    ``conditional_expectation`` sums it; 0 on a null atom."""
+    _check_measurable(f, t)
+    P = rep.P
+    mass = P.atom_masses(s)[k]
+    if not mass > 0:
+        return 0
+    row, weights, values = rep.field.curves_by_state[t], P.weights, f.values
+    value = sum((weights[x] * row[x](values[x]) for x in rep.space.partitions[s][k]), 0) / mass
+    if not _is_finite(value):
+        raise InvariantError("act values must be finite")
+    return value
 
 
 def expected_utility_profile(rep: Representation, s: int, t: int, f: Act) -> Act:
     """E[u(t, f) | F_s] for arbitrary grid times s <= t."""
-    f = _lift(f, t)
-    return conditional_expectation(rep.space, rep.P, rep.field.eval(t, f), s)
+    _check_measurable(f, t)
+    space = rep.space
+    if space.check_time_index(t) < space.check_time_index(s):
+        raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
+    per_atom = [expected_utility(rep, s, t, f, k) for k in range(space.n_atoms(s))]
+    return Act.from_atom_values(space, s, per_atom, rep.P.null_atoms(s))
 
 
 def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) -> Act:
@@ -167,39 +187,32 @@ def compare(
     """
     if not 0 <= s < t <= rep.space.last_index:
         raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
-    g = _lift(g, s)
-    us = rep.field.eval(s, g)
-    target = expected_utility_profile(rep, s, t, f)
-    return _verdict(rep.space, rep.P, s, us.minus(target), tol)
+    _check_measurable(g, s)
+    margin = rep.field.eval(s, g).minus(expected_utility_profile(rep, s, t, f))
+    tag, a, b, c = classify(rep.P, s, margin.values, tol)
+    return Verdict(tag, TriPartition.of_atoms(rep.space, s, a, b, c), margin)
 
 
-def _verdict(
-    space: FilteredSpace, P: ProbabilityMeasure, s: int, margin: Act, tol: float
-) -> Verdict:
+def classify(
+    P: ProbabilityMeasure, s: int, margin: Mapping[int, Number] | Sequence[Number], tol: float
+) -> tuple[str, list[int], list[int], list[int]]:
+    """(tag, equivalent, better, worse) time-``s`` atoms, from ``margin`` read
+    at the first state of each positive atom: |margin| <= tol is equivalent,
+    else better or worse by its sign.  The first state: a margin from a field
+    that is not measurable can be tagged at a finer level than s."""
+    part = P.space.partitions[s]
     a: list[int] = []
     b: list[int] = []
     c: list[int] = []
-    part = space.partitions[s]
     for k in P.positive_atoms(s):
-        # the first state of the time-s atom: a margin from a field that is not
-        # measurable can be tagged at a finer level than s
-        d = margin.values[part[k][0]]
+        d = margin[part[k][0]]
         if abs(d) <= tol:
             a.append(k)
         elif d > tol:
             b.append(k)
         else:
             c.append(k)
-    tri = TriPartition.of_atoms(space, s, a, b, c)
-    if not b and not c:
-        tag = "equiv"
-    elif not c:
-        tag = "succeq"
-    elif not b:
-        tag = "preceq"
-    else:
-        tag = "mixed"
-    return Verdict(tag, tri, margin)
+    return ("mixed" if c else "succeq") if b else ("preceq" if c else "equiv"), a, b, c
 
 
 def semigroup_residual(
@@ -260,14 +273,16 @@ def check_pair_count(n_pairs: int) -> None:
         raise PreconditionError(f"need at least one pair to audit, got n_pairs={n_pairs}")
 
 
-def _random_pair(rng: random.Random, space: FilteredSpace) -> tuple[int, int, Act, Act]:
+def _random_pair(
+    rng: random.Random, space: FilteredSpace, hull: float = 2
+) -> tuple[int, int, Act, Act]:
+    """(s, t, g, f): random time indices s < t and acts g at s, f at t, with
+    values uniform on [-hull, hull], one per atom."""
     s = rng.randrange(0, space.last_index)
     t = rng.randrange(s + 1, space.last_index + 1)
-    g = Act.from_atom_values(
-        space, s, [rng.uniform(-2, 2) for _ in range(space.n_atoms(s))]
-    )
-    f = Act.from_atom_values(
-        space, t, [rng.uniform(-2, 2) for _ in range(space.n_atoms(t))]
+    g, f = (
+        Act.from_atom_values(space, i, [rng.uniform(-hull, hull) for _ in range(space.n_atoms(i))])
+        for i in (s, t)
     )
     return s, t, g, f
 
@@ -293,8 +308,7 @@ def discount_transform(
         rhs = conditional_expectation(
             rep.space, P_star, rep.field.eval(t, f).times(betas[t]), s
         )
-        transformed = _verdict(rep.space, rep.P, s, lhs.minus(rhs), tol).tag
-        if transformed != original:
+        if classify(rep.P, s, lhs.minus(rhs).values, tol)[0] != original:
             flips += 1
     return DiscountResult(betas, flips == 0, n_pairs, flips)
 

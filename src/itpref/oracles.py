@@ -27,8 +27,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, NamedTuple
 
-from .engine import PreconditionError, Representation
-from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, InvariantError, Number, _is_finite
+from .engine import Representation, expected_utility
+from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
@@ -103,21 +103,6 @@ class InducedOracle(PreferenceOracle):
         self._value_memo: dict = {}
         self._last_profile: tuple = (None, None, ())
 
-    def _expected_utility(self, i: int, f: Act, k: int) -> Number:
-        """E[u(t_{i+1}, f) | A] on time-``i`` atom A = ``k`` alone, summed as
-        ``conditional_expectation`` sums it; 0 on a null atom."""
-        if f.time_index > i + 1:
-            raise PreconditionError(f"act at time index {f.time_index} is not measurable at {i + 1}")
-        P = self.rep.P
-        mass = P.atom_masses(i)[k]
-        if not mass > 0:
-            return 0
-        row, weights, values = self.rep.field.curves_by_state[i + 1], P.weights, f.values
-        value = sum((weights[s] * row[s](values[s]) for s in self.space.partitions[i][k]), 0) / mass
-        if not _is_finite(value):
-            raise InvariantError("act values must be finite")
-        return value
-
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
         for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``.
@@ -129,7 +114,7 @@ class InducedOracle(PreferenceOracle):
         key = (i, f.time_index, f.values)
         hit = self._value_memo.get(key)
         if hit is None:
-            hit = tuple([self._expected_utility(i, f, k) for k in range(self.space.n_atoms(i))])
+            hit = tuple([expected_utility(self.rep, i, i + 1, f, k) for k in range(self.space.n_atoms(i))])
             self._value_memo[key] = hit
         self._last_profile = (f, i, hit)
         return hit
@@ -154,12 +139,12 @@ class InducedOracle(PreferenceOracle):
 
     def atom_answers(self, i: int, f: Act, k: int) -> Answer:
         """:meth:`query`'s answers on atom ``k`` from its curve and
-        :meth:`_expected_utility` alone, with no act or event built.  A
+        ``expected_utility`` alone, with no act or event built.  A
         subclass that overrides ``query`` or ``ask`` gets the base class's."""
         cls = type(self)
         if cls.query is not InducedOracle.query or cls.ask is not PreferenceOracle.ask:
             return super().atom_answers(i, f, k)
-        value = self._expected_utility(i, f, k)
+        value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:  # null: ``query`` answers both ways
             return super().atom_answers(i, f, k)
         curve = self.rep.field.curves_by_state[i][self.space.partitions[i][k][0]]
@@ -225,12 +210,6 @@ def _search(
         else:
             lo = mid
     return hi, n
-
-
-def atom_is_insensitive(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> bool:
-    """True when huge and tiny constants both compare both ways on A: the
-    oracle does not react to anything there, i.e. the atom behaves as null."""
-    return _search(_answers_on(oracle, i, f, A), i, A, 0.0, budget=2)[0] is None
 
 
 def indifference_constant(oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9) -> float:

@@ -495,7 +495,7 @@ class TestTriPartition:
         for _ in range(15):
             rep = random_representation(rng)
             oracle = InducedOracle(rep)
-            s, t, g, f = margin_guarded_pair(rng, rep)
+            s, t, g, f, _ = margin_guarded_pair(rng, rep)
             if t != s + 1:
                 continue
             tri, violations = tri_partition(oracle, s, g, f)

@@ -314,3 +314,24 @@ def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
         args = [out_path if w == "out.sdu" else w for w in words[1:]]
         code, _, err = run(capsys, args)
         assert code == 0, f"{' '.join(words)} exited {code}: {err}"
+
+
+# (subcommand with its required arguments, invalid tolerance flag)
+BAD_TOLERANCES = [
+    (["compare", "--scenario", RANDOM8, "--g", "payoff_mid", "--f", "payoff_a"], "--tol=-1"),
+    (["compare", "--scenario", RANDOM8, "--g", "payoff_mid", "--f", "payoff_a"], "--tol=nan"),
+    (["cce", "--scenario", VILLA, "--f", "villa_t1"], "--tol=inf"),
+    (["axioms", "--scenario", VILLA, "--step", "0"], "--tol=-1"),
+    (["recover", "--scenario", VILLA, "--allow-few-essential"], "--accept-tol=-1e-6"),
+    (["recover", "--scenario", VILLA, "--allow-few-essential"], "--accept-tol=nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", BAD_TOLERANCES, ids=[f"{a[0]}{f}" for a, f in BAD_TOLERANCES]
+)
+def test_tolerance_must_be_finite_and_nonnegative(capsys, args, flag):
+    code, out, err = run(capsys, args + [flag])
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag.split('=')[0]}: must be finite and >= 0" in err

@@ -98,6 +98,22 @@ class TestVFunctional:
         got = expected_utility_profile(rep, 0, 1, f)
         assert got.values[0] == pytest.approx(0.25, abs=1e-15)
 
+    def test_overflow_on_a_null_atom_is_not_evaluated(self, four_state_space):
+        """Only positive atoms are valued: a time-2 utility that overflows on
+        the null time-1 atom {w3,w4} leaves it at the flagged 0, while the
+        same overflow inside a positive atom still raises."""
+        space = four_state_space
+        P = ProbabilityMeasure(space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+        steep = LinearCurve(1e308)
+        rows = [[IdentityCurve()], [IdentityCurve()] * 2, [IdentityCurve()] * 2 + [steep] * 2]
+        rep = Representation(space, P, UtilityField.from_atom_curves(space, rows))
+        f = Act(space, 2, (1, 3, 10.0, 10.0))
+        got = expected_utility_profile(rep, 1, 2, f)
+        assert got.values == (2, 2, 0, 0) and got.null_fill == frozenset({2, 3})
+        assert compare(rep, 1, 2, Act.constant(space, 1, 2), f).tag == "equiv"
+        with pytest.raises(InvariantError, match="act values must be finite"):
+            expected_utility_profile(rep, 0, 2, f)
+
 
 class TestCCE:
     def test_identity_matches_conditional_expectation_exactly(self):
@@ -191,7 +207,7 @@ class TestCompare:
         rng = random.Random(23)
         for _ in range(30):
             rep = random_representation(rng)
-            s, t, g, f = margin_guarded_pair(rng, rep, margin=1e-7)
+            s, t, g, f, _ = margin_guarded_pair(rng, rep, margin=1e-7)
             verdict = compare(rep, s, t, g, f)
             covered = (
                 verdict.tri.A.members | verdict.tri.B.members | verdict.tri.C.members
@@ -208,7 +224,7 @@ class TestCompare:
         rng = random.Random(29)
         for _ in range(30):
             rep = random_representation(rng)
-            s, t, g, f = margin_guarded_pair(rng, rep)
+            s, t, g, f, _ = margin_guarded_pair(rng, rep)
             before = compare(rep, s, t, g, f)
             k = rng.choice(rep.P.positive_atoms(s))
             bump = Act.from_atom_values(
@@ -458,7 +474,7 @@ class TestScaleInvariance:
             rep = random_representation(rng)
             clone = scaled_clone(rep, random_equivalent_measure(rng, rep.P))
             for _ in range(10):
-                s, t, g, f = margin_guarded_pair(rng, rep)
+                s, t, g, f, _ = margin_guarded_pair(rng, rep)
                 a = compare(rep, s, t, g, f)
                 b = compare(clone, s, t, g, f)
                 assert a.tag == b.tag

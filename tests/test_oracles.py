@@ -30,7 +30,6 @@ from itpref.oracles import (
     INSENSITIVITY_PROBE,
     PreferenceOracle,
     QueryAnswer,
-    atom_is_insensitive,
     indifference_constant,
 )
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
@@ -44,7 +43,7 @@ class TestInducedOracle:
         for _ in range(25):
             rep = random_representation(rng)
             oracle = InducedOracle(rep)
-            s, t, g, f = margin_guarded_pair(rng, rep)
+            s, t, g, f, _ = margin_guarded_pair(rng, rep)
             if t != s + 1:
                 continue
             verdict = compare(rep, s, t, g, f)
@@ -133,10 +132,6 @@ class TestIndifference:
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
         oracle = InducedOracle(identity_rep(four_state_space, P))
         f = Act(four_state_space, 2, (1, 3, 5, 7))
-        dead = four_state_space.atom_event(1, 1)
-        live = four_state_space.atom_event(1, 0)
-        assert atom_is_insensitive(oracle, 1, f, dead)
-        assert not atom_is_insensitive(oracle, 1, f, live)
         prof = indifference_profile(oracle, 1, f)
         assert prof.null_fill == frozenset({2, 3})
         assert prof.values[2] == 0 and prof.values[3] == 0

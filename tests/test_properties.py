@@ -15,17 +15,26 @@ from itpref import (  # noqa: E402
     BracketError,
     IdentityCurve,
     InducedOracle,
+    InvariantError,
     LinearCurve,
     PiecewiseLinearCurve,
     PreconditionError,
     ProbabilityMeasure,
     Representation,
     UtilityField,
+    cce,
+    compare,
+    conditional_expectation,
     indifference_profile,
 )
 from itpref.engine import expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer  # noqa: E402
-from itpref.sampling import random_act, random_measure, random_representation  # noqa: E402
+from itpref.sampling import (  # noqa: E402
+    random_act,
+    random_measure,
+    random_representation,
+    verdict_agreement,
+)
 
 
 def bits(act: Act):
@@ -187,3 +196,128 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
             ):
                 with pytest.raises(PreconditionError):
                     attempt()
+
+
+def whole_act_verdict(rep, s, t, g, f, tol):
+    """(tag, (A, B, C) members, margin) the way ``compare`` computed them from
+    whole acts: u(s, g) minus the conditional expectation of u(t, f), each
+    positive time-s atom tagged by the margin at its first state."""
+    space = rep.space
+    margin = rep.field.eval(s, g).minus(
+        conditional_expectation(space, rep.P, rep.field.eval(t, f), s)
+    )
+    part = space.partitions[s]
+    a, b, c = [], [], []
+    for k in rep.P.positive_atoms(s):
+        d = margin.values[part[k][0]]
+        if abs(d) <= tol:
+            a.append(k)
+        elif d > tol:
+            b.append(k)
+        else:
+            c.append(k)
+    if not b and not c:
+        tag = "equiv"
+    elif not c:
+        tag = "succeq"
+    elif not b:
+        tag = "preceq"
+    else:
+        tag = "mixed"
+    members = tuple(frozenset(x for k in ks for x in part[k]) for ks in (a, b, c))
+    return tag, members, margin
+
+
+def drawn_act(rng, space, i, exact):
+    """A time-``i`` act: floats on the act hull, or exact ``Fraction``s
+    inside the exact curves' anchors."""
+    if exact:
+        return Act.from_atom_values(
+            space, i, [Fraction(rng.randint(-9, 9), rng.randint(5, 9)) for _ in range(space.n_atoms(i))]
+        )
+    return random_act(rng, space, i)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_compare_is_the_whole_act_verdict(seed, exact, null):
+    """``compare``'s tag, tri-partition and margin (values, their types and
+    time index) equal, bit for bit, those of the whole-act computation, on
+    float and exact representations with and without a null atom, for acts
+    at or before their comparison times and for exact ties g = cce(f)."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=4, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        rep = exact_representation(rng, space, dead)
+    elif null:
+        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    for s in range(space.last_index):
+        for t in range(s + 1, space.n_times):
+            f = drawn_act(rng, space, rng.randint(0, t), exact)
+            for g in (drawn_act(rng, space, rng.randint(0, s), exact), cce(rep, s, t, f)):
+                for tol in (1e-9, 0.0, 0.3):
+                    got = compare(rep, s, t, g, f, tol)
+                    tag, members, margin = whole_act_verdict(rep, s, t, g, f, tol)
+                    assert got.tag == tag
+                    tri = (got.tri.A, got.tri.B, got.tri.C)
+                    assert tuple(e.members for e in tri) == members
+                    assert all(e.time_index == s for e in tri)
+                    assert bits(got.margin) == bits(margin)
+                    assert got.margin.time_index == margin.time_index
+
+
+def guarded_compare_flips(rep_a, rep_b, n_pairs, seed, margin=1e-5):
+    """Mismatching ``compare`` tags over ``n_pairs`` pairs drawn as the
+    guarded draw draws them, each guarded by ``compare``'s own margin."""
+    space = rep_a.space
+    rng = random.Random(seed)
+    flips = 0
+    for _ in range(n_pairs):
+        for _ in range(200):
+            s = rng.randrange(0, space.last_index)
+            t = rng.randrange(s + 1, space.last_index + 1)
+            g, f = random_act(rng, space, s), random_act(rng, space, t)
+            verdict = compare(rep_a, s, t, g, f)
+            if all(abs(verdict.margin.value_on_atom(k)) >= margin for k in rep_a.P.positive_atoms(s)):
+                break
+        flips += verdict.tag != compare(rep_b, s, t, g, f).tag
+    return flips
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), null=st.booleans())
+def test_verdict_agreement_counts_compare_flips(seed, null):
+    """``verdict_agreement``'s mismatch count is the count of differing
+    ``compare`` tags over the same guarded pairs, also when the second
+    representation has a null atom the first does not."""
+    rng = random.Random(seed)
+    rep_a = random_representation(rng, min_first_split=3)
+    space = rep_a.space
+    rep_b = random_representation(rng, space=space)
+    if null:
+        dead = space.atom_members(1, rng.randrange(space.n_atoms(1)))
+        rep_b = Representation(space, random_measure(rng, space, null_states=dead), rep_b.field)
+    for other in (rep_a, rep_b):
+        pair_seed = rng.randrange(10**6)
+        want = guarded_compare_flips(rep_a, other, 20, pair_seed)
+        assert verdict_agreement(rep_a, other, 20, seed=pair_seed) == (20, want)
+
+
+def test_expected_utility_profile_errors():
+    """The error type and message for s > t, for an act not measurable at
+    t, and for time indices out of range."""
+    rng = random.Random(1)
+    rep = random_representation(rng, n_times=4, min_first_split=3)
+    f1, f2 = random_act(rng, rep.space, 1), random_act(rng, rep.space, 2)
+    with pytest.raises(InvariantError, match=r"^cannot condition a time-1 act on later time index 2$"):
+        expected_utility_profile(rep, 2, 1, f1)
+    with pytest.raises(PreconditionError, match=r"^act at time index 2 is not measurable at 1$"):
+        expected_utility_profile(rep, 0, 1, f2)
+    with pytest.raises(PreconditionError, match=r"^act at time index 1 is not measurable at -1$"):
+        expected_utility_profile(rep, 0, -1, f1)
+    with pytest.raises(IndexError, match=r"^time index 4 out of range 0\.\.3$"):
+        expected_utility_profile(rep, 0, 4, f2)
+    with pytest.raises(IndexError, match=r"^time index -1 out of range 0\.\.3$"):
+        expected_utility_profile(rep, -1, 2, f2)
