@@ -33,6 +33,14 @@ class GapError(ValueError):
     """Inversion target falls in a jump gap of the curve."""
 
 
+def _is_exact_float(x: Fraction) -> bool:
+    """Whether ``float(x) == x``, without converting a float to a
+    ``Fraction``: a power-of-two denominator of at most 2**1074 and a
+    numerator of fewer than 53 bits."""
+    d = x.denominator
+    return d & (d - 1) == 0 and d.bit_length() <= 1075 and x.numerator.bit_length() <= 53
+
+
 def fmt_number(x: Number) -> str:
     """Canonical text form: ints bare, Fractions as p/q, floats via repr."""
     if isinstance(x, bool):
@@ -275,9 +283,27 @@ class PiecewiseLinearCurve(MonotoneCurve):
             return xs
         return fxs if all(f == a for f, a in zip(fxs, xs)) else xs
 
+    @cached_property
+    def _float_exact(self) -> bool:
+        """Whether a dyadic ``Fraction`` argument may be evaluated as its
+        float: every slope is a float and every abscissa converts to a float
+        exactly, so each comparison, difference and product rounds the same
+        whichever of the two equal arguments it is given."""
+        if not all(type(s) is float for s in self._slopes):
+            return False
+        try:
+            return all(float(a) == a for a in self._float_xs)
+        except OverflowError:
+            return False
+
     def __call__(self, x: Number) -> Number:
         anchors, slopes = self.anchors, self._slopes
-        xs = self._float_xs if type(x) is float else self._xs
+        if type(x) is float:
+            xs = self._float_xs
+        elif type(x) is Fraction and self._float_exact and _is_exact_float(x):
+            x, xs = float(x), self._float_xs
+        else:
+            xs = self._xs
         if x < xs[0]:
             first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])

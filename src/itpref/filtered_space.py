@@ -266,17 +266,28 @@ class Act:
                     )
 
     @classmethod
+    def _trusted(
+        cls,
+        space: FilteredSpace,
+        i: int,
+        values: tuple[Number, ...],
+        null_fill: frozenset[int] = frozenset(),
+    ) -> "Act":
+        """The act, unvalidated: the caller guarantees a valid ``i``, one
+        finite value per state, and measurability at ``i``.  Every derived
+        construction that is measurable by construction builds here."""
+        act = object.__new__(cls)
+        act.__dict__.update(space=space, time_index=i, values=values, null_fill=null_fill)
+        return act
+
+    @classmethod
     def constant(cls, space: FilteredSpace, i: int, value: Number) -> "Act":
         """The act equal to ``value`` on every state.  It is measurable at
         every time index, so only ``i`` and the one value are checked."""
         space.check_time_index(i)
         if not _is_finite(value):
             raise InvariantError("act values must be finite")
-        act = object.__new__(cls)
-        act.__dict__.update(
-            space=space, time_index=i, values=(value,) * space.n_states, null_fill=frozenset()
-        )
-        return act
+        return cls._trusted(space, i, (value,) * space.n_states)
 
     @classmethod
     def from_atom_values(
@@ -287,13 +298,17 @@ class Act:
         null_atoms: Iterable[int] = (),
     ) -> "Act":
         """The time-``i`` act with value ``per_atom[k]`` on atom ``k``; the
-        states of ``null_atoms`` form its ``null_fill``."""
+        states of ``null_atoms`` form its ``null_fill``.  One value per atom
+        is measurable at ``i`` by construction, so only ``i``, the count and
+        the finiteness of the values are checked."""
         amap = space.atom_index_map(i)
         part = space.partitions[i]
         if len(per_atom) != len(part):
             raise InvariantError("one value per atom required")
         null_fill = frozenset(s for k in null_atoms for s in part[k])
-        return cls(space, i, tuple([per_atom[k] for k in amap]), null_fill)
+        if not all(map(_is_finite, per_atom)):
+            raise InvariantError("act values must be finite")
+        return cls._trusted(space, i, tuple([per_atom[k] for k in amap]), null_fill)
 
     def value_on_atom(self, k: int) -> Number:
         return self.values[self.space.partitions[self.time_index][k][0]]
@@ -302,12 +317,23 @@ class Act:
         return tuple(self.values[atom[0]] for atom in self.space.partitions[self.time_index])
 
     def at_time(self, j: int) -> "Act":
-        """Reinterpret at a later (finer) time index."""
+        """Reinterpret at time index ``j``.  An act measurable at its time is
+        measurable at every later (finer) one, so only a coarser ``j`` is
+        checked against the act's values."""
+        if j >= self.time_index:
+            return Act._trusted(self.space, self.space.check_time_index(j), self.values, self.null_fill)
         return Act(self.space, j, self.values, self.null_fill)
+
+    def _keeps_measurability(self, A: Event) -> bool:
+        """Whether ``A`` is a union of atoms at or before this act's time, so
+        that cutting the act along ``A`` keeps it measurable."""
+        return A.space is self.space and A.time_index is not None and A.time_index <= self.time_index
 
     def restrict(self, A: Event) -> "Act":
         """The act f·1_A (zero off ``A``)."""
-        values = tuple(v if s in A.members else 0 for s, v in enumerate(self.values))
+        values = tuple([v if s in A.members else 0 for s, v in enumerate(self.values)])
+        if self._keeps_measurability(A):
+            return Act._trusted(self.space, self.time_index, values)
         return Act(self.space, self.time_index, values)
 
     def shift(self, c: Number) -> "Act":
@@ -416,7 +442,10 @@ def atoms(space: FilteredSpace, i: int) -> list[Event]:
 
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:
     """True iff ``obj`` is constant per atom (acts) / a union of atoms (events)
-    of the time-``i`` partition."""
+    of the time-``i`` partition.  An act is measurable at every time from its
+    own time index on."""
+    if isinstance(obj, Act) and obj.space is space and obj.time_index <= space.check_time_index(i):
+        return True
     try:
         if isinstance(obj, Event):
             Event(space, obj.members, i)
@@ -471,7 +500,9 @@ def paste(f: Act, g: Act, A: Event) -> Act:
         raise InvariantError(
             f"paste requires a shared time index, got {f.time_index} and {g.time_index}"
         )
-    values = tuple(
-        f.values[s] if s in A.members else g.values[s] for s in range(f.space.n_states)
-    )
+    values = tuple([
+        fv if s in A.members else gv for s, (fv, gv) in enumerate(zip(f.values, g.values))
+    ])
+    if f._keeps_measurability(A):
+        return Act._trusted(f.space, f.time_index, values)
     return Act(f.space, f.time_index, values)

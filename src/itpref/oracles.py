@@ -102,6 +102,7 @@ class InducedOracle(PreferenceOracle):
         self.tol = tol
         self._value_memo: dict = {}
         self._last_profile: tuple = (None, None, ())
+        self._query_atoms: dict = {}
 
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
@@ -121,21 +122,27 @@ class InducedOracle(PreferenceOracle):
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
-        row = self.rep.field.curves_by_state[i]
-        part = self.space.partitions[i]
+        # (atom, first state, curve) of each positive atom inside A, per (i, A's states)
+        key = (i, None if A is None else A.members)
+        atoms = self._query_atoms.get(key)
+        if atoms is None:
+            row, part = self.rep.field.curves_by_state[i], self.space.partitions[i]
+            atoms = self._query_atoms[key] = tuple(
+                (k, part[k][0], row[part[k][0]])
+                for k in self.rep.P.positive_atoms(i)
+                if A is None or part[k][0] in A.members
+            )
+        gv, tol = g.values, self.tol
         succ = prec = True
-        for k in self.rep.P.positive_atoms(i):
-            first = part[k][0]
-            if A is not None and first not in A.members:
-                continue
-            d = row[first](g.values[first]) - values[k]
-            if d < -self.tol:
+        for k, first, curve in atoms:
+            d = curve(gv[first]) - values[k]
+            if d < -tol:
                 succ = False
-            if d > self.tol:
+            if d > tol:
                 prec = False
             if not succ and not prec:
                 break
-        return QueryAnswer(succ, prec)
+        return _ANSWERS[succ][prec]
 
     def atom_answers(self, i: int, f: Act, k: int) -> Answer:
         """:meth:`query`'s answers on atom ``k`` from its curve and

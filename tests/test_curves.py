@@ -172,6 +172,17 @@ class TestPiecewiseLinear:
         assert curves[2](0.5) == Fraction(1, 3) and curves[2](0.5 + 1e-12) > Fraction(5, 7)
         assert curves[3]._float_xs is curves[3]._xs
 
+    def test_fraction_arguments_with_no_exact_float_keep_the_exact_path(self):
+        # float(2**53 + 1) and float(2**-1100) are the jump abscissae 2**53
+        # and 0: evaluating either argument as its float would give the
+        # jump's value, not its right limit
+        wide = PiecewiseLinearCurve.from_points([(-1, -1.0), (0, 0.0), (2**53, 1.0, 1.0, 3.0)])
+        assert wide(Fraction(2**53 + 1)) == 3.0 == wide(2**53 + 1)
+        jump = PiecewiseLinearCurve.from_points([(-1, -1.0), (0, -0.5, 0.0, 0.5), (1, 1.0)])
+        assert jump(Fraction(1, 2**1100)) == 0.5 and jump(float(Fraction(1, 2**1100))) == 0.0
+        assert wide._float_exact and jump._float_exact
+        assert type(jump(Fraction(1, 4))) is float and jump(Fraction(1, 4)) == 0.625
+
     def test_inversion_in_gap_flags(self):
         u = PiecewiseLinearCurve.from_points([(0, 0), (1, 1, 1, 2), (2, 3)])
         hit = u.invert_detailed(1)

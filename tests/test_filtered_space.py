@@ -130,6 +130,30 @@ class TestMeasurability:
         assert not is_measurable(spec.space, 1, spec.acts["villa_t2"])
         assert is_measurable(spec.space, 2, spec.acts["villa_t2"])
 
+    def test_measurable_at_every_later_time(self):
+        # b and c differ by 2e-12, each within 1e-12 of a: measurable at 1,
+        # where {a,b,c} is one atom, so also at 2, where {b,c} is one atom
+        sp = FilteredSpace.build(
+            ("a", "b", "c"), (0, 1, 2), [[["a", "b", "c"]], [["a", "b", "c"]], [["a"], ["b", "c"]]]
+        )
+        f = Act(sp, 1, (0.0, 1e-12, -1e-12))
+        assert is_measurable(sp, 2, f)
+        finer = f.at_time(2)
+        assert (finer.time_index, finer.values, finer.null_fill) == (2, f.values, f.null_fill)
+        with pytest.raises(IndexError, match="out of range"):
+            f.at_time(3)
+
+    def test_coarsening_still_validates(self, four_state_space, staircase):
+        assert staircase.at_time(2) == staircase
+        with pytest.raises(InvariantError, match="not measurable at time index 1"):
+            staircase.at_time(1)
+        with pytest.raises(IndexError, match="out of range"):
+            staircase.at_time(-1)
+        coarse = Act(four_state_space, 1, (5, 5, 6, 6))
+        assert coarse.at_time(1) == coarse
+        with pytest.raises(InvariantError, match="not measurable at time index 0"):
+            coarse.at_time(0)
+
     def test_event_measurability(self, four_state_space):
         ev = Event.of_states(four_state_space, ("w1", "w2"))
         assert is_measurable(four_state_space, 1, ev)

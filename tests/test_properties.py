@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from itpref import (  # noqa: E402
     Act,
     BracketError,
+    Event,
     IdentityCurve,
     InducedOracle,
     InvariantError,
@@ -26,6 +29,7 @@ from itpref import (  # noqa: E402
     compare,
     conditional_expectation,
     indifference_profile,
+    paste,
 )
 from itpref.engine import expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer  # noqa: E402
@@ -33,6 +37,7 @@ from itpref.sampling import (  # noqa: E402
     random_act,
     random_measure,
     random_representation,
+    random_space,
     verdict_agreement,
 )
 
@@ -321,3 +326,174 @@ def test_expected_utility_profile_errors():
         expected_utility_profile(rep, 0, 4, f2)
     with pytest.raises(IndexError, match=r"^time index -1 out of range 0\.\.3$"):
         expected_utility_profile(rep, -1, 2, f2)
+
+
+def built(make):
+    """An act's values with their types, time index and null_fill, or the
+    type and message of the error that building it raised."""
+    try:
+        act = make()
+    except (InvariantError, IndexError) as exc:
+        return type(exc), str(exc)
+    return bits(act), act.time_index
+
+
+def atom_value(rng, kind):
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "dyadic":
+        return Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+    if kind == "third":
+        return Fraction(rng.randint(-9, 9), 3)
+    return rng.uniform(-2, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(("int", "dyadic", "third", "float")), min_size=1))
+def test_trusted_constructors_equal_the_validating_constructor(seed, kinds):
+    """``from_atom_values``, ``restrict``, ``paste`` and ``at_time`` build
+    what ``Act(...)`` builds from the same values, or raise what it raises:
+    on events at, before and after the act's time, on events with no time,
+    some of which split an atom of the act's time."""
+    rng = random.Random(seed)
+    space = random_space(rng)
+    n = space.n_states
+
+    def drawn(i):
+        per_atom = [atom_value(rng, rng.choice(kinds)) for _ in range(space.n_atoms(i))]
+        null_atoms = [k for k in range(len(per_atom)) if rng.random() < 0.3]
+        return per_atom, null_atoms
+
+    def events():
+        for j in range(space.n_times):
+            yield space.union_event(j, [k for k in range(space.n_atoms(j)) if rng.random() < 0.5])
+        yield Event(space, frozenset(s for s in range(n) if rng.random() < 0.5))
+
+    for i in range(space.n_times):
+        part, amap = space.partitions[i], space.atom_index_map(i)
+        per_atom, null_atoms = drawn(i)
+        spread = tuple(per_atom[k] for k in amap)
+        null_fill = frozenset(s for k in null_atoms for s in part[k])
+        assert built(lambda: Act.from_atom_values(space, i, per_atom, null_atoms)) == built(
+            lambda: Act(space, i, spread, null_fill)
+        )
+        f = Act.from_atom_values(space, i, per_atom, null_atoms)
+        g = Act.from_atom_values(space, i, drawn(i)[0])
+        for j in range(-1, space.n_times + 1):
+            assert built(lambda: f.at_time(j)) == built(lambda: Act(space, j, f.values, f.null_fill))
+        for A in events():
+            cut = tuple(v if s in A.members else 0 for s, v in enumerate(f.values))
+            assert built(lambda: f.restrict(A)) == built(lambda: Act(space, i, cut))
+            mixed = tuple(f.values[s] if s in A.members else g.values[s] for s in range(n))
+            assert built(lambda: paste(f, g, A)) == built(lambda: Act(space, i, mixed))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), bad=st.sampled_from((math.inf, -math.inf, math.nan)))
+def test_trusted_constructors_keep_their_errors(seed, bad):
+    """A non-finite per-atom value is rejected; cutting or pasting along an
+    event that splits an atom of the act's time raises today's
+    measurability error."""
+    rng = random.Random(seed)
+    space = random_space(rng)
+    i = rng.randrange(space.n_times)
+    per_atom = [rng.uniform(1, 2) for _ in range(space.n_atoms(i))]
+    per_atom[rng.randrange(len(per_atom))] = bad
+    with pytest.raises(InvariantError, match=r"^act values must be finite$"):
+        Act.from_atom_values(space, i, per_atom)
+    wide = [(k, atom) for k, atom in enumerate(space.partitions[i]) if len(atom) > 1]
+    if not wide:
+        return
+    k, atom = rng.choice(wide)
+    split = atom[: rng.randrange(1, len(atom))]
+    message = (
+        rf"^act not measurable at time index {i}: values differ inside atom "
+        rf"{re.escape(space.atom_label(i, k))}$"
+    )
+    f = Act.from_atom_values(space, i, [rng.uniform(1, 2) for _ in range(space.n_atoms(i))])
+    g = f.shift(5)
+    splitting = [Event(space, frozenset(split))]
+    for j in range(i + 1, space.n_times):
+        subs = [sub for sub in space.partitions[j] if sub[0] in atom]
+        if len(subs) > 1:  # a union of atoms, but at a time after the act's
+            splitting.append(Event(space, frozenset(subs[0]), j))
+            break
+    for A in splitting:
+        with pytest.raises(InvariantError, match=message):
+            f.restrict(A)
+        with pytest.raises(InvariantError, match=message):
+            paste(f, g, A)
+
+
+def anchor_scan(u, x):
+    """Reference evaluation of a piecewise-linear curve: the segment found by
+    walking the anchors in order, on the argument as given."""
+    first, last, slopes = u.anchors[0], u.anchors[-1], u._slopes
+    if x < first[0]:
+        return first[1] + slopes[0] * (x - first[0])
+    if x > last[0]:
+        return last[3] + slopes[-1] * (x - last[0])
+    for i, a in enumerate(u.anchors):
+        if x == a[0]:
+            return a[2]
+        if x < u.anchors[i + 1][0]:
+            return a[3] + slopes[i] * (x - a[0])
+
+
+def drawn_curve(rng, kind):
+    """Int, float or mixed abscissae with float values; dyadic or 1/3
+    ``Fraction`` abscissae with float values; or exact ``Fraction``
+    abscissae and values.  Some anchors are jumps."""
+    n = rng.randint(2, 6)
+    ks = sorted(rng.sample(range(-12, 13), n))
+    xs = {
+        "int": ks,
+        "float": sorted(rng.sample([rng.uniform(-6, 6) for _ in range(3 * n)], n)),
+        "mixed": [k if rng.random() < 0.5 else k + 0.25 for k in ks],
+        "dyadic": [Fraction(k, 4) for k in ks],
+        "third": [ks[0] + Fraction(1, 3)] + [Fraction(k, 4) for k in ks[1:]],
+        "exact": [Fraction(k, rng.choice((3, 4))) for k in ks],
+    }[kind]
+    xs = sorted(xs)  # distinct: the 1/3 abscissa is no quarter
+
+    def step():
+        if kind == "exact":
+            return Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7)))
+        return rng.uniform(0.1, 2.0)
+
+    anchors, y = [], -step() * len(xs)
+    for x in xs:
+        jump = rng.random() < 0.3
+        value = y + step() if jump else y
+        right = value + step() if jump else value
+        anchors.append((x, y, value, right))
+        y = right + step()
+    return PiecewiseLinearCurve(tuple(anchors))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("int", "float", "mixed", "dyadic", "third", "exact")),
+)
+def test_curve_evaluation_matches_the_anchor_scan(seed, kind):
+    """Value and type of ``u(x)`` equal the anchor-scan reference's for
+    dyadic, 1/3 and out-of-range ``Fraction``s, floats and ints on, next to
+    and between every anchor."""
+    rng = random.Random(seed)
+    u = drawn_curve(rng, kind)
+    # a dyadic Fraction is evaluated as its float exactly on these curves
+    assert u._float_exact == (kind in ("int", "float", "mixed", "dyadic"))
+    xs = [a[0] for a in u.anchors]
+    points = [xs[0] - 1, xs[-1] + 1] + xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    args = []
+    for p in points:
+        exact = Fraction(p)
+        args += [p, float(p), math.floor(p), math.ceil(p), exact]
+        args += [exact + d for d in (Fraction(1, 3), -Fraction(1, 3), Fraction(1, 1024), -Fraction(1, 2))]
+        args += [float(p) + d for d in (-1e-12, 1e-12)]
+        args += [Fraction(float(p) + d) for d in (-1e-12, 1e-12)]
+    args += [Fraction(2**60 + 1, 2), -Fraction(2**60 + 1, 2), Fraction(1, 2**1100), Fraction(3, 2**1074)]
+    for x in args:
+        got, want = u(x), anchor_scan(u, x)
+        assert (type(got), repr(got)) == (type(want), repr(want)), (x, u)
