@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .engine import TriPartition
-from .filtered_space import Act, Event, FilteredSpace, Number, paste
+from .filtered_space import Act, Event, FilteredSpace, Number, _is_finite, paste
 from .oracles import (
     BracketError,
     PreferenceOracle,
@@ -39,11 +39,17 @@ MAX_DISTINCT = 3  # distinct values per simple act when the caller sets no cap
 
 @dataclass(frozen=True)
 class ActGrid:
-    """Finite outcome grid for simple acts: sorted values containing 0."""
+    """Finite outcome grid for simple acts: finite, strictly sorted numbers
+    (not bools) containing 0."""
 
     values: tuple[Number, ...] = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 
     def __post_init__(self) -> None:
+        for x in self.values:
+            if isinstance(x, bool):
+                raise ValueError(f"grid value {x!r} is a bool, not a number")
+            if not _is_finite(x):
+                raise ValueError(f"grid value {x!r} is not finite")
         if 0 not in self.values:
             raise ValueError("grid must contain 0")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):

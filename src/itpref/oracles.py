@@ -228,12 +228,12 @@ def indifference_constant(oracle: PreferenceOracle, i: int, f: Act, A: Event, to
     return c
 
 
-def indifference_profile(
+def atom_certainty_equivalents(
     oracle: PreferenceOracle, i: int, f: Act, tol: float = 1e-9
-) -> Act:
-    """Atom-wise certainty equivalent of f at time index i, from oracle
-    queries alone.  Insensitive (null-behaving) atoms are filled with 0 and
-    flagged, mirroring the conditional-expectation convention.
+) -> list[float | None]:
+    """Per-atom certainty equivalent of f at time index i, from oracle
+    queries alone: one constant c_k with c_k·1_A ~ f·1_A per time-``i`` atom
+    A, in atom order, or None for an insensitive (null-behaving) atom.
 
     Each atom's search is memoized on the oracle under ``f``'s values on
     that atom, so an atom whose restriction was searched before asks no
@@ -243,13 +243,8 @@ def indifference_profile(
     and a failed search is stored as its message.  Once an atom has failed
     after r queries, each atom above it asks at most r, and is stored only
     if it finished in fewer; a stored failure counts as one after none, so
-    the atoms above it are not searched.  Only completed profiles enter the
-    whole-profile memo."""
+    the atoms above it are not searched."""
     space = oracle.space
-    key = (i, f.time_index, f.values, tol)
-    hit = oracle._cce_memo.get(key)
-    if hit is not None:
-        return hit
     values, memo, events = f.values, oracle._atom_memo, space.atom_events(i)
     found, failure, budget = [], None, None
     for k, atom in enumerate(space.partitions[i]):
@@ -268,8 +263,24 @@ def indifference_profile(
         found.append(c)
     if failure is not None:
         raise BracketError(failure)
+    return found
+
+
+def indifference_profile(
+    oracle: PreferenceOracle, i: int, f: Act, tol: float = 1e-9
+) -> Act:
+    """Atom-wise certainty equivalent of f at time index i, from oracle
+    queries alone, as a time-``i`` act: :func:`atom_certainty_equivalents`
+    with insensitive atoms filled with 0 and flagged, mirroring the
+    conditional-expectation convention.  Completed profiles are memoized
+    whole on the oracle under ``f``'s values."""
+    key = (i, f.time_index, f.values, tol)
+    hit = oracle._cce_memo.get(key)
+    if hit is not None:
+        return hit
+    found = atom_certainty_equivalents(oracle, i, f, tol)
     per_atom = [0 if c is None else c for c in found]
     insensitive = [k for k, c in enumerate(found) if c is None]
-    act = Act.from_atom_values(space, i, per_atom, insensitive)
+    act = Act.from_atom_values(oracle.space, i, per_atom, insensitive)
     oracle._cce_memo[key] = act
     return act

@@ -32,7 +32,7 @@ from .filtered_space import (
     Number,
     ProbabilityMeasure,
 )
-from .oracles import PreferenceOracle, indifference_profile
+from .oracles import PreferenceOracle, atom_certainty_equivalents
 from .utility_field import UtilityField
 
 NULL_VALUE_TOL = 1e-7   # |V_j| below this on the whole grid marks a null atom
@@ -63,16 +63,17 @@ def _recovery_xs(grid: ActGrid) -> tuple[Number, ...]:
 
 def _debreu_candidates(
     space: FilteredSpace, level: int, xs: Sequence[Number], cap: int
-) -> list[Act]:
-    neg = [x for x in xs if x < 0]
-    pos = [x for x in xs if x > 0]
-    values = ((neg[-1] if neg else 0), 0, (pos[0] if pos else 0))
-    values = tuple(dict.fromkeys(values))
+) -> list[tuple[Act, tuple[int, ...]]]:
+    """Up to ``cap`` time-``level`` acts, each with the positions in ``xs`` of
+    its per-atom values, that take the grid values next to 0 (and 0 itself)
+    on each atom and are not 0 everywhere."""
+    z = xs.index(0)  # xs holds X_BAR > 0, so z + 1 is in range
+    picks = tuple(dict.fromkeys((max(z - 1, 0), z, z + 1)))
     out = []
-    for combo in itertools.product(values, repeat=space.n_atoms(level)):
-        if all(v == 0 for v in combo):
+    for pos in itertools.product(picks, repeat=space.n_atoms(level)):
+        if all(p == z for p in pos):
             continue
-        out.append(Act.from_atom_values(space, level, combo))
+        out.append((Act.from_atom_values(space, level, [xs[p] for p in pos]), pos))
         if len(out) >= cap:
             break
     return out
@@ -122,22 +123,24 @@ def recover_step_i(
     m = space.n_atoms(level)
 
     def value(f: Act) -> float:
-        c = indifference_profile(oracle, i, f, tol)
+        ces = atom_certainty_equivalents(oracle, i, f, tol)
         return float(
             sum(
-                prev.masses[k] * prev.curves[k](c.value_on_atom(k))
-                for k in range(space.n_atoms(i))
+                prev.masses[k] * prev.curves[k](0 if c is None else c)
+                for k, c in enumerate(ces)
                 if prev.masses[k] > 0
             )
         )
 
+    # tab[k][p]: the value of xs[p] on time-(i+1) atom k and 0 elsewhere
     xs = _recovery_xs(grid)
     tab = [
-        {x: value(Act.constant(space, level, x).restrict(A)) for x in xs}
+        [value(Act.constant(space, level, x).restrict(A)) for x in xs]
         for A in space.atom_events(level)
     ]
+    zero, x_bar = xs.index(0), xs.index(X_BAR)
     null_atoms = tuple(
-        k for k in range(m) if max(abs(v) for v in tab[k].values()) <= NULL_VALUE_TOL
+        k for k in range(m) if max(abs(v) for v in tab[k]) <= NULL_VALUE_TOL
     )
     essential = [k for k in range(m) if k not in null_atoms]
     if require_three_essential and len(essential) < 3:
@@ -148,9 +151,9 @@ def recover_step_i(
 
     residual = 0.0
     # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
-    for f in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
+    for f, pos in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
         total = value(f)
-        split = sum(tab[k][f.value_on_atom(k)] for k in range(m))
+        split = sum(tab[k][pos[k]] for k in range(m))
         residual = max(residual, abs(total - split))
     if residual > debreu_tol:
         raise RecoveryError(
@@ -160,7 +163,7 @@ def recover_step_i(
 
     weights = {}
     for k in essential:
-        w = tab[k][X_BAR] - tab[k][0]
+        w = tab[k][x_bar] - tab[k][zero]
         if not w > 0:
             raise RecoveryError(
                 f"level {level} atom {space.atom_label(level, k)}: component value "
@@ -175,7 +178,7 @@ def recover_step_i(
     points: dict[int, list[tuple[Number, Number]]] = {}
     for k, w in weights.items():
         aux[k] = p = w / total_weight
-        points[k] = [(x, 0 if x == 0 else (tab[k][x] - tab[k][0]) / p) for x in xs]
+        points[k] = [(x, 0 if x == 0 else (v - tab[k][zero]) / p) for x, v in zip(xs, tab[k])]
         for (x0, y0), (x1, y1) in zip(points[k], points[k][1:]):
             if not y1 > y0:
                 raise RecoveryError(
@@ -220,7 +223,7 @@ def recover_step_i(
                 f"updated probability does not agree with the step-{i} one on "
                 f"atom {space.atom_label(i, a)}"
             )
-    offsets = tuple(float(col[0]) for col in tab)
+    offsets = tuple(float(col[zero]) for col in tab)
     return RecoveredStep(level, tuple(masses), tuple(curves), residual, null_atoms, offsets)
 
 

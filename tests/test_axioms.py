@@ -604,3 +604,18 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="sorted"):
             ActGrid((0, 2, 1))
         assert max(DEFAULT_GRID.extended()) == 8
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0, float("nan")), "not finite"),
+            ((0, float("inf")), "not finite"),
+            ((float("nan"), 0, 1), "not finite"),
+            ((-1, 0, True), "bool"),
+        ],
+    )
+    def test_grid_rejects_non_finite_and_bool_values(self, values, message):
+        from itpref import ActGrid
+
+        with pytest.raises(ValueError, match=message):
+            ActGrid(values)

@@ -32,7 +32,7 @@ from itpref import (  # noqa: E402
     paste,
 )
 from itpref.engine import expected_utility_profile  # noqa: E402
-from itpref.oracles import QueryAnswer  # noqa: E402
+from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
     random_measure,
@@ -201,6 +201,58 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
             ):
                 with pytest.raises(PreconditionError):
                     attempt()
+
+
+def certainty_equivalents_outcome(search, oracle, i, f):
+    """What ``search`` returns for f at step i, or the type and message of
+    the ``BracketError`` it raises, with the queries it asked."""
+    try:
+        got = search(oracle, i, f, 1e-9)
+    except BracketError as exc:
+        got = (type(exc), str(exc))
+    return got, oracle.queries
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans(), failing=st.booleans()
+)
+def test_atom_certainty_equivalents_are_the_profiles_constants(seed, exact, null, failing):
+    """On two fresh oracles, ``atom_certainty_equivalents`` and
+    ``indifference_profile`` agree on the constants (None where the profile
+    fills 0 and flags the atom's states as ``null_fill``), on the queries
+    asked, and on a ``BracketError``'s type and message: float and exact
+    representations, with and without a null atom, and an oracle whose
+    brackets fail on the atoms where f takes a poisoned value."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=3, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        rep = exact_representation(rng, space, dead)
+    elif null:
+        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    for i in (0, 1):
+        per_atom = [rng.uniform(-2, 2) for _ in range(space.n_atoms(i + 1))]
+        if exact:
+            per_atom = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in per_atom]
+        poison = frozenset(v for v in per_atom if failing and rng.random() < 0.4)
+        f = Act.from_atom_values(space, i + 1, per_atom)
+
+        def fresh():
+            return Unbracketed(rep, poison) if failing else InducedOracle(rep, tol=1e-12)
+
+        got, got_queries = certainty_equivalents_outcome(atom_certainty_equivalents, fresh(), i, f)
+        want, want_queries = certainty_equivalents_outcome(indifference_profile, fresh(), i, f)
+        assert got_queries == want_queries
+        if isinstance(want, Act):
+            part = space.partitions[i]
+            assert [(type(v), repr(v)) for v in want.atom_values()] == [
+                (int, "0") if c is None else (type(c), repr(c)) for c in got
+            ]
+            assert want.null_fill == {s for k, c in enumerate(got) if c is None for s in part[k]}
+        else:
+            assert got == want
 
 
 def whole_act_verdict(rep, s, t, g, f, tol):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from itpref import (
     Act,
+    ActGrid,
     IdentityCurve,
     InducedOracle,
     LinearCurve,
@@ -141,6 +143,8 @@ SEED1_STEPS = (
     ),
 )
 SEED1_QUERIES = 4382
+# taken before recovery tabulated by grid position; unchanged by it
+NON_DEFAULT_GRIDS_DIGEST = "29a27a8642b024e12130efb8945f7440e45ae550d80a58830726fb9bfc43d9aa"
 
 
 class TestCCEFromOracle:
@@ -382,6 +386,36 @@ class TestRecoverInductive:
         )
         assert got == SEED1_STEPS
         assert oracle.queries == SEED1_QUERIES
+
+    def test_non_default_grids_pinned(self):
+        """Every ``RecoveredStep`` and query count of criterion 3's first four
+        recoveries on five grids other than the default, pinned as one
+        sha256: grids without negatives (so ``X_BAR`` is inserted), with one
+        point either side of 0, with float and non-dyadic ``Fraction``
+        values.  ``debreu_tol=1.0`` because this pins identity, not
+        accuracy: a coarse grid interpolates the curves it recovers."""
+        grids = [
+            (0, 2),
+            (-1, 0),
+            (-2, -1, 0, 1, 2),
+            (-0.5, 0, 0.25, 3),
+            (Fraction(-3, 4), 0, Fraction(1, 3), 2),
+        ]
+        digest = hashlib.sha256()
+        rng = random.Random(77)
+        for case in range(4):
+            rep = random_representation(
+                rng, n_times=3 if case % 2 == 0 else 4, kinds=("pl",), min_first_split=3
+            )
+            for values in grids:
+                oracle = InducedOracle(rep, tol=1e-12)
+                result = recover_representation(
+                    oracle, rep.u0, ActGrid(values), tol=1e-10, debreu_tol=1.0
+                )
+                for step in result.steps:
+                    digest.update(repr(step).encode() + b"\n")
+                digest.update(f"queries {oracle.queries}\n".encode())
+        assert digest.hexdigest() == NON_DEFAULT_GRIDS_DIGEST
 
     def test_villa_recovery_up_to_rescaling(self):
         # two essential atoms at the election time, and a nearly-null branch:
