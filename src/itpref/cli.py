@@ -165,13 +165,14 @@ def _cmd_recover(args) -> int:
     spec = _load(args.scenario)
     rep = spec.representation()
     oracle = InducedOracle(rep, tol=args.tol)
+    grid = _grid(args)
     result = recover_representation(
         oracle,
         rep.u0,
-        _grid(args),
+        grid,
         require_three_essential=not args.allow_few_essential,
     )
-    uniq = check_relative_uniqueness(rep, result.rep, _grid(args).values, tol=args.accept_tol)
+    uniq = check_relative_uniqueness(rep, result.rep, grid.values, tol=args.accept_tol)
     checked, mismatches = verdict_agreement(rep, result.rep, args.pairs, seed=args.seed)
     rows = [
         ("max Debreu residual", repr(result.max_debreu_residual)),

@@ -17,9 +17,10 @@ a memo hit asks none.
 Also here: constant-act bisection (the workhorse of both axiom checking and
 recovery) and oracle-level null-atom detection, one search body that probes,
 brackets and bisects on an answer function.  ``indifference_profile`` runs
-it on each atom of a level in turn; by the contract an atom's certainty
-equivalent depends only on f on that atom, so it stores each atom's search
-on the oracle, the bracket failures with the rest, and never repeats it.
+it on each atom of a level in index order, up to the first bracket failure,
+which it raises; by the contract an atom's certainty equivalent depends only
+on f on that atom, so it stores each atom's search on the oracle, the
+bracket failures with the rest, and never repeats it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
-_UNSEARCHED = object()  # an atom memo miss or a search cut short: None means insensitive
+_UNSEARCHED = object()  # an atom memo miss: None means insensitive
 
 
 class BracketError(RuntimeError):
@@ -171,58 +172,42 @@ def _answers_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Answer:
     return lambda c: oracle.ask(i, Act.constant(space, i, c), f, A)
 
 
-def _search(
-    answer: Answer, i: int, A: Event, tol: float, probe: bool = True, budget: int | None = None
-):
-    """(result, constants asked) of the search for c with c·1_A ~ f·1_A on the
-    time-``i`` event A, where ``answer(c)`` answers c·1_A vs f·1_A.  None when
-    the probe's huge and tiny constants both compare both ways (A is
-    insensitive); else each end of the bracket doubles from [-1, 1] until it
-    answers its side, up to ``BRACKET_LIMIT`` (or the result is the failure's
-    message), and the bisected upper end converges to inf{c : c·1_A >= f·1_A}.
-    A search that needs more than ``budget`` constants is cut: ``_UNSEARCHED``."""
-    n = 0
-    if probe:
-        n = 2
-        huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
-        if huge.preceq and tiny.succeq:
-            return None, n
+def _search(answer: Answer, i: int, A: Event, tol: float):
+    """The constant c with c·1_A ~ f·1_A on the time-``i`` event A, where
+    ``answer(c)`` answers c·1_A vs f·1_A.  None when the probe's huge and
+    tiny constants both compare both ways (A is insensitive); else each end
+    of the bracket doubles from [-1, 1] until it answers its side, up to
+    ``BRACKET_LIMIT`` (or the result is the failure's message), and the
+    bisected upper end converges to inf{c : c·1_A >= f·1_A}."""
+    huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
+    if huge.preceq and tiny.succeq:
+        return None
     hi = 1.0
-    while n != budget:
-        n += 1
-        if answer(hi).succeq:
-            break
+    while not answer(hi).succeq:
         hi *= 2
         if hi > BRACKET_LIMIT:
-            return f"no upper bracket on {A.label()} at step {i}", n
-    else:
-        return _UNSEARCHED, n
+            return f"no upper bracket on {A.label()} at step {i}"
     lo = -1.0
-    while n != budget:
-        n += 1
-        if answer(lo).preceq:
-            break
+    while not answer(lo).preceq:
         lo *= 2
         if lo < -BRACKET_LIMIT:
-            return f"no lower bracket on {A.label()} at step {i}", n
-    else:
-        return _UNSEARCHED, n
+            return f"no lower bracket on {A.label()} at step {i}"
     while hi - lo > tol:
-        if n == budget:
-            return _UNSEARCHED, n
-        n += 1
         mid = 0.5 * (lo + hi)
         if answer(mid).succeq:
             hi = mid
         else:
             lo = mid
-    return hi, n
+    return hi
 
 
-def indifference_constant(oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9) -> float:
-    """Bracket and bisect for the constant c with c·1_A ~ f·1_A, without the
-    probe; converges to inf{c : c·1_A >= f·1_A}."""
-    c = _search(_answers_on(oracle, i, f, A), i, A, tol, probe=False)[0]
+def indifference_constant(
+    oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9
+) -> float | None:
+    """The constant c with c·1_A ~ f·1_A on the time-``i`` event A by
+    :func:`_search`, or None when A is insensitive (as a null event is);
+    raises :class:`BracketError` when a bracket end fails."""
+    c = _search(_answers_on(oracle, i, f, A), i, A, tol)
     if type(c) is str:
         raise BracketError(c)
     return c
@@ -235,34 +220,24 @@ def atom_certainty_equivalents(
     queries alone: one constant c_k with c_k·1_A ~ f·1_A per time-``i`` atom
     A, in atom order, or None for an insensitive (null-behaving) atom.
 
-    Each atom's search is memoized on the oracle under ``f``'s values on
-    that atom, so an atom whose restriction was searched before asks no
-    query.  The other atoms are searched one after another, each to its end
-    on :meth:`~PreferenceOracle.atom_answers`.  When atoms fail to bracket,
-    the lowest-index failure is raised, as a fresh :class:`BracketError`,
-    and a failed search is stored as its message.  Once an atom has failed
-    after r queries, each atom above it asks at most r, and is stored only
-    if it finished in fewer; a stored failure counts as one after none, so
-    the atoms above it are not searched."""
+    The atoms are searched one after another, each to its end on
+    :meth:`~PreferenceOracle.atom_answers`, and each search is memoized on
+    the oracle under ``f``'s values on that atom, a bracket failure as its
+    message: an atom whose restriction was searched before asks no query.
+    The first atom that fails to bracket stops the search: its failure is
+    raised as a fresh :class:`BracketError`, and the atoms above it are not
+    searched."""
     space = oracle.space
     values, memo, events = f.values, oracle._atom_memo, space.atom_events(i)
-    found, failure, budget = [], None, None
+    found = []
     for k, atom in enumerate(space.partitions[i]):
         atom_key = (i, k, f.time_index, tuple([values[s] for s in atom]), tol)
-        c, n = memo.get(atom_key, _UNSEARCHED), 0
+        c = memo.get(atom_key, _UNSEARCHED)
         if c is _UNSEARCHED:
-            c, n = _search(oracle.atom_answers(i, f, k), i, events[k], tol, budget=budget)
-            if n == budget:  # unfinished in fewer queries than a failure below
-                continue
-            memo[atom_key] = c
+            c = memo[atom_key] = _search(oracle.atom_answers(i, f, k), i, events[k], tol)
         if type(c) is str:
-            failure = failure or c
-            if not n:  # stored: the atoms above it are not searched
-                break
-            budget = n
+            raise BracketError(c)
         found.append(c)
-    if failure is not None:
-        raise BracketError(failure)
     return found
 
 

@@ -57,7 +57,6 @@ def random_space(
     boundaries = [sorted(rng.sample(range(1, n), counts[t] - 1)) for t in range(n_times)]
     partitions = []
     for t in range(n_times):
-        cuts = [0] + boundaries[t] + [n]
         # enforce refinement: merge in all coarser cuts
         allcuts = sorted(set(c for b in boundaries[: t + 1] for c in b) | {0, n})
         partitions.append(

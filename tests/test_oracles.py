@@ -7,6 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property test at the end needs hypothesis
+    given = None
+
 from itpref import (
     Act,
     BracketError,
@@ -30,6 +35,7 @@ from itpref.oracles import (
     INSENSITIVITY_PROBE,
     PreferenceOracle,
     QueryAnswer,
+    atom_certainty_equivalents,
     indifference_constant,
 )
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
@@ -128,6 +134,13 @@ class TestIndifference:
         with pytest.raises(BracketError):
             indifference_constant(oracle, 0, f, oracle.space.whole_event(0))
 
+    def test_constant_on_an_insensitive_event_is_none(self, four_state_space):
+        P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+        oracle = InducedOracle(identity_rep(four_state_space, P))
+        f = Act(four_state_space, 2, (1, 3, 5, 7))
+        assert indifference_constant(oracle, 1, f, four_state_space.atom_event(1, 1)) is None
+        assert oracle.queries == 2  # the probe's huge and tiny constants
+
     def test_insensitive_atom_detected_and_filled(self, four_state_space):
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
         oracle = InducedOracle(identity_rep(four_state_space, P))
@@ -174,9 +187,15 @@ def sequential_profile(oracle, i, f, tol):
     """The atom-by-atom reference: one :func:`atom_search` after another,
     each to its end, raising the first failure."""
     found = [atom_search(oracle, i, f, k, tol) for k in range(oracle.space.n_atoms(i))]
+    return as_profile(oracle.space, i, found)
+
+
+def as_profile(space, i, found):
+    """Per-atom constants, None for an insensitive atom, as a time-``i``
+    act with the insensitive atoms filled with 0 and flagged."""
     per_atom = [0 if c is None else c for c in found]
     insensitive = [k for k, c in enumerate(found) if c is None]
-    return Act.from_atom_values(oracle.space, i, per_atom, insensitive)
+    return Act.from_atom_values(space, i, per_atom, insensitive)
 
 
 class TestLockstepProfile:
@@ -256,19 +275,15 @@ class TestLockstepProfile:
         singletons = [["x"], ["y"], ["z"]]
         space = FilteredSpace.build(("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], singletons, singletons])
         f = Act.constant(space, 2, 0)
-        oracle = ThreeFaults(space)
+        oracle, reference = ThreeFaults(space), ThreeFaults(space)
         with pytest.raises(BracketError) as got:
             indifference_profile(oracle, 1, f)
         with pytest.raises(BracketError) as want:
-            sequential_profile(ThreeFaults(space), 1, f, 1e-9)
+            sequential_profile(reference, 1, f, 1e-9)
         assert str(got.value) == str(want.value) == "no lower bracket on {x} at step 1"
-        # {x} asks 44; {y} fails after 43, below {x}'s 44, and is stored;
-        # {z} is cut at {y}'s 43 and is not
-        assert oracle.queries == 130
-        assert stored_atoms(oracle) == {
-            0: "no lower bracket on {x} at step 1",
-            1: "no upper bracket on {y} at step 1",
-        }
+        # {x} fails after 44 asks, and {y} and {z} above it are not searched
+        assert oracle.queries == reference.queries == 44
+        assert stored_atoms(oracle) == {0: "no lower bracket on {x} at step 1"}
 
     def test_atom_finishing_with_the_failure_is_not_stored(self):
         tol = 5e-12
@@ -278,10 +293,14 @@ class TestLockstepProfile:
             alone = PoisonedIdentity(POISON_SPACE)
             atom_search(alone, 1, f, k, tol)
             assert alone.queries == 43
-        oracle = PoisonedIdentity(POISON_SPACE)
-        with pytest.raises(BracketError, match=r"no upper bracket on \{x\} at step 1"):
+        oracle, reference = PoisonedIdentity(POISON_SPACE), PoisonedIdentity(POISON_SPACE)
+        with pytest.raises(BracketError) as got:
             indifference_profile(oracle, 1, f, tol)
-        assert oracle.queries == 3 * 43
+        with pytest.raises(BracketError) as want:
+            sequential_profile(reference, 1, f, tol)
+        assert str(got.value) == str(want.value) == "no upper bracket on {x} at step 1"
+        # {y} and {z} above {x} are not searched
+        assert oracle.queries == reference.queries == 43
         assert stored_atoms(oracle) == {0: "no upper bracket on {x} at step 1"}
 
 
@@ -425,3 +444,67 @@ class TestAtomMemo:
         assert prof.null_fill == frozenset({2, 3})
         assert prof.values[2] == prof.values[3] == 0
         assert prof.values[0] == pytest.approx(3, abs=1e-8)
+
+
+# how one scripted atom answers c·1_A vs f·1_A: honestly (c against f's
+# value), never "at least as good" (no upper bracket), never "at most as
+# good" (no lower bracket), or both ways whatever c is (insensitive)
+SCRIPTS = {
+    "no upper": QueryAnswer(False, True),
+    "no lower": QueryAnswer(True, False),
+    "insensitive": QueryAnswer(True, True),
+}
+
+
+class Scripted(PreferenceOracle):
+    """An oracle on singleton atoms whose atom k answers as ``kinds[k]``."""
+
+    def __init__(self, space, kinds):
+        super().__init__(space)
+        self.kinds = kinds
+
+    def query(self, i, g, f, A=None):
+        k = min(A.members)
+        if self.kinds[k] == "honest":
+            c, v = g.values[k], f.values[k]
+            return QueryAnswer(c >= v, c <= v)
+        return SCRIPTS[self.kinds[k]]
+
+
+if given is not None:
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["honest", *SCRIPTS]), st.floats(-100, 100)),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    def test_library_search_is_the_reference(atoms):
+        """On 2-5 scripted singleton atoms at step 1, both library entry
+        points return, or raise, and ask exactly what the reference does,
+        and a repeated call asks nothing."""
+        kinds, values = zip(*atoms)
+        states = [f"s{k}" for k in range(len(atoms))]
+        singletons = [[s] for s in states]
+        space = FilteredSpace.build(states, (0, 1, 2), [[states], singletons, singletons])
+        f = Act(space, 2, values)
+
+        def outcome(run, oracle):
+            try:
+                got = run(oracle, 1, f, 1e-9)
+            except BracketError as exc:
+                return str(exc)
+            if isinstance(got, list):
+                got = as_profile(space, 1, got)
+            return got.values, got.null_fill
+
+        reference = Scripted(space, kinds)
+        want = outcome(sequential_profile, reference)
+        for run in (atom_certainty_equivalents, indifference_profile):
+            oracle = Scripted(space, kinds)
+            assert outcome(run, oracle) == want
+            assert oracle.queries == reference.queries
+            assert outcome(run, oracle) == want
+            assert oracle.queries == reference.queries
