@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .axioms import DEFAULT_GRID
 from .engine import compare, expected_utility, expected_utility_profile
 from .scenario import ScenarioSpec, loads_scenario
 
@@ -295,7 +296,7 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
     st = spec.strategies
     rep = spec.representation()
     space = spec.space
-    xs = (-2, -1, -0.5, 0, 0.5, 1, 2)
+    xs = DEFAULT_GRID.float_form().values
 
     monotone_concave = True
     for i in range(space.n_times):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .curves import fmt_number
 from .engine import TriPartition
 from .filtered_space import Act, Event, FilteredSpace, Number, _is_finite, paste
 from .oracles import (
@@ -58,6 +59,19 @@ class ActGrid:
     @property
     def bound(self) -> Number:
         return max(abs(self.values[0]), abs(self.values[-1]))
+
+    def float_form(self) -> "ActGrid":
+        """The grid of a float run: each ``Fraction`` as its float, ints and
+        floats as given.  Rounding keeps the order, so only neighbours can
+        collide."""
+        floats = tuple(float(x) if type(x) is Fraction else x for x in self.values)
+        for a, b, fa, fb in zip(self.values, self.values[1:], floats, floats[1:]):
+            if fa == fb:
+                raise ValueError(
+                    f"grid values {fmt_number(a)} and {fmt_number(b)} are the same "
+                    f"float {fb!r}; a float run cannot tell them apart"
+                )
+        return ActGrid(floats)
 
     def extended(self) -> tuple[Number, ...]:
         """Grid hull extended by +-4*max|grid| for dominating constants."""

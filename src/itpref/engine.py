@@ -30,6 +30,7 @@ from .filtered_space import (
     InvariantError,
     Number,
     ProbabilityMeasure,
+    _is_exact,
     _is_finite,
     conditional_expectation,
 )
@@ -66,6 +67,14 @@ class Representation:
     @property
     def u0(self) -> MonotoneCurve:
         return self.field.curve_on_atom(0, 0)
+
+    @property
+    def exact(self) -> bool:
+        """Whether every weight and every curve parameter is an ``int`` or a
+        ``Fraction``."""
+        return _is_exact(*self.P.weights) and all(
+            curve.exact for row in self.field.curves_by_state for curve in row
+        )
 
     def star_continuity(self, i: int | None = None) -> StarContinuityResult:
         indices = range(self.space.n_times) if i is None else [i]

@@ -30,6 +30,11 @@ def _is_finite(x: Number) -> bool:
     return not isinstance(x, float) or math.isfinite(x)
 
 
+def _is_exact(*xs: Number) -> bool:
+    """Whether every number is an ``int`` or a ``Fraction``."""
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
 @dataclass(frozen=True)
 class FilteredSpace:
     """Finite state set with a refining chain of partitions, one per time.

@@ -66,6 +66,8 @@ class PreferenceOracle(ABC):
     """Query interface for one-step intertemporal comparisons; atoms per
     time come from ``space``."""
 
+    exact = False  # whether recovery keeps an exact grid exact
+
     def __init__(self, space: FilteredSpace) -> None:
         self.space = space
         self.queries = 0
@@ -104,6 +106,11 @@ class InducedOracle(PreferenceOracle):
         self._value_memo: dict = {}
         self._last_profile: tuple = (None, None, ())
         self._query_atoms: dict = {}
+
+    @property
+    def exact(self) -> bool:
+        """:attr:`Representation.exact` of the representation answering."""
+        return self.rep.exact
 
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit

@@ -252,10 +252,13 @@ def recover_representation(
     Recovered curves at earlier levels enter the later composite functionals,
     so for ground truth that is not piecewise linear the additivity audit
     carries the grid interpolation error; widen ``debreu_tol`` accordingly.
+    An oracle that is not ``exact`` recovers on the grid's float form.
     """
     space = oracle.space
     if space.n_times < 2:
         raise RecoveryError("recovery needs at least two times; the space has one")
+    if not oracle.exact:
+        grid = grid.float_form()
     steps: list[RecoveredStep] = []
     last = _initial_step(u0)
     for i in range(space.n_times - 1):

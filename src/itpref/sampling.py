@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .axioms import DEFAULT_GRID
 from .curves import (
     ExponentialCurve,
     IdentityCurve,
@@ -33,7 +34,7 @@ from .engine import Representation, _random_pair, check_pair_count, classify, ex
 from .filtered_space import Act, FilteredSpace, Number, ProbabilityMeasure
 from .utility_field import UtilityField
 
-PL_XS = (-2, -1, -0.5, 0, 0.5, 1, 2)
+PL_XS = DEFAULT_GRID.float_form().values
 ACT_HULL = 0.9
 MAX_STATES = 16  # terminal states of a random space
 MIN_MASS = 0.03  # floor of a random state weight before normalization

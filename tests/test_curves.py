@@ -180,7 +180,6 @@ class TestPiecewiseLinear:
         assert wide(Fraction(2**53 + 1)) == 3.0 == wide(2**53 + 1)
         jump = PiecewiseLinearCurve.from_points([(-1, -1.0), (0, -0.5, 0.0, 0.5), (1, 1.0)])
         assert jump(Fraction(1, 2**1100)) == 0.5 and jump(float(Fraction(1, 2**1100))) == 0.0
-        assert wide._float_exact and jump._float_exact
         assert type(jump(Fraction(1, 4))) is float and jump(Fraction(1, 4)) == 0.625
 
     def test_inversion_in_gap_flags(self):
@@ -226,6 +225,21 @@ class _CubicCurve(MonotoneCurve):
 
     def spec(self) -> str:
         return "cubic"
+
+
+@pytest.mark.parametrize(
+    "curve, exact",
+    list(zip(ALL_KINDS, (True, True, False, False, True, False, True)))
+    + [
+        (_CubicCurve(), False),  # a curve class that does not say counts as inexact
+        (LinearCurve(1.5), False),
+        (PiecewiseLinearCurve.from_points([(-1, -2), (0, 0), (1, 0.5)]), False),
+        (ArgScaledCurve(IdentityCurve(), 0.5), False),
+        (ValueScaledCurve(IdentityCurve(), 0.5), False),
+    ],
+)
+def test_exact_when_every_parameter_is_an_int_or_a_fraction(curve, exact):
+    assert curve.exact is exact
 
 
 class TestBisectionFallback:

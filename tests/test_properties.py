@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -30,16 +31,22 @@ from itpref import (  # noqa: E402
     conditional_expectation,
     indifference_profile,
     paste,
+    recover_representation,
 )
+from itpref.apps import villa_scenario  # noqa: E402
+from itpref.controls import identity_representation, three_atom_space  # noqa: E402
 from itpref.engine import expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
+    random_equivalent_measure,
     random_measure,
     random_representation,
     random_space,
+    scaled_clone,
     verdict_agreement,
 )
+from itpref.scenario import ScenarioSpec, dumps_scenario, loads_scenario  # noqa: E402
 
 
 def bits(act: Act):
@@ -534,8 +541,6 @@ def test_curve_evaluation_matches_the_anchor_scan(seed, kind):
     and between every anchor."""
     rng = random.Random(seed)
     u = drawn_curve(rng, kind)
-    # a dyadic Fraction is evaluated as its float exactly on these curves
-    assert u._float_exact == (kind in ("int", "float", "mixed", "dyadic"))
     xs = [a[0] for a in u.anchors]
     points = [xs[0] - 1, xs[-1] + 1] + xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     args = []
@@ -549,3 +554,42 @@ def test_curve_evaluation_matches_the_anchor_scan(seed, kind):
     for x in args:
         got, want = u(x), anchor_scan(u, x)
         assert (type(got), repr(got)) == (type(want), repr(want)), (x, u)
+
+
+@functools.lru_cache(maxsize=None)
+def recovered_representations() -> tuple[Representation, ...]:
+    """Two recoveries by float oracles, on the default grid's float form, and
+    two by exact oracles, on its ``Fraction``s."""
+    rng = random.Random(77)
+    reps = [random_representation(rng, n_times=n, kinds=("pl",), min_first_split=3) for n in (3, 4)]
+    reps += [villa_scenario().representation(), identity_representation(*three_atom_space())]
+    return tuple(
+        recover_representation(
+            InducedOracle(rep, tol=1e-12), rep.u0, require_three_essential=rep.space.n_atoms(1) > 2
+        ).rep
+        for rep in reps
+    )
+
+
+def test_recoveries_print_the_grid_in_their_number_kind():
+    texts = [
+        dumps_scenario(ScenarioSpec(r.space, r.P, r.field, {})) for r in recovered_representations()
+    ]
+    assert ["(-0.5," in t for t in texts] == [True, True, False, False]
+    assert ["(-1/2," in t for t in texts] == [False, False, True, True]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scenario_text_round_trips_byte_for_byte(seed):
+    """``dumps(loads(dumps(spec)))`` is ``dumps(spec)`` for a generated
+    representation, its rescaled clone and a recovered one, each with a
+    random act at every time."""
+    rng = random.Random(seed)
+    rep = random_representation(rng)
+    clone = scaled_clone(rep, random_equivalent_measure(rng, rep.P))
+    recovered = recovered_representations()[seed % 4]
+    for r in (rep, clone, recovered):
+        acts = {f"f{t}": random_act(rng, r.space, t) for t in range(r.space.n_times)}
+        text = dumps_scenario(ScenarioSpec(r.space, r.P, r.field, acts, title=f"seed {seed}"))
+        assert dumps_scenario(loads_scenario(text)) == text
