@@ -20,6 +20,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .axioms import DEFAULT_GRID
+from .curves import fmt_number
 from .engine import compare, expected_utility, expected_utility_profile
 from .scenario import ScenarioSpec, loads_scenario
 
@@ -33,9 +34,7 @@ class AppResult:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    return f"{float(x):.12g}"
+    return fmt_number(x) if isinstance(x, Fraction) else f"{float(x):.12g}"
 
 
 def _shipped(name: str) -> ScenarioSpec:

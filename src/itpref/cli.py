@@ -64,7 +64,14 @@ def tolerance(text: str) -> float:
 def _grid(args) -> ActGrid:
     if not args.grid:
         return DEFAULT_GRID
-    values = tuple(parse_number(v) for v in args.grid.split(","))
+    values = []
+    for text in args.grid.split(","):
+        value = parse_number(text)
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioError(f"--grid value {text.strip()!r} is beyond the float range") from None
+        values.append(value)
     return ActGrid(tuple(sorted(values)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .curves import (
     ArgScaledCurve,
@@ -113,7 +113,7 @@ class Verdict:
 
     tag: str
     tri: TriPartition
-    margin: Act  # u(s, g) - E[u(t, f) | F_s], per state
+    margin: Act  # u(s, g) - E[u(t, f) | F_s], one value per time-s atom
 
     @property
     def holds_succeq(self) -> bool:
@@ -166,10 +166,9 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
     """
     if not 0 <= s < t <= rep.space.last_index:
         raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
-    target = expected_utility_profile(rep, s, t, f)
     per_atom: list[Number] = [0] * rep.space.n_atoms(s)
     for k in rep.P.positive_atoms(s):
-        y = target.value_on_atom(k)
+        y = expected_utility(rep, s, t, f, k)
         curve = rep.field.curve_on_atom(s, k)
         try:
             inv = curve.invert_detailed(y, tol)
@@ -186,6 +185,16 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
     return Act.from_atom_values(rep.space, s, per_atom, rep.P.null_atoms(s))
 
 
+def margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> list[Number]:
+    """u(s, g) - E[u(t, f) | A] on each time-``s`` atom A, in atom order: the
+    atom's curve at g's value there, minus :func:`expected_utility`."""
+    _check_measurable(g, s)
+    return [
+        rep.field.curve_on_atom(s, k)(g.values[atom[0]]) - expected_utility(rep, s, t, f, k)
+        for k, atom in enumerate(rep.space.partitions[s])
+    ]
+
+
 def compare(
     rep: Representation, s: int, t: int, g: Act, f: Act, tol: float = ACT_TOL
 ) -> Verdict:
@@ -196,25 +205,23 @@ def compare(
     """
     if not 0 <= s < t <= rep.space.last_index:
         raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
-    _check_measurable(g, s)
-    margin = rep.field.eval(s, g).minus(expected_utility_profile(rep, s, t, f))
-    tag, a, b, c = classify(rep.P, s, margin.values, tol)
-    return Verdict(tag, TriPartition.of_atoms(rep.space, s, a, b, c), margin)
+    margin = margins(rep, s, t, g, f)
+    tag, a, b, c = classify(rep.P, s, margin, tol)
+    tri = TriPartition.of_atoms(rep.space, s, a, b, c)
+    return Verdict(tag, tri, Act.from_atom_values(rep.space, s, margin))
 
 
 def classify(
-    P: ProbabilityMeasure, s: int, margin: Mapping[int, Number] | Sequence[Number], tol: float
+    P: ProbabilityMeasure, s: int, margin: Sequence[Number], tol: float
 ) -> tuple[str, list[int], list[int], list[int]]:
-    """(tag, equivalent, better, worse) time-``s`` atoms, from ``margin`` read
-    at the first state of each positive atom: |margin| <= tol is equivalent,
-    else better or worse by its sign.  The first state: a margin from a field
-    that is not measurable can be tagged at a finer level than s."""
-    part = P.space.partitions[s]
+    """(tag, equivalent, better, worse) time-``s`` atoms, from ``margin[k]``
+    on each positive atom ``k``: |margin| <= tol is equivalent, else better
+    or worse by its sign."""
     a: list[int] = []
     b: list[int] = []
     c: list[int] = []
     for k in P.positive_atoms(s):
-        d = margin[part[k][0]]
+        d = margin[k]
         if abs(d) <= tol:
             a.append(k)
         elif d > tol:
@@ -317,7 +324,8 @@ def discount_transform(
         rhs = conditional_expectation(
             rep.space, P_star, rep.field.eval(t, f).times(betas[t]), s
         )
-        if classify(rep.P, s, lhs.minus(rhs).values, tol)[0] != original:
+        d = lhs.minus(rhs).values
+        if classify(rep.P, s, [d[atom[0]] for atom in rep.space.partitions[s]], tol)[0] != original:
             flips += 1
     return DiscountResult(betas, flips == 0, n_pairs, flips)
 

@@ -194,12 +194,12 @@ class Event:
             raise InvariantError("event members outside the state set")
         if self.time_index is not None:
             i = self.space.check_time_index(self.time_index)
-            for atom in self.space.partitions[i]:
+            for k, atom in enumerate(self.space.partitions[i]):
                 inter = self.members & set(atom)
                 if inter and inter != set(atom):
                     raise InvariantError(
                         f"event is not a union of atoms at time index {i}: "
-                        f"splits atom {self.space.atom_label(i, self.space.atom_index_map(i)[atom[0]])}"
+                        f"splits atom {self.space.atom_label(i, k)}"
                     )
 
     @classmethod
@@ -259,7 +259,7 @@ class Act:
             raise InvariantError("one value per state required")
         if not all(map(_is_finite, values)):
             raise InvariantError("act values must be finite")
-        for atom in self.space.partitions[self.time_index]:
+        for k, atom in enumerate(self.space.partitions[self.time_index]):
             if len(atom) == 1:
                 continue
             v0 = values[atom[0]]
@@ -267,7 +267,7 @@ class Act:
                 if abs(values[s] - v0) > MEASURE_TOL:
                     raise InvariantError(
                         f"act not measurable at time index {self.time_index}: values differ "
-                        f"inside atom {self.space.atom_label(self.time_index, self.space.atom_index_map(self.time_index)[atom[0]])}"
+                        f"inside atom {self.space.atom_label(self.time_index, k)}"
                     )
 
     @classmethod

@@ -134,9 +134,9 @@ class InducedOracle(PreferenceOracle):
         key = (i, None if A is None else A.members)
         atoms = self._query_atoms.get(key)
         if atoms is None:
-            row, part = self.rep.field.curves_by_state[i], self.space.partitions[i]
+            field, part = self.rep.field, self.space.partitions[i]
             atoms = self._query_atoms[key] = tuple(
-                (k, part[k][0], row[part[k][0]])
+                (k, part[k][0], field.curve_on_atom(i, k))
                 for k in self.rep.P.positive_atoms(i)
                 if A is None or part[k][0] in A.members
             )
@@ -162,7 +162,7 @@ class InducedOracle(PreferenceOracle):
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:  # null: ``query`` answers both ways
             return super().atom_answers(i, f, k)
-        curve = self.rep.field.curves_by_state[i][self.space.partitions[i][k][0]]
+        curve = self.rep.field.curve_on_atom(i, k)
         tol = self.tol
 
         def answer(c: float) -> QueryAnswer:

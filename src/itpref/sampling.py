@@ -30,7 +30,7 @@ from .curves import (
     PowerCurve,
     ValueScaledCurve,
 )
-from .engine import Representation, _random_pair, check_pair_count, classify, expected_utility
+from .engine import Representation, _random_pair, check_pair_count, classify, margins
 from .filtered_space import Act, FilteredSpace, Number, ProbabilityMeasure
 from .utility_field import UtilityField
 
@@ -155,25 +155,17 @@ def scaled_clone(rep: Representation, P_star: ProbabilityMeasure) -> Representat
     return Representation(space, P_star, UtilityField.from_atom_curves(space, per_time))
 
 
-def _margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> dict[int, Number]:
-    """u(s, g) - E[u(t, f) | A] at the first state of each positive time-``s``
-    atom A: the margins ``compare`` classifies, without its acts."""
-    part, row = rep.space.partitions[s], rep.field.curves_by_state[s]
-    firsts = [(part[k][0], k) for k in rep.P.positive_atoms(s)]
-    return {x: row[x](g.values[x]) - expected_utility(rep, s, t, f, k) for x, k in firsts}
-
-
 def margin_guarded_pair(
     rng: random.Random, rep: Representation, margin: float = 1e-5
-) -> tuple[int, int, Act, Act, dict[int, Number]]:
-    """Random (s, t, g, f) whose per-atom comparison margins under ``rep`` stay
-    clear of the equivalence band, so verdicts are stable across faithful
-    rescalings; with those margins, keyed by each positive atom's first state."""
+) -> tuple[int, int, Act, Act, list[Number]]:
+    """Random (s, t, g, f) whose comparison margins under ``rep`` stay clear
+    of the equivalence band on every positive time-s atom, so verdicts are
+    stable across faithful rescalings; with those margins, one per atom."""
     for _ in range(MAX_DRAWS):
         s, t, g, f = _random_pair(rng, rep.space, ACT_HULL)
-        margins = _margins(rep, s, t, g, f)
-        if all(abs(d) >= margin for d in margins.values()):
-            return s, t, g, f, margins
+        d = margins(rep, s, t, g, f)
+        if all(abs(d[k]) >= margin for k in rep.P.positive_atoms(s)):
+            return s, t, g, f, d
     raise RuntimeError("could not draw a margin-guarded pair")
 
 
@@ -190,8 +182,8 @@ def verdict_agreement(
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(n_pairs):
-        s, t, g, f, margins = margin_guarded_pair(rng, rep_a, margin)
-        tag_a = classify(rep_a.P, s, margins, tol)[0]
-        if tag_a != classify(rep_b.P, s, _margins(rep_b, s, t, g, f), tol)[0]:
+        s, t, g, f, d = margin_guarded_pair(rng, rep_a, margin)
+        tag_a = classify(rep_a.P, s, d, tol)[0]
+        if tag_a != classify(rep_b.P, s, margins(rep_b, s, t, g, f), tol)[0]:
             mismatches += 1
     return n_pairs, mismatches

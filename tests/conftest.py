@@ -10,10 +10,13 @@ from itpref import (
     Act,
     FilteredSpace,
     IdentityCurve,
+    LinearCurve,
+    PiecewiseLinearCurve,
     ProbabilityMeasure,
     Representation,
     UtilityField,
 )
+from itpref.sampling import random_act
 
 
 @pytest.fixture
@@ -61,3 +64,38 @@ def two_branch_space() -> FilteredSpace:
 @pytest.fixture
 def staircase(four_state_space) -> Act:
     return Act(four_state_space, 2, (1, 2, 3, 4))
+
+
+def exact_representation(rng, space, null_states=()):
+    """A representation whose weights and curves are exact ``Fraction``s."""
+    raw = [0 if s in null_states else rng.randint(1, 9) for s in range(space.n_states)]
+    P = ProbabilityMeasure(space, tuple(Fraction(w, sum(raw)) for w in raw))
+
+    def curve():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return IdentityCurve()
+        if kind == 1:
+            return LinearCurve(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        up, down = Fraction(rng.randint(1, 9), 4), Fraction(rng.randint(1, 9), 4)
+        return PiecewiseLinearCurve.from_points(
+            [(-2, -2 * down), (0, 0), (Fraction(1, 3), up / 3), (2, up / 3 + Fraction(5, 3) * down)]
+        )
+
+    rows = [[curve() for _ in range(space.n_atoms(i))] for i in range(space.n_times)]
+    return Representation(space, P, UtilityField.from_atom_curves(space, rows))
+
+
+def drawn_act(rng, space, i, exact):
+    """A time-``i`` act: floats on the act hull, or exact ``Fraction``s
+    inside the exact curves' anchors."""
+    if exact:
+        return Act.from_atom_values(
+            space, i, [Fraction(rng.randint(-9, 9), rng.randint(5, 9)) for _ in range(space.n_atoms(i))]
+        )
+    return random_act(rng, space, i)
+
+
+def bits(act: Act):
+    """An act's values with their types, and its ``null_fill``."""
+    return [(type(v), repr(v)) for v in act.values], act.null_fill

@@ -335,3 +335,21 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, args, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag.split('=')[0]}: must be finite and >= 0" in err
+
+
+HUGE = f"{10**400}/3"  # a finite Fraction whose float overflows
+
+# (subcommand with its required arguments), each reading --grid
+GRID_COMMANDS = [
+    ["recover", "--scenario", BINOMIAL, "--allow-few-essential"],
+    ["axioms", "--scenario", BINOMIAL],
+    ["uniqueness", "--scenario", BINOMIAL, "--other", BINOMIAL],
+]
+
+
+@pytest.mark.parametrize("args", GRID_COMMANDS, ids=[a[0] for a in GRID_COMMANDS])
+def test_grid_value_beyond_float_range_is_input_error(capsys, args):
+    code, out, err = run(capsys, args + [f"--grid=-1,0,1,{HUGE}"])
+    assert code == 2
+    assert out == ""
+    assert f"error: --grid value '{HUGE}' is beyond the float range" in err

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itpref import (
     Act,
@@ -33,15 +34,21 @@ from itpref import (
     time_consistency_check,
 )
 from itpref.apps import villa_scenario
+from itpref.curves import INVERT_TOL
+from itpref.engine import _random_pair, classify, expected_utility
 from itpref.sampling import (
+    ACT_HULL,
+    MAX_DRAWS,
     margin_guarded_pair,
     random_act,
     random_equivalent_measure,
+    random_measure,
     random_representation,
     scaled_clone,
+    verdict_agreement,
 )
 
-from conftest import identity_rep
+from conftest import bits, drawn_act, exact_representation, identity_rep
 
 
 def exp_rep(space: FilteredSpace, P: ProbabilityMeasure, a: float = 1.0) -> Representation:
@@ -479,3 +486,129 @@ class TestScaleInvariance:
                 b = compare(clone, s, t, g, f)
                 assert a.tag == b.tag
                 assert a.tri == b.tri
+
+
+def profile_verdict(rep, s, t, g, f, tol):
+    """(tag, (A, B, C) members, margin) as ``compare`` built them from two
+    per-state acts: u(s, g) from ``UtilityField.eval`` minus
+    ``expected_utility_profile``, each positive time-s atom tagged by the
+    margin at its first state."""
+    margin = rep.field.eval(s, g).minus(expected_utility_profile(rep, s, t, f))
+    part = rep.space.partitions[s]
+    a, b, c = [], [], []
+    for k in rep.P.positive_atoms(s):
+        d = margin.values[part[k][0]]
+        if abs(d) <= tol:
+            a.append(k)
+        elif d > tol:
+            b.append(k)
+        else:
+            c.append(k)
+    tag = ("mixed" if c else "succeq") if b else ("preceq" if c else "equiv")
+    return tag, tuple(frozenset(x for k in ks for x in part[k]) for ks in (a, b, c)), margin
+
+
+def profile_cce(rep, s, t, f):
+    """``cce`` as it inverted ``expected_utility_profile`` on each positive
+    time-s atom."""
+    target = expected_utility_profile(rep, s, t, f)
+    per_atom = [0] * rep.space.n_atoms(s)
+    for k in rep.P.positive_atoms(s):
+        per_atom[k] = rep.field.curve_on_atom(s, k).invert_detailed(target.value_on_atom(k), INVERT_TOL).x
+    return Act.from_atom_values(rep.space, s, per_atom, rep.P.null_atoms(s))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_compare_and_cce_equal_the_profile_construction(seed, exact, null):
+    """``compare``'s tag, tri-partition and margin (values, their types and
+    time index), and ``cce``'s act, equal bit for bit those built from
+    ``expected_utility_profile``: float and exact representations, with and
+    without a null atom, g at or before s and exact ties g = cce(f)."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=4, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        rep = exact_representation(rng, space, dead)
+    elif null:
+        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    for s in range(space.last_index):
+        for t in range(s + 1, space.n_times):
+            f = drawn_act(rng, space, rng.randint(0, t), exact)
+            h = cce(rep, s, t, f)
+            assert bits(h) == bits(profile_cce(rep, s, t, f))
+            for g in (drawn_act(rng, space, rng.randint(0, s), exact), h):
+                for tol in (1e-9, 0.0, 0.3):
+                    got = compare(rep, s, t, g, f, tol)
+                    tag, members, margin = profile_verdict(rep, s, t, g, f, tol)
+                    assert got.tag == tag
+                    assert tuple(e.members for e in (got.tri.A, got.tri.B, got.tri.C)) == members
+                    assert got.margin.values == margin.values
+                    assert [type(v) for v in got.margin.values] == [type(v) for v in margin.values]
+                    assert got.margin.time_index == margin.time_index
+
+
+def first_state_margins(rep, s, t, g, f):
+    """The guard's margins as a dict: u(s, g) - E[u(t, f) | A] keyed by the
+    first state of each positive time-s atom A."""
+    part, row = rep.space.partitions[s], rep.field.curves_by_state[s]
+    return {
+        part[k][0]: row[part[k][0]](g.values[part[k][0]]) - expected_utility(rep, s, t, f, k)
+        for k in rep.P.positive_atoms(s)
+    }
+
+
+def first_state_guarded_pair(rng, rep, margin=1e-5):
+    """``margin_guarded_pair`` drawn and guarded on first-state margins."""
+    for _ in range(MAX_DRAWS):
+        s, t, g, f = _random_pair(rng, rep.space, ACT_HULL)
+        d = first_state_margins(rep, s, t, g, f)
+        if all(abs(v) >= margin for v in d.values()):
+            return s, t, g, f, d
+    raise RuntimeError("could not draw a margin-guarded pair")
+
+
+def first_state_tag(rep, s, d, tol=1e-9):
+    """The tag of first-state margins ``d``, read atom by atom."""
+    return classify(rep.P, s, [d.get(atom[0]) for atom in rep.space.partitions[s]], tol)[0]
+
+
+def first_state_agreement(rep_a, rep_b, n_pairs, seed):
+    """``verdict_agreement``'s mismatch count on first-state margins."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(n_pairs):
+        s, t, g, f, d = first_state_guarded_pair(rng, rep_a)
+        mismatches += first_state_tag(rep_a, s, d) != first_state_tag(
+            rep_b, s, first_state_margins(rep_b, s, t, g, f)
+        )
+    return mismatches
+
+
+@pytest.mark.parametrize("seed", [3, 17, 41, 97])
+def test_guarded_draws_and_agreement_match_first_state_margins(seed):
+    """``margin_guarded_pair`` draws the pairs, and ``verdict_agreement``
+    counts the mismatches, that the first-state margins did, with the same
+    margins on every positive atom, also when the second representation
+    has a null atom the first does not (a wide guard band rejects draws
+    on the positive atoms alone)."""
+    rng = random.Random(seed)
+    rep_a = random_representation(rng, min_first_split=3)
+    space = rep_a.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1)))
+    rep_b = random_representation(rng, space=space)
+    rep_b = Representation(space, random_measure(rng, space, null_states=dead), rep_b.field)
+    for rep, margin in [(rep_a, 1e-5), (rep_b, 1e-5), (rep_b, 0.05)]:
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            *got, d = margin_guarded_pair(got_rng, rep, margin)
+            *want, want_d = first_state_guarded_pair(want_rng, rep, margin)
+            assert got == want
+            part = space.partitions[got[0]]
+            assert {part[k][0]: d[k] for k in rep.P.positive_atoms(got[0])} == want_d
+        assert got_rng.random() == want_rng.random()
+    counts = [first_state_agreement(rep_a, other, 30, seed) for other in (rep_a, rep_b)]
+    assert counts[0] == 0
+    for other, want in zip((rep_a, rep_b), counts):
+        assert verdict_agreement(rep_a, other, 30, seed=seed) == (30, want)

@@ -17,13 +17,10 @@ from itpref import (  # noqa: E402
     Act,
     BracketError,
     Event,
-    IdentityCurve,
     InducedOracle,
     InvariantError,
-    LinearCurve,
     PiecewiseLinearCurve,
     PreconditionError,
-    ProbabilityMeasure,
     Representation,
     UtilityField,
     cce,
@@ -48,9 +45,7 @@ from itpref.sampling import (  # noqa: E402
 )
 from itpref.scenario import ScenarioSpec, dumps_scenario, loads_scenario  # noqa: E402
 
-
-def bits(act: Act):
-    return [(type(v), repr(v)) for v in act.values], act.null_fill
+from conftest import bits, drawn_act, exact_representation  # noqa: E402
 
 
 def repeated_pattern(rng, space):
@@ -151,26 +146,6 @@ def test_stored_bracket_failures_match_a_fresh_oracle(seed, data):
         before = oracle.queries
         assert outcome(oracle, i, f, 1e-9) == got
         assert oracle.queries == before
-
-
-def exact_representation(rng, space, null_states=()):
-    """A representation whose weights and curves are exact ``Fraction``s."""
-    raw = [0 if s in null_states else rng.randint(1, 9) for s in range(space.n_states)]
-    P = ProbabilityMeasure(space, tuple(Fraction(w, sum(raw)) for w in raw))
-
-    def curve():
-        kind = rng.randrange(3)
-        if kind == 0:
-            return IdentityCurve()
-        if kind == 1:
-            return LinearCurve(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-        up, down = Fraction(rng.randint(1, 9), 4), Fraction(rng.randint(1, 9), 4)
-        return PiecewiseLinearCurve.from_points(
-            [(-2, -2 * down), (0, 0), (Fraction(1, 3), up / 3), (2, up / 3 + Fraction(5, 3) * down)]
-        )
-
-    rows = [[curve() for _ in range(space.n_atoms(i))] for i in range(space.n_times)]
-    return Representation(space, P, UtilityField.from_atom_curves(space, rows))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -290,16 +265,6 @@ def whole_act_verdict(rep, s, t, g, f, tol):
         tag = "mixed"
     members = tuple(frozenset(x for k in ks for x in part[k]) for ks in (a, b, c))
     return tag, members, margin
-
-
-def drawn_act(rng, space, i, exact):
-    """A time-``i`` act: floats on the act hull, or exact ``Fraction``s
-    inside the exact curves' anchors."""
-    if exact:
-        return Act.from_atom_values(
-            space, i, [Fraction(rng.randint(-9, 9), rng.randint(5, 9)) for _ in range(space.n_atoms(i))]
-        )
-    return random_act(rng, space, i)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
