@@ -15,6 +15,7 @@ within bounds".
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -41,7 +42,8 @@ MAX_DISTINCT = 3  # distinct values per simple act when the caller sets no cap
 @dataclass(frozen=True)
 class ActGrid:
     """Finite outcome grid for simple acts: finite, strictly sorted numbers
-    (not bools) containing 0."""
+    (not bools) containing 0, whose extension by +-4*max|grid| stays within
+    the float range."""
 
     values: tuple[Number, ...] = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 
@@ -55,6 +57,16 @@ class ActGrid:
             raise ValueError("grid must contain 0")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("grid values must be strictly sorted")
+        try:
+            fits = math.isfinite(float(4 * self.bound))
+        except OverflowError:
+            fits = False
+        if not fits:
+            x = max(self.values[0], self.values[-1], key=abs)
+            raise ValueError(
+                f"grid value {fmt_number(x)} is too large: the grid's extension "
+                f"+-4*max|grid| exceeds the float range"
+            )
 
     @property
     def bound(self) -> Number:
@@ -80,6 +92,13 @@ class ActGrid:
 
 
 DEFAULT_GRID = ActGrid()
+
+
+def grid_for(oracle: PreferenceOracle, grid: ActGrid) -> ActGrid:
+    """The grid ``oracle`` is audited and recovered on: as given when
+    ``oracle.exact`` holds, else its float form, so a float run neither
+    hashes nor evaluates ``Fraction``s.  Idempotent."""
+    return grid if oracle.exact else grid.float_form()
 
 
 @dataclass
@@ -156,7 +175,7 @@ def derive_null_events(
     every tested act f with certainty equivalent g, rewriting f arbitrarily
     on the atom leaves the equivalence intact.  Exhaustive over the grid up
     to the act cap; i must be at least 1."""
-    space = oracle.space
+    space, grid = oracle.space, grid_for(oracle, grid)
     if i < 1:
         raise ValueError("null events are derived from the preceding step; need i >= 1")
     step = i - 1
@@ -240,7 +259,7 @@ def check_T(
 ) -> TransitionReport:
     """All six transition clauses at step i (the four-clause unconditional
     form when i = 0; consistency and stability are then vacuous)."""
-    space = oracle.space
+    space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
     report = TransitionReport(step=i)
 
@@ -393,7 +412,7 @@ def check_M(
 ) -> CheckResult:
     """Strict monotonicity: raising the pasted constant on an essential event
     must strictly improve the pasted act somewhere essential."""
-    space = oracle.space
+    space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
     up = _essential_atoms(oracle, i + 1, grid)
     ess_i = [space.atom_event(i, k) for k in _essential_atoms(oracle, i, grid)]
@@ -438,7 +457,7 @@ def check_ST(
     (f1, f2) pair pasted with h off A, one must exist for every k off A.
     The required constant is searched by bisection and then over the
     extended grid; absence within the grid closure is the failure."""
-    space = oracle.space
+    space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
     unions = _atom_unions(_essential_atoms(oracle, i + 1, grid), 2, cap=10)
     unions.append(tuple(range(space.n_atoms(i + 1))))
@@ -532,7 +551,7 @@ def check_C(
     the n = 1024 term and the last is that term alone, so some tail holds
     exactly when that term does, and only it is asked, once per strict act,
     sequence and atom."""
-    space = oracle.space
+    space, grid = oracle.space, grid_for(oracle, grid)
     if style not in C_STYLES:
         raise ValueError(f"unknown sequence style {style!r}")
     budget = _Budget(oracle)
@@ -615,12 +634,12 @@ def audit_step(
 ) -> dict[str, CheckResult | TransitionReport]:
     """Run every axiom check at step i; continuity is sampled on a few grid
     acts per sequence style."""
+    grid = grid_for(oracle, grid)
     out: dict[str, CheckResult | TransitionReport] = {}
     out["T"] = check_T(oracle, i, grid)
     out["M"] = check_M(oracle, i, grid)
     out["ST"] = check_ST(oracle, i, grid)
-    space = oracle.space
-    c_acts = enumerate_simple_acts(space, i + 1, grid, max_distinct=2, cap=3)
+    c_acts = enumerate_simple_acts(oracle.space, i + 1, grid, max_distinct=2, cap=3)
     for style in C_STYLES:
         res = CheckResult(True)
         for f in c_acts:

@@ -110,13 +110,26 @@ class MeanMaxOracle(PreferenceOracle):
         super().__init__(space)
         self.P = P
         self.tol = tol
+        self._positive = P.positive_states()
+        self._values: dict = {}
+        self._last: tuple = (None, 0.0)
 
     def _value(self, f: Act) -> float:
-        pos = self.P.positive_states()
-        return float(self.P.expectation(f)) + max(float(f.values[s]) for s in pos)
+        """V(f), memoized like :meth:`InducedOracle.value_profile`: the act
+        asked last by identity, any other by its values."""
+        last_f, last = self._last
+        if f is last_f:
+            return last
+        v = self._values.get(f.values)
+        if v is None:
+            v = float(self.P.expectation(f)) + max(float(f.values[s]) for s in self._positive)
+            self._values[f.values] = v
+        self._last = (f, v)
+        return v
 
     def query(self, i, g, f, A=None):
-        if A is not None and self.P.event_mass(A) == 0:
+        # weights are nonnegative: A is null iff it holds no positive state
+        if A is not None and A.members.isdisjoint(self._positive):
             return QueryAnswer(True, True)
         # time-0 information is trivial, so any essential A is the whole space
         u = float(g.values[0])  # identity initial utility; g is constant

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import DEFAULT_GRID, ActGrid
+from .axioms import DEFAULT_GRID, ActGrid, grid_for
 from .curves import IdentityCurve, MonotoneCurve, PiecewiseLinearCurve
 from .engine import Representation
 from .filtered_space import (
@@ -257,8 +257,7 @@ def recover_representation(
     space = oracle.space
     if space.n_times < 2:
         raise RecoveryError("recovery needs at least two times; the space has one")
-    if not oracle.exact:
-        grid = grid.float_form()
+    grid = grid_for(oracle, grid)
     steps: list[RecoveredStep] = []
     last = _initial_step(u0)
     for i in range(space.n_times - 1):

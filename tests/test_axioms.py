@@ -27,7 +27,7 @@ from itpref import (
     null_events,
     tri_partition,
 )
-from itpref.axioms import C_STYLES
+from itpref.axioms import C_STYLES, grid_for
 from itpref.controls import (
     always_succeq,
     flat_segment,
@@ -274,7 +274,7 @@ NOT_FALSIFIED = (True, None, "not falsified within bounds +-8")
 NO_EQUIVALENT = (True, None, "no certainty equivalent bracketable; premise vacuous")
 FLAT_M = (
     False,
-    "A={x} f=(-2,-2,-2) g1=-1/2 g2=0: equivalent of the g1-paste is not strictly below "
+    "A={x} f=(-2,-2,-2) g1=-0.5 g2=0: equivalent of the g1-paste is not strictly below "
     "the g2-paste on any essential event",
     "",
 )
@@ -619,3 +619,41 @@ class TestEnumeration:
 
         with pytest.raises(ValueError, match=message):
             ActGrid(values)
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ((-1, 0, 1, 1e308), "1e+308"),
+            ((-(10**308), 0), f"-{10**308}"),
+            ((0, Fraction(2 * 10**308, 3)), f"{2 * 10**308}/3"),
+        ],
+        ids=["float", "int", "fraction"],
+    )
+    def test_grid_rejects_an_extension_beyond_the_float_range(self, values, named):
+        from itpref import ActGrid
+
+        with pytest.raises(ValueError) as err:
+            ActGrid(values)
+        assert str(err.value) == (
+            f"grid value {named} is too large: the grid's extension +-4*max|grid| "
+            f"exceeds the float range"
+        )
+
+    def test_grid_extension_at_the_float_limit_is_finite(self):
+        from itpref import ActGrid
+
+        assert ActGrid((0, 4e307)).extended() == (-1.6e308, 0, 4e307, 1.6e308)
+
+
+def test_audit_grid_follows_the_oracle_number_kind():
+    """Exact oracles are audited on the grid as given, inexact ones on its
+    float form; PINNED_RESULTS shows both in print: intransitive-band's
+    ``-1/2`` and flat-segment's ``-0.5``."""
+    exact = intransitive_band()
+    assert exact.exact and grid_for(exact, DEFAULT_GRID) is DEFAULT_GRID
+    inexact = flat_segment()
+    grid = grid_for(inexact, DEFAULT_GRID)
+    assert [(type(x), x) for x in grid.values] == [
+        (int, -2), (int, -1), (float, -0.5), (int, 0), (float, 0.5), (int, 1), (int, 2)
+    ]
+    assert grid_for(inexact, grid) == grid

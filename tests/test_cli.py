@@ -353,3 +353,22 @@ def test_grid_value_beyond_float_range_is_input_error(capsys, args):
     assert code == 2
     assert out == ""
     assert f"error: --grid value '{HUGE}' is beyond the float range" in err
+
+
+@pytest.mark.parametrize("args", GRID_COMMANDS, ids=[a[0] for a in GRID_COMMANDS])
+def test_grid_whose_extension_overflows_is_input_error(capsys, args):
+    # 1e308 is a float, but the audits' +-4*max|grid| constants are not
+    code, out, err = run(capsys, args + ["--grid=-1,0,1,1e308"])
+    assert code == 2
+    assert out == ""
+    assert "error: grid value 1e+308 is too large" in err
+
+
+def test_axioms_on_a_float_scenario_rejects_grid_values_with_one_float(capsys):
+    code, out, err = run(capsys, [
+        "axioms", "--scenario", BINOMIAL, "--step", "0",
+        "--grid=-1,0,1,1000000000000000001/1000000000000000000",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "1 and 1000000000000000001/1000000000000000000 are the same float 1.0" in err

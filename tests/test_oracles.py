@@ -15,6 +15,7 @@ except ImportError:  # only the property test at the end needs hypothesis
 from itpref import (
     Act,
     BracketError,
+    Event,
     FilteredSpace,
     InducedOracle,
     ProbabilityMeasure,
@@ -24,6 +25,7 @@ from itpref import (
 )
 from itpref.controls import (
     AlwaysSucceqOracle,
+    MeanMaxOracle,
     identity_representation,
     intransitive_band,
     nonadditive_meanmax,
@@ -108,6 +110,35 @@ class TestInducedOracle:
             answers = [per_atom.atom_answers(1, f, k) for k in range(space.n_atoms(1))]
             assert [answers[k](c) for k, c in asked] == want
             assert per_atom.queries == single.queries == len(asked)
+
+
+class TestMeanMaxMemo:
+    def test_shared_values_answer_as_a_fresh_oracle_would(self):
+        space, _ = three_atom_space()
+        P = ProbabilityMeasure(space, (Fraction(1, 4), 0, Fraction(3, 4)))  # {y} is null
+        f = Act.from_atom_values(space, 1, [1, 0, -1])  # V(f) = -1/2 + 1
+        twin = Act.from_atom_values(space, 1, [1, 0, -1])
+        as_floats = Act.from_atom_values(space, 1, [1.0, 0.0, -1.0])
+        h = Act.from_atom_values(space, 1, [Fraction(1, 3), 5, -0.5])  # 5 sits on the null state
+        acts = [f, f, twin, h, as_floats, f, h, h, twin]
+        events = [
+            None,
+            space.whole_event(0),
+            Event(space, frozenset(), 0),
+            *space.atom_events(1),
+        ]
+        constants = [Act.constant(space, 0, c) for c in (0, 0.5, 0.5 + 2e-9, Fraction(5, 6), 1)]
+        oracle = MeanMaxOracle(space, P)
+        asked = 0
+        for x in acts:
+            for g in constants:
+                for A in events:
+                    got = oracle.ask(0, g, x, A)
+                    asked += 1
+                    assert oracle.queries == asked
+                    assert got == MeanMaxOracle(space, P).ask(0, g, x, A), (x.values, g.values, A)
+        answers = {oracle.ask(0, g, f, A) for g in constants for A in events}
+        assert len(answers) == 3  # better, worse and equivalent all occur
 
 
 class TestIndifference:

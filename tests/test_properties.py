@@ -24,6 +24,10 @@ from itpref import (  # noqa: E402
     Representation,
     UtilityField,
     cce,
+    check_C,
+    check_M,
+    check_ST,
+    check_T,
     compare,
     conditional_expectation,
     indifference_profile,
@@ -31,7 +35,8 @@ from itpref import (  # noqa: E402
     recover_representation,
 )
 from itpref.apps import villa_scenario  # noqa: E402
-from itpref.controls import identity_representation, three_atom_space  # noqa: E402
+from itpref.axioms import C_STYLES  # noqa: E402
+from itpref.controls import flat_segment, identity_representation, three_atom_space  # noqa: E402
 from itpref.engine import expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
@@ -558,3 +563,64 @@ def test_scenario_text_round_trips_byte_for_byte(seed):
         acts = {f"f{t}": random_act(rng, r.space, t) for t in range(r.space.n_times)}
         text = dumps_scenario(ScenarioSpec(r.space, r.P, r.field, acts, title=f"seed {seed}"))
         assert dumps_scenario(loads_scenario(text)) == text
+
+
+class ExactView(InducedOracle):
+    """An induced oracle declared exact, so the audits take the grid as
+    given: the reference for the float-form audits of an inexact one."""
+
+    exact = True
+
+
+def floats_printed(text):
+    """``text`` with every ``p/q`` printed as its float."""
+    if text is None:
+        return None
+    return re.sub(r"-?\d+/\d+", lambda m: repr(float(Fraction(m.group()))), text)
+
+
+def audit_results(oracle, i, f, cap=None):
+    """(passed, counterexample, note, queries) of every check at step i."""
+    kwargs = {} if cap is None else {"cap": cap}
+    results = list(check_T(oracle, i, **kwargs).clauses.values())
+    results += [check_M(oracle, i, **kwargs), check_ST(oracle, i, **kwargs)]
+    results += [check_C(oracle, i, f, style) for style in C_STYLES]
+    return [(r.passed, r.counterexample, r.note, r.queries) for r in results]
+
+
+def assert_float_form_audit_matches(rep, i, f, cap=None):
+    """The audits of ``rep``'s inexact oracle equal those of its exact view,
+    once the view's counterexamples print their ``Fraction``s as floats."""
+    oracle = InducedOracle(rep)
+    assert not oracle.exact
+    want = [
+        (passed, floats_printed(c), note, queries)
+        for passed, c, note, queries in audit_results(ExactView(rep), i, f, cap)
+    ]
+    assert audit_results(oracle, i, f, cap) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n_times=st.sampled_from((2, 3)), data=st.data())
+def test_float_form_audits_match_the_fraction_grid(seed, n_times, data):
+    """An inexact induced oracle audited on the default grid's float form
+    gives every check's result and query count of the same oracle audited
+    on the grid's ``Fraction``s."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=n_times)
+    i = data.draw(st.integers(0, n_times - 2))
+    assert_float_form_audit_matches(rep, i, random_act(rng, rep.space, i + 1), cap=400)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_float_form_audits_match_on_criterion5(i):
+    rng = random.Random(55)
+    rep = random_representation(rng, n_times=3, kinds=("pl", "linear", "identity"), min_first_split=3)
+    fs = [random_act(rng, rep.space, j + 1) for j in (0, 1)]
+    assert_float_form_audit_matches(rep, i, fs[i])
+
+
+def test_float_form_audits_match_on_the_flat_segment():
+    # the one control whose counterexample prints a grid Fraction
+    rep = flat_segment().rep
+    assert_float_form_audit_matches(rep, 0, Act.from_atom_values(rep.space, 1, [1, 0, -1]))
