@@ -27,6 +27,7 @@ from .filtered_space import Act, Event, FilteredSpace, Number, _is_finite, paste
 from .oracles import (
     BracketError,
     PreferenceOracle,
+    QueryAnswer,
     indifference_profile,
 )
 
@@ -175,39 +176,46 @@ def derive_null_events(
     every tested act f with certainty equivalent g, rewriting f arbitrarily
     on the atom leaves the equivalence intact.  Exhaustive over the grid up
     to the act cap; i must be at least 1."""
+    return _null_events(_Budget(oracle), i, grid)
+
+
+def _null_events(budget: _Budget, i: int, grid: ActGrid) -> list[Event]:
+    """:func:`derive_null_events`, asking through ``budget``'s table."""
+    oracle = budget.oracle
     space, grid = oracle.space, grid_for(oracle, grid)
     if i < 1:
         raise ValueError("null events are derived from the preceding step; need i >= 1")
     step = i - 1
     candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=NULL_PROBE_ACTS)
+    consts = [Act.constant(space, i, c) for c in grid.values]
+    equivalents: dict = {}
 
-    def rewrite_keeps_equivalence(f: Act, A: Event) -> bool:
-        try:
-            g = indifference_profile(oracle, step, f, BISECT_TOL)
-        except BracketError:
+    def rewrite_keeps_equivalence(n: int, A: Event) -> bool:
+        f = candidates[n]
+        g = _equivalent(oracle, step, f, equivalents, n)
+        if g is None:
             return True
-        return not oracle.ask(step, g, f).equiv or all(
-            oracle.ask(step, g, paste(Act.constant(space, i, c), f, A)).equiv
-            for c in grid.values
+        return not budget.ask(step, g, f).equiv or all(
+            budget.ask(step, g, paste(c, f, A)).equiv for c in consts
         )
 
     return [
         A for A in space.atom_events(i)
-        if all(rewrite_keeps_equivalence(f, A) for f in candidates)
+        if all(rewrite_keeps_equivalence(n, A) for n in range(len(candidates)))
     ]
 
 
-def _null_indices(oracle: PreferenceOracle, level: int, grid: ActGrid) -> frozenset[int]:
+def _null_indices(budget: _Budget, level: int, grid: ActGrid) -> frozenset[int]:
     if level < 1:
         return frozenset()
-    nulls = derive_null_events(oracle, level, grid)
-    amap = oracle.space.atom_index_map(level)
+    nulls = _null_events(budget, level, grid)
+    amap = budget.oracle.space.atom_index_map(level)
     return frozenset(amap[min(e.members)] for e in nulls)
 
 
-def _essential_atoms(oracle: PreferenceOracle, level: int, grid: ActGrid) -> list[int]:
-    nulls = _null_indices(oracle, level, grid)
-    return [k for k in range(oracle.space.n_atoms(level)) if k not in nulls]
+def _essential_atoms(budget: _Budget, level: int, grid: ActGrid) -> list[int]:
+    nulls = _null_indices(budget, level, grid)
+    return [k for k in range(budget.oracle.space.n_atoms(level)) if k not in nulls]
 
 
 def _atom_unions(ks: Sequence[int], max_size: int, cap: int) -> list[tuple[int, ...]]:
@@ -219,15 +227,27 @@ def _atom_unions(ks: Sequence[int], max_size: int, cap: int) -> list[tuple[int, 
 
 
 class _Budget:
-    """Query accounting for one check, and the only place its results are
-    finished: capped loops draw their items through :meth:`each`, and every
-    result leaves through :meth:`close`."""
+    """Query accounting and the table of answers for one check, and the only
+    place its results are finished: the check asks through :meth:`ask`,
+    capped loops draw their items through :meth:`each`, and every result
+    leaves through :meth:`close`.  The table lives as long as the check."""
 
     def __init__(self, oracle: PreferenceOracle, cap: int = QUERY_CAP) -> None:
         self.oracle = oracle
         self.start = oracle.queries
         self.cap = cap
         self.hit = False
+        self._answers: dict = {}
+
+    def ask(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
+        """``oracle.ask``, asked once per distinct question: answers are
+        deterministic, so a question asked before is answered from the
+        table and costs no query."""
+        key = (i, g.time_index, g.values, f.time_index, f.values, None if A is None else A.members)
+        ans = self._answers.get(key)
+        if ans is None:
+            ans = self._answers[key] = self.oracle.ask(i, g, f, A)
+        return ans
 
     @property
     def spent(self) -> int:
@@ -251,6 +271,17 @@ class _Budget:
         return res
 
 
+def _equivalent(oracle: PreferenceOracle, i: int, X: Act, found: dict, key) -> Act | None:
+    """X's certainty equivalent at step i, or None when it does not bracket,
+    searched once per ``key`` of ``found``."""
+    if key not in found:
+        try:
+            found[key] = indifference_profile(oracle, i, X, BISECT_TOL)
+        except BracketError:
+            found[key] = None
+    return found[key]
+
+
 def check_T(
     oracle: PreferenceOracle,
     i: int,
@@ -261,9 +292,10 @@ def check_T(
     form when i = 0; consistency and stability are then vacuous)."""
     space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
+    ask = budget.ask
     report = TransitionReport(step=i)
 
-    null_i = _null_indices(oracle, i, grid)
+    null_i = _null_indices(budget, i, grid)
     null_union = space.union_event(i, null_i)
     ess = [k for k in range(space.n_atoms(i)) if k not in null_i]
     ess_atoms = [space.atom_event(i, k) for k in ess]
@@ -273,19 +305,20 @@ def check_T(
     else:
         g_acts = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=24)
     ext = grid.extended()
+    ext_acts = [(c, Act.constant(space, i, c)) for c in ext]
 
     # 1. local completeness
     res = CheckResult(True)
     for g, f in budget.each(itertools.product(g_acts, f_acts)):
         if i == 0:
-            if oracle.ask(0, g, f).undecided:
+            if ask(0, g, f).undecided:
                 res = CheckResult(False, f"g={_vals(g)} f={_vals(f)} undecided")
                 break
         else:
             if not ess_atoms:
                 res = CheckResult(False, "no essential event answers any comparison")
                 break
-            if all(oracle.ask(i, g, f, A).undecided for A in ess_atoms):
+            if all(ask(i, g, f, A).undecided for A in ess_atoms):
                 res = CheckResult(
                     False, f"g={_vals(g)} f={_vals(f)} undecided on every essential atom"
                 )
@@ -295,8 +328,8 @@ def check_T(
     # 2. transitivity
     res = CheckResult(True)
     for f in budget.each(f_acts):
-        lows = [c for c in ext if oracle.ask(i, Act.constant(space, i, c), f).preceq]
-        highs = [c for c in ext if oracle.ask(i, Act.constant(space, i, c), f).succeq]
+        lows = [c for c, const in ext_acts if ask(i, const, f).preceq]
+        highs = [c for c, const in ext_acts if ask(i, const, f).succeq]
         if not lows or not highs:
             continue
         a, b = max(lows), min(highs)
@@ -312,7 +345,7 @@ def check_T(
                 break
     if res.passed and i >= 1:
         for f, g, h in budget.each(itertools.product(f_acts[:32], g_acts, g_acts)):
-            if oracle.ask(i, g, f).succeq and oracle.ask(i, h, f).preceq:
+            if ask(i, g, f).succeq and ask(i, h, f).preceq:
                 where = {s for s in range(space.n_states) if g.values[s] < h.values[s]}
                 if not where <= null_union.members:
                     res = CheckResult(
@@ -330,7 +363,7 @@ def check_T(
     if len(null_i) > 1:
         null_events.append(null_union)
     for A, B in budget.each(itertools.product(null_events, repeat=2)):
-        if not oracle.ask(i, A.indicator(i), B.indicator(i + 1)).equiv:
+        if not ask(i, A.indicator(i), B.indicator(i + 1)).equiv:
             res = CheckResult(False, f"1_{A.label()} !~ 1_{B.label()} despite both null")
             break
     report.clauses["3 normalization"] = budget.close(res)
@@ -338,14 +371,8 @@ def check_T(
     # 4. non-degeneracy: dominating/dominated constants within the extension
     res = CheckResult(True, note=f"not falsified within bounds +-{ext[-1]}")
     for f in budget.each(f_acts):
-        g2 = next(
-            (c for c in reversed(ext) if oracle.ask(i, Act.constant(space, i, c), f).succeq),
-            None,
-        )
-        g1 = next(
-            (c for c in ext if oracle.ask(i, Act.constant(space, i, c), f).preceq),
-            None,
-        )
+        g2 = next((c for c, const in reversed(ext_acts) if ask(i, const, f).succeq), None)
+        g1 = next((c for c, const in ext_acts if ask(i, const, f).preceq), None)
         if g2 is None or g1 is None:
             side = "dominating" if g2 is None else "dominated"
             res = CheckResult(
@@ -366,7 +393,7 @@ def check_T(
         res6 = CheckResult(True)
         masks = [space.union_event(i, ks) for ks in _atom_unions(ess, len(ess), cap=32)]
         for g, f in budget.each(itertools.product(g_acts[:8], f_acts[:48])):
-            answers = {ev.members: oracle.ask(i, g, f, ev) for ev in masks}
+            answers = {ev.members: ask(i, g, f, ev) for ev in masks}
             for ev in masks:
                 big = answers[ev.members]
                 for sub in masks:
@@ -414,34 +441,41 @@ def check_M(
     must strictly improve the pasted act somewhere essential."""
     space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
-    up = _essential_atoms(oracle, i + 1, grid)
-    ess_i = [space.atom_event(i, k) for k in _essential_atoms(oracle, i, grid)]
+    ask = budget.ask
+    up = _essential_atoms(budget, i + 1, grid)
+    ess_i = [space.atom_event(i, k) for k in _essential_atoms(budget, i, grid)]
     events = [space.union_event(i + 1, ks) for ks in _atom_unions(up, 2, cap=12)]
     f_acts = enumerate_simple_acts(space, i + 1, grid, max_distinct=2, cap=12)
-    pairs = list(itertools.combinations(grid.values, 2))
+    consts = [Act.constant(space, i + 1, g) for g in grid.values]
+    pairs = list(itertools.combinations(range(len(consts)), 2))
     skipped = 0
+    row_A = row_f = None
 
-    for A, f, (g1, g2) in budget.each(itertools.product(events, f_acts, pairs)):
-        X1 = paste(Act.constant(space, i + 1, g1), f, A)
-        X2 = paste(Act.constant(space, i + 1, g2), f, A)
+    for A, f, (n1, n2) in budget.each(itertools.product(events, f_acts, pairs)):
+        if A is not row_A or f is not row_f:
+            # the pairs run innermost: each grid constant pasted on A over f,
+            # and each paste's certainty equivalent, built once per (A, f)
+            row_A, row_f = A, f
+            row = [paste(c, f, A) for c in consts]
+            equivalents = {}
         # the equivalent of each paste must sit strictly on its side of the other
-        for X, Y, below, side in (
-            (X1, X2, True, "g1-paste is not strictly below the g2-paste"),
-            (X2, X1, False, "g2-paste is not strictly above the g1-paste"),
+        for n, m, below, side in (
+            (n1, n2, True, "g1-paste is not strictly below the g2-paste"),
+            (n2, n1, False, "g2-paste is not strictly above the g1-paste"),
         ):
-            try:
-                c = indifference_profile(oracle, i, X, BISECT_TOL)
-            except BracketError:
+            X, Y = row[n], row[m]
+            c = _equivalent(oracle, i, X, equivalents, n)
+            if c is None:
                 skipped += 1
                 break
-            if oracle.ask(i, c, X).equiv and not any(
+            if ask(i, c, X).equiv and not any(
                 (ans.preceq if below else ans.succeq) and not ans.equiv
-                for ans in (oracle.ask(i, c, Y, b) for b in ess_i)
+                for ans in (ask(i, c, Y, e) for e in ess_i)
             ):
                 return budget.close(CheckResult(
                     False,
-                    f"A={A.label()} f={_vals(f)} g1={g1} g2={g2}: equivalent of the "
-                    f"{side} on any essential event",
+                    f"A={A.label()} f={_vals(f)} g1={grid.values[n1]} g2={grid.values[n2]}: "
+                    f"equivalent of the {side} on any essential event",
                 ))
     note = f"{skipped} premises not instantiable" if skipped else ""
     return budget.close(CheckResult(True, note=note))
@@ -459,11 +493,12 @@ def check_ST(
     extended grid; absence within the grid closure is the failure."""
     space, grid = oracle.space, grid_for(oracle, grid)
     budget = _Budget(oracle, cap)
-    unions = _atom_unions(_essential_atoms(oracle, i + 1, grid), 2, cap=10)
+    ask = budget.ask
+    unions = _atom_unions(_essential_atoms(budget, i + 1, grid), 2, cap=10)
     unions.append(tuple(range(space.n_atoms(i + 1))))
     consts = list(grid.values)
     h_acts = [Act.constant(space, i + 1, h) for h in consts]
-    ext = grid.extended()
+    ext_acts = [Act.constant(space, i, c) for c in grid.extended()]
 
     for atoms in unions:
         A = space.union_event(i + 1, atoms)
@@ -473,36 +508,29 @@ def check_ST(
             for k, v in zip(atoms, combo):
                 per_atom[k] = v
             f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
-        # pasted[j][n]: candidate j on A and the n-th grid constant off it, built once
+        # pasted[j][n]: candidate j on A and the n-th grid constant off it, built
+        # once; its certainty equivalent is searched on first use
         pasted = [[paste(f, h, A) for h in h_acts] for f in f_cands]
+        equivalents: dict = {}
         for j1, j2 in budget.each(itertools.product(range(len(f_cands)), repeat=2)):
             f1, f2 = f_cands[j1], f_cands[j2]
             if f1.values == f2.values:
                 continue
             premise_h = None
-            for h, X1, X2 in zip(consts, pasted[j1], pasted[j2]):
-                try:
-                    c1 = indifference_profile(oracle, i, X1, BISECT_TOL)
-                except BracketError:
-                    continue
-                if oracle.ask(i, c1, X1).succeq and oracle.ask(i, c1, X2).preceq:
+            for n, (h, X1, X2) in enumerate(zip(consts, pasted[j1], pasted[j2])):
+                c1 = _equivalent(oracle, i, X1, equivalents, (j1, n))
+                if c1 is not None and ask(i, c1, X1).succeq and ask(i, c1, X2).preceq:
                     premise_h = h
                     break
             if premise_h is None:
                 continue
-            for k, Y1, Y2 in zip(consts, pasted[j1], pasted[j2]):
-                found = False
-                try:
-                    g2 = indifference_profile(oracle, i, Y1, BISECT_TOL)
-                    found = oracle.ask(i, g2, Y1).succeq and oracle.ask(i, g2, Y2).preceq
-                except BracketError:
-                    pass
+            for n, (k, Y1, Y2) in enumerate(zip(consts, pasted[j1], pasted[j2])):
+                g2 = _equivalent(oracle, i, Y1, equivalents, (j1, n))
+                found = g2 is not None and ask(i, g2, Y1).succeq and ask(i, g2, Y2).preceq
                 if not found:
-                    for c in ext:
-                        cand = Act.constant(space, i, c)
-                        if oracle.ask(i, cand, Y1).succeq and oracle.ask(i, cand, Y2).preceq:
-                            found = True
-                            break
+                    found = any(
+                        ask(i, cand, Y1).succeq and ask(i, cand, Y2).preceq for cand in ext_acts
+                    )
                 if not found:
                     return budget.close(CheckResult(
                         False,
@@ -555,11 +583,12 @@ def check_C(
     if style not in C_STYLES:
         raise ValueError(f"unknown sequence style {style!r}")
     budget = _Budget(oracle)
+    ask = budget.ask
     f = f if f.time_index == i + 1 else f.at_time(i + 1)
     ess_i = (
         [space.whole_event(i)]
         if i == 0
-        else [space.atom_event(i, k) for k in _essential_atoms(oracle, i, grid)]
+        else [space.atom_event(i, k) for k in _essential_atoms(budget, i, grid)]
     )
     try:
         profile = indifference_profile(oracle, i, f, BISECT_TOL)
@@ -571,9 +600,9 @@ def check_C(
     for delta in C_DELTAS:
         for below in (True, False):
             g = profile.shift(-delta if below else delta)
-            ans = oracle.ask(i, g, f)
+            ans = ask(i, g, f)
             if (ans.preceq if below else ans.succeq) and not any(
-                oracle.ask(i, g, f, b).equiv for b in ess_i
+                ask(i, g, f, b).equiv for b in ess_i
             ):
                 samples.append((g, below))
     if not samples:
@@ -584,7 +613,7 @@ def check_C(
     for g, below in samples:
         for fn in tail:
             for b in ess_i:
-                ans = oracle.ask(i, g, fn, b)
+                ans = ask(i, g, fn, b)
                 if not (ans.preceq if below else ans.succeq):
                     return budget.close(CheckResult(
                         False,
@@ -611,7 +640,7 @@ def tri_partition(
     b: list[int] = []
     c: list[int] = []
     violations: list[str] = []
-    for k in _essential_atoms(oracle, i, grid):
+    for k in _essential_atoms(_Budget(oracle), i, grid):
         ev = space.atom_event(i, k)
         ans = oracle.ask(i, g, f, ev)
         if ans.equiv:

@@ -72,10 +72,11 @@ class IntransitiveBandOracle(InducedOracle):
     def __init__(self, rep: Representation, target: Act) -> None:
         super().__init__(rep)
         self.target = target
+        self._target_value = rep.P.expectation(rep.field.eval(1, target))
 
     def query(self, i, g, f, A=None):
         if i == 0 and f.values == self.target.values and (A is None or len(A.members) == self.space.n_states):
-            v = self.rep.P.expectation(self.rep.field.eval(1, f))
+            v = self._target_value
             u = self.rep.u0(g.values[0])
             return QueryAnswer(u >= v - self.HALF_BAND, u <= v + self.tol)
         return super().query(i, g, f, A)
