@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .filtered_space import Number, _is_exact
 
@@ -68,6 +68,13 @@ class MonotoneCurve:
 
     def __call__(self, x: Number) -> Number:
         raise NotImplementedError
+
+    @property
+    def evaluator(self) -> Callable[[Number], Number]:
+        """x ↦ u(x) as a plain callable: loops that evaluate one curve many
+        times bind it once.  ``evaluator(x)`` is ``self(x)`` bit for bit; by
+        default it is the curve itself, through its ``__call__``."""
+        return self
 
     def invert(self, y: Number, tol: float = INVERT_TOL) -> Number:
         return self.invert_detailed(y, tol).x
@@ -253,8 +260,11 @@ class PiecewiseLinearCurve(MonotoneCurve):
             else:
                 raise ValueError("points must be (x,y) or (x,left,value,right)")
         curve = cls(tuple(anchors))
-        if abs(curve(0)) > NORM_TOL:
-            raise ValueError(f"curve is not normalized: u(0) = {curve(0)!r}")
+        # a throwaway evaluator, so that building a curve caches none: an int
+        # argument reads only the exact abscissae, so none are converted
+        u0 = _piecewise_linear(curve.anchors, curve._slopes, curve._xs, curve._xs)(0)
+        if abs(u0) > NORM_TOL:
+            raise ValueError(f"curve is not normalized: u(0) = {u0!r}")
         if strict:
             for i, s in enumerate(curve._slopes):
                 if not s > 0:
@@ -272,15 +282,16 @@ class PiecewiseLinearCurve(MonotoneCurve):
     def _xs(self) -> tuple[Number, ...]:
         return tuple(a[0] for a in self.anchors)
 
-    @cached_property
+    @property
     def _float_xs(self) -> tuple[Number, ...]:
         """The abscissae a float argument is compared with: as floats when
         every one converts exactly, so each comparison gives the same result
         without converting the argument to a ``Fraction``; else ``_xs``.
-        Exact runs (villa) evaluate curves
-        recovered on the ``Fraction`` grid at float certainty equivalents:
-        without this, ``itpref recover`` on villa took 22-24 ms, not 17-19 ms
-        (2 vCPU, Python 3.11).  It can go once those equivalents are exact."""
+        Exact runs (villa) evaluate curves recovered on the ``Fraction`` grid
+        at float certainty equivalents, so every query of their oracle
+        searches would otherwise compare a float with ``Fraction``s.  Only
+        the evaluator reads it, once, and keeps it.  It can go once those
+        equivalents are exact."""
         xs = self._xs
         try:
             fxs = tuple(map(float, xs))
@@ -288,21 +299,18 @@ class PiecewiseLinearCurve(MonotoneCurve):
             return xs
         return fxs if fxs == xs else xs
 
+    @cached_property
+    def evaluator(self) -> Callable[[Number], Number]:
+        """The curve's one copy of its arithmetic, built on first use."""
+        return _piecewise_linear(self.anchors, self._slopes, self._xs, self._float_xs)
+
     def __call__(self, x: Number) -> Number:
-        anchors, slopes = self.anchors, self._slopes
-        xs = self._float_xs if type(x) is float else self._xs
-        if x < xs[0]:
-            first = anchors[0]
-            return first[1] + slopes[0] * (x - first[0])
-        if x > xs[-1]:
-            last = anchors[-1]
-            return last[3] + slopes[-1] * (x - last[0])
-        # xs[i] <= x < xs[i + 1], or x is the last anchor
-        i = bisect_right(xs, x) - 1
-        a = anchors[i]
-        if x == xs[i]:
-            return a[2]
-        return a[3] + slopes[i] * (x - a[0])
+        return self.evaluator(x)
+
+    def __getstate__(self) -> dict:
+        # the cached evaluator is a closure, which does not pickle; a copy
+        # builds its own on first use
+        return {"anchors": self.anchors}
 
     def invert_detailed(self, y: Number, tol: float = INVERT_TOL) -> Inversion:
         slopes = self._slopes
@@ -334,6 +342,34 @@ class PiecewiseLinearCurve(MonotoneCurve):
                     f"({fmt_number(x)},{fmt_number(l)},{fmt_number(v)},{fmt_number(r)})"
                 )
         return "pl(" + ",".join(parts) + ")"
+
+
+def _piecewise_linear(
+    anchors: tuple[tuple[Number, Number, Number, Number], ...],
+    slopes: tuple[Number, ...],
+    xs: tuple[Number, ...],
+    float_xs: tuple[Number, ...],
+) -> Callable[[Number], Number]:
+    """The evaluator of the piecewise-linear curve with these anchors and
+    segment slopes: a float argument is placed among ``float_xs``, any
+    other among ``xs``."""
+
+    def evaluate(x: Number) -> Number:
+        at = float_xs if type(x) is float else xs
+        if x < at[0]:
+            first = anchors[0]
+            return first[1] + slopes[0] * (x - first[0])
+        if x > at[-1]:
+            last = anchors[-1]
+            return last[3] + slopes[-1] * (x - last[0])
+        # at[i] <= x < at[i + 1], or x is the last anchor
+        i = bisect_right(at, x) - 1
+        a = anchors[i]
+        if x == at[i]:
+            return a[2]
+        return a[3] + slopes[i] * (x - a[0])
+
+    return evaluate
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
     mass = P.atom_masses(s)[k]
     if not mass > 0:
         return 0
-    row, weights, values = rep.field.curves_by_state[t], P.weights, f.values
+    row, weights, values = rep.field.evaluators_by_state[t], P.weights, f.values
     value = sum((weights[x] * row[x](values[x]) for x in rep.space.partitions[s][k]), 0) / mass
     if not _is_finite(value):
         raise InvariantError("act values must be finite")
@@ -189,8 +189,9 @@ def margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> list[Number]
     """u(s, g) - E[u(t, f) | A] on each time-``s`` atom A, in atom order: the
     atom's curve at g's value there, minus :func:`expected_utility`."""
     _check_measurable(g, s)
+    row = rep.field.evaluators_by_state[rep.space.check_time_index(s)]
     return [
-        rep.field.curve_on_atom(s, k)(g.values[atom[0]]) - expected_utility(rep, s, t, f, k)
+        row[atom[0]](g.values[atom[0]]) - expected_utility(rep, s, t, f, k)
         for k, atom in enumerate(rep.space.partitions[s])
     ]
 

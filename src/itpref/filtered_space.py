@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -149,6 +150,10 @@ class FilteredSpace:
             for i, part in enumerate(self.partitions)
         )
 
+    @cached_property
+    def _atom_pickers(self) -> tuple[tuple[itemgetter, ...], ...]:
+        return tuple(tuple(itemgetter(*atom) for atom in part) for part in self.partitions)
+
     def n_atoms(self, i: int) -> int:
         return len(self.partitions[self.check_time_index(i)])
 
@@ -161,6 +166,12 @@ class FilteredSpace:
     def atom_events(self, i: int) -> tuple["Event", ...]:
         """The time-``i`` atoms as events, in atom order."""
         return self._atom_events[self.check_time_index(i)]
+
+    def atom_pickers(self, i: int) -> tuple[itemgetter, ...]:
+        """Per time-``i`` atom, in atom order, the picker of a value tuple's
+        entries on the atom's states: a tuple of them, or the one value of a
+        one-state atom."""
+        return self._atom_pickers[self.check_time_index(i)]
 
     def atom_event(self, i: int, k: int) -> "Event":
         return self.atom_events(i)[k]

@@ -112,6 +112,10 @@ class InducedOracle(PreferenceOracle):
         """:attr:`Representation.exact` of the representation answering."""
         return self.rep.exact
 
+    def __getstate__(self) -> dict:
+        # the cached curve evaluators can be closures, which do not pickle
+        return {**self.__dict__, "_query_atoms": {}}
+
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
         for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``.
@@ -130,13 +134,14 @@ class InducedOracle(PreferenceOracle):
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
-        # (atom, first state, curve) of each positive atom inside A, per (i, A's states)
+        # (atom, first state, curve evaluator) of each positive atom inside A,
+        # per (i, A's states)
         key = (i, None if A is None else A.members)
         atoms = self._query_atoms.get(key)
         if atoms is None:
             field, part = self.rep.field, self.space.partitions[i]
             atoms = self._query_atoms[key] = tuple(
-                (k, part[k][0], field.curve_on_atom(i, k))
+                (k, part[k][0], field.curve_on_atom(i, k).evaluator)
                 for k in self.rep.P.positive_atoms(i)
                 if A is None or part[k][0] in A.members
             )
@@ -162,7 +167,7 @@ class InducedOracle(PreferenceOracle):
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:  # null: ``query`` answers both ways
             return super().atom_answers(i, f, k)
-        curve = self.rep.field.curve_on_atom(i, k)
+        curve = self.rep.field.curve_on_atom(i, k).evaluator
         tol = self.tol
 
         def answer(c: float) -> QueryAnswer:
@@ -174,9 +179,13 @@ class InducedOracle(PreferenceOracle):
 
 
 def _answers_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Answer:
-    """c ↦ ``oracle.ask`` of c·1_A vs f·1_A."""
+    """c ↦ ``oracle.ask`` of c·1_A vs f·1_A.  ``c`` must be finite, as every
+    constant :func:`_search` asks is, so each query's act is built
+    unvalidated once ``i`` is checked."""
     space = oracle.space
-    return lambda c: oracle.ask(i, Act.constant(space, i, c), f, A)
+    n = space.n_states
+    space.check_time_index(i)
+    return lambda c: oracle.ask(i, Act._trusted(space, i, (c,) * n), f, A)
 
 
 def _search(answer: Answer, i: int, A: Event, tol: float):
@@ -237,8 +246,8 @@ def atom_certainty_equivalents(
     space = oracle.space
     values, memo, events = f.values, oracle._atom_memo, space.atom_events(i)
     found = []
-    for k, atom in enumerate(space.partitions[i]):
-        atom_key = (i, k, f.time_index, tuple([values[s] for s in atom]), tol)
+    for k, pick in enumerate(space.atom_pickers(i)):
+        atom_key = (i, k, f.time_index, pick(values), tol)
         c = memo.get(atom_key, _UNSEARCHED)
         if c is _UNSEARCHED:
             c = memo[atom_key] = _search(oracle.atom_answers(i, f, k), i, events[k], tol)

@@ -69,11 +69,13 @@ def _debreu_candidates(
     on each atom and are not 0 everywhere."""
     z = xs.index(0)  # xs holds X_BAR > 0, so z + 1 is in range
     picks = tuple(dict.fromkeys((max(z - 1, 0), z, z + 1)))
+    amap = space.atom_index_map(level)
     out = []
     for pos in itertools.product(picks, repeat=space.n_atoms(level)):
         if all(p == z for p in pos):
             continue
-        out.append((Act.from_atom_values(space, level, [xs[p] for p in pos]), pos))
+        # one finite grid value per atom: measurable at ``level`` by construction
+        out.append((Act._trusted(space, level, tuple([xs[pos[k]] for k in amap])), pos))
         if len(out) >= cap:
             break
     return out
@@ -122,15 +124,14 @@ def recover_step_i(
     level = i + 1
     m = space.n_atoms(level)
 
+    # (atom, mass, curve evaluator) of each positive time-i atom, in atom order
+    terms = [
+        (k, mass, prev.curves[k].evaluator) for k, mass in enumerate(prev.masses) if mass > 0
+    ]
+
     def value(f: Act) -> float:
         ces = atom_certainty_equivalents(oracle, i, f, tol)
-        return float(
-            sum(
-                prev.masses[k] * prev.curves[k](0 if c is None else c)
-                for k, c in enumerate(ces)
-                if prev.masses[k] > 0
-            )
-        )
+        return float(sum(mass * u(0 if ces[k] is None else ces[k]) for k, mass, u in terms))
 
     # tab[k][p]: the value of xs[p] on time-(i+1) atom k and 0 elsewhere
     xs = _recovery_xs(grid)

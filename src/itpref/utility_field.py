@@ -11,7 +11,8 @@ the general form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .curves import Jump, MonotoneCurve
 from .filtered_space import (
@@ -19,6 +20,7 @@ from .filtered_space import (
     Event,
     FilteredSpace,
     InvariantError,
+    Number,
     ProbabilityMeasure,
 )
 
@@ -75,6 +77,15 @@ class UtilityField:
                         )
         return field
 
+    @cached_property
+    def evaluators_by_state(self) -> tuple[tuple[Callable[[Number], Number], ...], ...]:
+        """``curves_by_state`` with each curve replaced by its evaluator."""
+        return tuple(tuple(curve.evaluator for curve in row) for row in self.curves_by_state)
+
+    def __getstate__(self) -> dict:
+        # cached evaluators can be closures, which do not pickle
+        return {"space": self.space, "curves_by_state": self.curves_by_state}
+
     def curve_on_atom(self, i: int, k: int) -> MonotoneCurve:
         return self.curves_by_state[i][self.space.atom_members(i, k)[0]]
 
@@ -90,7 +101,7 @@ class UtilityField:
             raise InvariantError(
                 f"act at time index {f.time_index} is not measurable at {j}"
             )
-        row = self.curves_by_state[self.space.check_time_index(j)]
+        row = self.evaluators_by_state[self.space.check_time_index(j)]
         values = tuple(row[s](f.values[s]) for s in range(self.space.n_states))
         for level in range(j, self.space.n_times):
             try:

@@ -86,6 +86,20 @@ class TestProperties:
             y = curve(x)
             assert abs(curve.invert(y) - x) < 1e-9
 
+    @pytest.mark.parametrize(
+        "curve",
+        ALL_KINDS + [ArgScaledCurve(ALL_KINDS[4], Fraction(2, 3)), ValueScaledCurve(ALL_KINDS[4], 3)],
+        ids=lambda c: c.spec(),
+    )
+    def test_evaluator_is_the_call_bit_for_bit(self, curve):
+        evaluate = curve.evaluator
+        assert curve.evaluator is evaluate  # one evaluator per curve
+        args = [0, 1, -3, 7, 0.0, -0.0, 0.25, -1.5, 1e-300, 800.0, -800.0]
+        args += [Fraction(1, 3), Fraction(-7, 2), Fraction(1, 2**1100)]
+        for x in args:
+            got, want = evaluate(x), curve(x)
+            assert (type(got), repr(got)) == (type(want), repr(want)), x
+
     def test_slope_must_be_positive(self):
         with pytest.raises(ValueError):
             LinearCurve(0)

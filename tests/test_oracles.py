@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from itpref.oracles import (
 )
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
 
-from conftest import identity_rep
+from conftest import drawn_act, exact_representation, identity_rep
 
 
 class TestInducedOracle:
@@ -94,15 +95,30 @@ class TestInducedOracle:
         assert all(oracle.ask(0, g, f) == first for _ in range(5))
 
     def test_batched_answers_equal_single_queries(self):
+        """On float and exact ``Fraction`` representations with a null atom,
+        at floats, exact ``Fraction``s and constants that sit exactly on an
+        anchor of the atom's curve, given as its abscissa, as that
+        abscissa's float and as its ``Fraction``."""
         rng = random.Random(13)
-        for _ in range(6):
+        anchors_on_positive_atoms = {False: 0, True: 0}
+        for case in range(12):
+            exact = case >= 6
             rep = random_representation(rng, n_times=3, min_first_split=3)
             space = rep.space
-            P = random_measure(rng, space, null_states=space.atom_members(1, 0))
-            rep = Representation(space, P, rep.field)
+            dead = space.atom_members(1, 0)
+            if exact:
+                rep = exact_representation(rng, space, dead)
+            else:
+                rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
             per_atom, single = InducedOracle(rep), InducedOracle(rep)
-            f = random_act(rng, space, 2)
-            asked = [(k, rng.uniform(-3, 3)) for k in range(space.n_atoms(1)) for _ in range(3)]
+            f = drawn_act(rng, space, 2, exact)
+            asked = []
+            for k in range(space.n_atoms(1)):
+                asked += [(k, rng.uniform(-3, 3)) for _ in range(3)]
+                asked += [(k, Fraction(rng.randint(-27, 27), rng.randint(1, 9))) for _ in range(3)]
+                for anchor in getattr(rep.field.curve_on_atom(1, k), "anchors", ()):
+                    asked += [(k, anchor[0]), (k, float(anchor[0])), (k, Fraction(anchor[0]))]
+                    anchors_on_positive_atoms[exact] += k > 0  # atom 0 is null
             want = [
                 single.ask(1, Act.constant(space, 1, c), f, space.atom_event(1, k))
                 for k, c in asked
@@ -110,6 +126,19 @@ class TestInducedOracle:
             answers = [per_atom.atom_answers(1, f, k) for k in range(space.n_atoms(1))]
             assert [answers[k](c) for k, c in asked] == want
             assert per_atom.queries == single.queries == len(asked)
+        assert all(anchors_on_positive_atoms.values())
+
+
+    def test_an_oracle_that_has_answered_pickles(self):
+        rng = random.Random(5)
+        rep = random_representation(rng, n_times=3, kinds=("pl",), min_first_split=3)
+        oracle = InducedOracle(rep)
+        f = random_act(rng, rep.space, 1)
+        asked = [Act.constant(rep.space, 0, c) for c in (-1.0, 0.0, 0.5)]
+        want = [oracle.ask(0, g, f) for g in asked]
+        copy = pickle.loads(pickle.dumps(oracle))
+        assert [copy.ask(0, g, f) for g in asked] == want
+        assert copy.queries == oracle.queries + len(asked)
 
 
 class TestMeanMaxMemo:

@@ -302,6 +302,35 @@ def test_compare_is_the_whole_act_verdict(seed, exact, null):
                     assert got.margin.time_index == margin.time_index
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_compare_finds_the_certainty_equivalent_equivalent(seed, exact, null):
+    """``cce`` and ``compare`` agree: on jump-free representations, float
+    and exact, with and without a null atom, ``compare(rep, s, t, cce(rep,
+    s, t, f), f)`` is ``equiv``, and the certainty equivalent moved by
+    +δ (-δ) on one positive time-s atom compares ``succeq`` (``preceq``)."""
+    rng = random.Random(seed)
+    rep = random_representation(rng, n_times=4, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        rep = exact_representation(rng, space, dead)
+    elif null:
+        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    assert rep.star_continuity()
+    delta = Fraction(1, 1000) if exact else 1e-3
+    for s in range(space.last_index):
+        for t in range(s + 1, space.n_times):
+            f = drawn_act(rng, space, rng.randint(0, t), exact)
+            g = cce(rep, s, t, f)
+            assert compare(rep, s, t, g, f).tag == "equiv"
+            k = rng.choice(rep.P.positive_atoms(s))
+            for sign, tag in ((1, "succeq"), (-1, "preceq")):
+                bump = [sign * delta if j == k else 0 for j in range(space.n_atoms(s))]
+                moved = g.plus(Act.from_atom_values(space, s, bump))
+                assert compare(rep, s, t, moved, f).tag == tag
+
+
 def guarded_compare_flips(rep_a, rep_b, n_pairs, seed, margin=1e-5):
     """Mismatching ``compare`` tags over ``n_pairs`` pairs drawn as the
     guarded draw draws them, each guarded by ``compare``'s own margin."""
@@ -506,11 +535,12 @@ def drawn_curve(rng, kind):
     kind=st.sampled_from(("int", "float", "mixed", "dyadic", "third", "exact")),
 )
 def test_curve_evaluation_matches_the_anchor_scan(seed, kind):
-    """Value and type of ``u(x)`` equal the anchor-scan reference's for
-    dyadic, 1/3 and out-of-range ``Fraction``s, floats and ints on, next to
-    and between every anchor."""
+    """Value and type of ``u(x)``, and of ``u``'s evaluator bound once,
+    equal the anchor-scan reference's for dyadic, 1/3 and out-of-range
+    ``Fraction``s, floats and ints on, next to and between every anchor."""
     rng = random.Random(seed)
     u = drawn_curve(rng, kind)
+    evaluate = u.evaluator
     xs = [a[0] for a in u.anchors]
     points = [xs[0] - 1, xs[-1] + 1] + xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     args = []
@@ -522,8 +552,9 @@ def test_curve_evaluation_matches_the_anchor_scan(seed, kind):
         args += [Fraction(float(p) + d) for d in (-1e-12, 1e-12)]
     args += [Fraction(2**60 + 1, 2), -Fraction(2**60 + 1, 2), Fraction(1, 2**1100), Fraction(3, 2**1074)]
     for x in args:
-        got, want = u(x), anchor_scan(u, x)
-        assert (type(got), repr(got)) == (type(want), repr(want)), (x, u)
+        want = anchor_scan(u, x)
+        for got in (u(x), evaluate(x)):
+            assert (type(got), repr(got)) == (type(want), repr(want)), (x, u)
 
 
 @functools.lru_cache(maxsize=None)

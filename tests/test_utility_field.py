@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,9 @@ from itpref import (
     is_star_continuous,
 )
 from itpref.controls import three_atom_space
+from itpref.sampling import random_act, random_representation
+
+from conftest import bits
 
 JUMPY = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.9, 0.9), (1, 1.4)])
 
@@ -146,3 +151,16 @@ class TestStarContinuity:
         P = ProbabilityMeasure(space, (0, Fraction(1, 2), Fraction(1, 2)))
         field = field_with_jump_on(space, 0)
         assert is_star_continuous(field, P, 1)
+
+
+def test_evaluated_fields_and_curves_pickle():
+    """The curves' cached evaluators, closures, stay out of the pickled
+    state: an evaluated representation round-trips, and its copy evaluates
+    as the original does."""
+    rng = random.Random(3)
+    rep = random_representation(rng, n_times=3, kinds=("pl", "exp"))
+    f = random_act(rng, rep.space, 2)
+    want = rep.field.eval(2, f)
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy == rep
+    assert bits(copy.field.eval(2, f)) == bits(want)
