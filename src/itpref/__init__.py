@@ -56,7 +56,6 @@ from .filtered_space import (
     FilteredSpace,
     InvariantError,
     ProbabilityMeasure,
-    atoms,
     conditional_expectation,
     is_measurable,
     is_null_event,

@@ -21,7 +21,7 @@ from importlib import resources
 
 from .axioms import DEFAULT_GRID
 from .curves import fmt_number
-from .engine import compare, expected_utility, expected_utility_profile
+from .engine import compare, expected_utility, margins
 from .scenario import ScenarioSpec, loads_scenario
 
 VILLA_VARIANTS = ("paper-arithmetic", "paper-stated")
@@ -227,8 +227,9 @@ def run_dpp(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> AppResult:
     profiles: dict[str, tuple[float, ...]] = {}
     for name, path in st.members:
         terminal = spec.acts[path[-1]]
-        prof = expected_utility_profile(rep, t, horizon, terminal)
-        profiles[name] = tuple(float(v) for v in prof.atom_values())
+        profiles[name] = tuple(
+            float(expected_utility(rep, t, horizon, terminal, k)) for k in range(atom_count)
+        )
     v = tuple(max(profiles[n][k] for n, _ in st.members) for k in range(atom_count))
     argmax = tuple(
         next(n for n, _ in st.members if profiles[n][k] == v[k])
@@ -318,11 +319,8 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
         for name, path in st.members:
             xa = spec.acts[path[a - st.t]]
             xb = spec.acts[path[b - st.t]]
-            rhs = rep.field.eval(a, xa.at_time(a))
-            diffs = [
-                float(expected_utility(rep, a, b, xb, k)) - float(rhs.value_on_atom(k))
-                for k in rep.P.positive_atoms(a)
-            ]
+            margin = margins(rep, a, b, xa.at_time(a), xb)
+            diffs = [float(-margin[k]) for k in rep.P.positive_atoms(a)]
             gap = max(diffs)
             worst_gap = max(worst_gap, gap)
             if gap > tol:

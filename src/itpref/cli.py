@@ -8,6 +8,7 @@ Subcommands: ``cce``, ``compare``, ``semigroup``, ``axioms``, ``recover``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -235,7 +236,9 @@ def _cmd_example(args) -> int:
     return 0 if result.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``itpref`` parser, built once: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="itpref",
         description="Intertemporal preference queries, axiom audits, and "

@@ -32,7 +32,6 @@ from .filtered_space import (
     ProbabilityMeasure,
     _is_exact,
     _is_finite,
-    conditional_expectation,
 )
 from .utility_field import StarContinuityResult, UtilityField, is_star_continuous
 
@@ -135,6 +134,8 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
     """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed as
     ``conditional_expectation`` sums it; 0 on a null atom."""
     _check_measurable(f, t)
+    if s > t:
+        raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
     P = rep.P
     mass = P.atom_masses(s)[k]
     if not mass > 0:
@@ -150,8 +151,7 @@ def expected_utility_profile(rep: Representation, s: int, t: int, f: Act) -> Act
     """E[u(t, f) | F_s] for arbitrary grid times s <= t."""
     _check_measurable(f, t)
     space = rep.space
-    if space.check_time_index(t) < space.check_time_index(s):
-        raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
+    space.check_time_index(t)
     per_atom = [expected_utility(rep, s, t, f, k) for k in range(space.n_atoms(s))]
     return Act.from_atom_values(space, s, per_atom, rep.P.null_atoms(s))
 
@@ -304,6 +304,31 @@ def _random_pair(
     return s, t, g, f
 
 
+def _discount_margins(
+    rep: Representation,
+    P_star: ProbabilityMeasure,
+    betas: Sequence[Act],
+    s: int,
+    t: int,
+    g: Act,
+    f: Act,
+) -> list[Number]:
+    """beta_s u(s, g) - E_{P*}[beta_t u(t, f) | A] on each time-``s`` atom A,
+    in atom order, summed as ``conditional_expectation`` sums it; 0 on a
+    P*-null atom."""
+    u_s, u_t = rep.field.evaluators_by_state[s], rep.field.evaluators_by_state[t]
+    b_s, b_t, w = betas[s].values, betas[t].values, P_star.weights
+    out = [
+        u_s[atom[0]](g.values[atom[0]]) * b_s[atom[0]]
+        - sum((w[x] * (u_t[x](f.values[x]) * b_t[x]) for x in atom), 0) / mass
+        if mass > 0 else 0
+        for atom, mass in zip(rep.space.partitions[s], P_star.atom_masses(s))
+    ]
+    if not all(map(_is_finite, out)):
+        raise InvariantError("act values must be finite")
+    return out
+
+
 def discount_transform(
     rep: Representation,
     P_star: ProbabilityMeasure,
@@ -313,7 +338,8 @@ def discount_transform(
 ) -> DiscountResult:
     """Stochastic discount factor for evaluating the same preference under an
     equivalent subjective measure, plus a randomized verdict-preservation
-    audit of the identity  beta_s u(s,g) >= E_{P*}[beta_t u(t,f) | F_s]."""
+    audit of the identity  beta_s u(s,g) >= E_{P*}[beta_t u(t,f) | F_s],
+    read atom by atom."""
     check_pair_count(n_pairs)
     betas = density_process(rep, P_star)
     rng = random.Random(seed)
@@ -321,12 +347,8 @@ def discount_transform(
     for _ in range(n_pairs):
         s, t, g, f = _random_pair(rng, rep.space)
         original = compare(rep, s, t, g, f, tol).tag
-        lhs = rep.field.eval(s, g).times(betas[s])
-        rhs = conditional_expectation(
-            rep.space, P_star, rep.field.eval(t, f).times(betas[t]), s
-        )
-        d = lhs.minus(rhs).values
-        if classify(rep.P, s, [d[atom[0]] for atom in rep.space.partitions[s]], tol)[0] != original:
+        margin = _discount_margins(rep, P_star, betas, s, t, g, f)
+        if classify(rep.P, s, margin, tol)[0] != original:
             flips += 1
     return DiscountResult(betas, flips == 0, n_pairs, flips)
 

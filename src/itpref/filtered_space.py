@@ -355,18 +355,6 @@ class Act:
     def shift(self, c: Number) -> "Act":
         return Act(self.space, self.time_index, tuple(v + c for v in self.values))
 
-    def plus(self, other: "Act") -> "Act":
-        j = max(self.time_index, other.time_index)
-        return Act(self.space, j, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def minus(self, other: "Act") -> "Act":
-        j = max(self.time_index, other.time_index)
-        return Act(self.space, j, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def times(self, other: "Act") -> "Act":
-        j = max(self.time_index, other.time_index)
-        return Act(self.space, j, tuple(a * b for a, b in zip(self.values, other.values)))
-
     def sup_dist(self, other: "Act", P: "ProbabilityMeasure | None" = None) -> float:
         """Sup-norm distance, optionally restricted to P-positive states."""
         gaps = (
@@ -449,11 +437,6 @@ class ProbabilityMeasure:
     def is_equivalent_to(self, other: "ProbabilityMeasure") -> bool:
         """Same null states (mutual absolute continuity on a finite space)."""
         return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
-
-
-def atoms(space: FilteredSpace, i: int) -> list[Event]:
-    """The time-``i`` atoms as events, in deterministic order."""
-    return list(space.atom_events(i))
 
 
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:

@@ -29,8 +29,9 @@ from .filtered_space import (
 class UtilityField:
     """One curve per state per time, constant across each atom.
 
-    Build with :meth:`from_atom_curves`; the per-state constructor exists for
-    negative controls that deliberately break measurability.
+    Build with :meth:`from_atom_curves`.  The raw constructor takes the
+    per-state rows as given and checks only their shape; it serves negative
+    controls that deliberately break measurability.
     """
 
     space: FilteredSpace
@@ -59,24 +60,6 @@ class UtilityField:
             rows.append(tuple(curves[amap[s]] for s in range(space.n_states)))
         return cls(space, tuple(rows))
 
-    @classmethod
-    def from_state_curves(
-        cls,
-        space: FilteredSpace,
-        per_time: Sequence[Sequence[MonotoneCurve]],
-        validate_measurability: bool = True,
-    ) -> "UtilityField":
-        field = cls(space, tuple(tuple(row) for row in per_time))
-        if validate_measurability:
-            for i, row in enumerate(field.curves_by_state):
-                for k, atom in enumerate(space.partitions[i]):
-                    if any(row[s] != row[atom[0]] for s in atom[1:]):
-                        raise InvariantError(
-                            f"curve assignment at time index {i} is not measurable: "
-                            f"atom {space.atom_label(i, k)} mixes curves"
-                        )
-        return field
-
     @cached_property
     def evaluators_by_state(self) -> tuple[tuple[Callable[[Number], Number], ...], ...]:
         """``curves_by_state`` with each curve replaced by its evaluator."""
@@ -92,11 +75,11 @@ class UtilityField:
     def eval(self, j: int, f: Act) -> Act:
         """u(t_j, f): apply each state's time-j curve to the act's value.
 
-        For a measurable field the result is measurable at j.  Fields built
-        with ``validate_measurability=False`` (negative controls) can produce
-        finer values; those are tagged at the first index where they are
-        measurable, so downstream conditioning still runs and exposes the
-        corruption instead of crashing."""
+        For a measurable field the result is measurable at j.  A field built
+        with the raw constructor that mixes curves inside an atom (a negative
+        control) can produce finer values; those are tagged at the first
+        index where they are measurable, so downstream conditioning still runs
+        and exposes the corruption instead of crashing."""
         if f.time_index > j:
             raise InvariantError(
                 f"act at time index {f.time_index} is not measurable at {j}"

@@ -16,7 +16,7 @@ from itpref import (
     Representation,
     UtilityField,
 )
-from itpref.sampling import random_act
+from itpref.sampling import random_act, random_measure, random_representation
 
 
 @pytest.fixture
@@ -84,6 +84,20 @@ def exact_representation(rng, space, null_states=()):
 
     rows = [[curve() for _ in range(space.n_atoms(i))] for i in range(space.n_times)]
     return Representation(space, P, UtilityField.from_atom_curves(space, rows))
+
+
+def drawn_representation(rng, n_times, exact, null):
+    """A generated jump-free representation with at least three time-1
+    atoms: float, or exact when ``exact``; with one null time-1 atom when
+    ``null``."""
+    rep = random_representation(rng, n_times=n_times, min_first_split=3)
+    space = rep.space
+    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
+    if exact:
+        return exact_representation(rng, space, dead)
+    if null:
+        return Representation(space, random_measure(rng, space, null_states=dead), rep.field)
+    return rep
 
 
 def drawn_act(rng, space, i, exact):

@@ -574,11 +574,11 @@ class TestTriPartition:
         f = random_act(rng, rep.space, 2)
         g = cce(rep, s, 2, f)
         raised = list(range(0, rep.space.n_atoms(s), 2))
-        bump = Act.from_atom_values(
+        half_raised = Act.from_atom_values(
             rep.space, s,
-            [0.5 if k in raised else -0.5 for k in range(rep.space.n_atoms(s))],
+            [v + 0.5 if k in raised else v - 0.5 for k, v in enumerate(g.atom_values())],
         )
-        tri, violations = tri_partition(oracle, s, g.plus(bump), f)
+        tri, violations = tri_partition(oracle, s, half_raised, f)
         assert not violations
         expected_b = {
             m for k in raised if rep.P.atom_mass(s, k) > 0

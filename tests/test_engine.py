@@ -33,9 +33,9 @@ from itpref import (
     semigroup_residual,
     time_consistency_check,
 )
-from itpref.apps import villa_scenario
+from itpref.apps import dpp_scenario, forward_scenario, random8_scenario, villa_scenario
 from itpref.curves import INVERT_TOL
-from itpref.engine import _random_pair, classify, expected_utility
+from itpref.engine import _discount_margins, _random_pair, classify, expected_utility
 from itpref.sampling import (
     ACT_HULL,
     MAX_DRAWS,
@@ -48,7 +48,7 @@ from itpref.sampling import (
     verdict_agreement,
 )
 
-from conftest import bits, drawn_act, exact_representation, identity_rep
+from conftest import bits, drawn_act, drawn_representation, identity_rep
 
 
 def exp_rep(space: FilteredSpace, P: ProbabilityMeasure, a: float = 1.0) -> Representation:
@@ -234,12 +234,10 @@ class TestCompare:
             s, t, g, f, _ = margin_guarded_pair(rng, rep)
             before = compare(rep, s, t, g, f)
             k = rng.choice(rep.P.positive_atoms(s))
-            bump = Act.from_atom_values(
-                rep.space,
-                s,
-                [0.5 if j == k else 0 for j in range(rep.space.n_atoms(s))],
+            bumped = Act.from_atom_values(
+                rep.space, s, [v + 0.5 if j == k else v for j, v in enumerate(g.atom_values())]
             )
-            after = compare(rep, s, t, g.plus(bump), f)
+            after = compare(rep, s, t, bumped, f)
             assert before.tri.B.members <= after.tri.B.members
             assert after.tri.C.members <= before.tri.C.members
 
@@ -338,26 +336,17 @@ class TestTimeConsistency:
     def test_mixed_verdict_rejected(self):
         rng = random.Random(47)
         rep = random_representation(rng, n_times=3, min_first_split=3)
-        # force a mixed verdict: above the equivalent on one atom, below on another
-        f = random_act(rng, rep.space, 2)
-        base = cce(rep, 0, 2, f)
-        bump = Act.from_atom_values(rep.space, 0, [0])  # placeholder, rebuilt below
-        while True:
-            t = rep.space.last_index
-            f = random_act(rng, rep.space, t)
-            g = cce(rep, 0, t, f)
-            verdict = compare(rep, 0, t, g.shift(0.25), f)
-            break
-        # a genuinely mixed pair needs per-atom signs to differ; build directly
+        # above the equivalent on the first time-1 atom, below it on the others
         space = rep.space
-        s = 1
-        f = random_act(rng, space, space.last_index)
-        g = cce(rep, s, space.last_index, f)
-        offsets = [0.5 if k == 0 else -0.5 for k in range(space.n_atoms(s))]
-        g_mixed = g.plus(Act.from_atom_values(space, s, offsets))
-        if compare(rep, s, space.last_index, g_mixed, f).tag == "mixed":
-            with pytest.raises(PreconditionError):
-                time_consistency_check(rep, s, 1 + s, space.last_index, g_mixed, f)
+        s, t = 1, space.last_index
+        f = random_act(rng, space, t)
+        g = cce(rep, s, t, f)
+        g_mixed = Act.from_atom_values(
+            space, s, [v + 0.5 if k == 0 else v - 0.5 for k, v in enumerate(g.atom_values())]
+        )
+        assert compare(rep, s, t, g_mixed, f).tag == "mixed"
+        with pytest.raises(PreconditionError):
+            time_consistency_check(rep, s, 1 + s, t, g_mixed, f)
 
     def test_corrupted_field_breaks_consistency(self):
         """Non-measurable curve assignment inside a time-1 atom: the nested
@@ -369,14 +358,13 @@ class TestTimeConsistency:
             [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b"], ["c"]]],
         )
         P = ProbabilityMeasure(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        corrupted = UtilityField.from_state_curves(
+        corrupted = UtilityField(
             space,
-            [
-                [IdentityCurve()] * 3,
-                [IdentityCurve(), LinearCurve(9), IdentityCurve()],
-                [IdentityCurve()] * 3,
-            ],
-            validate_measurability=False,
+            (
+                (IdentityCurve(),) * 3,
+                (IdentityCurve(), LinearCurve(9), IdentityCurve()),
+                (IdentityCurve(),) * 3,
+            ),
         )
         rep = Representation(space, P, corrupted)
         g = Act.constant(space, 0, 1)
@@ -493,7 +481,9 @@ def profile_verdict(rep, s, t, g, f, tol):
     per-state acts: u(s, g) from ``UtilityField.eval`` minus
     ``expected_utility_profile``, each positive time-s atom tagged by the
     margin at its first state."""
-    margin = rep.field.eval(s, g).minus(expected_utility_profile(rep, s, t, f))
+    margin = Act(rep.space, s, tuple(
+        a - b for a, b in zip(rep.field.eval(s, g).values, expected_utility_profile(rep, s, t, f).values)
+    ))
     part = rep.space.partitions[s]
     a, b, c = [], [], []
     for k in rep.P.positive_atoms(s):
@@ -526,13 +516,8 @@ def test_compare_and_cce_equal_the_profile_construction(seed, exact, null):
     ``expected_utility_profile``: float and exact representations, with and
     without a null atom, g at or before s and exact ties g = cce(f)."""
     rng = random.Random(seed)
-    rep = random_representation(rng, n_times=4, min_first_split=3)
+    rep = drawn_representation(rng, 4, exact, null)
     space = rep.space
-    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
-    if exact:
-        rep = exact_representation(rng, space, dead)
-    elif null:
-        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
     for s in range(space.last_index):
         for t in range(s + 1, space.n_times):
             f = drawn_act(rng, space, rng.randint(0, t), exact)
@@ -547,6 +532,71 @@ def test_compare_and_cce_equal_the_profile_construction(seed, exact, null):
                     assert got.margin.values == margin.values
                     assert [type(v) for v in got.margin.values] == [type(v) for v in margin.values]
                     assert got.margin.time_index == margin.time_index
+
+
+def whole_act_discount_margin(rep, P_star, betas, s, t, g, f):
+    """The discount audit's margins as it built them from per-state acts:
+    u(s, g)·beta_s minus E_{P*}[u(t, f)·beta_t | F_s], read at the first
+    state of each time-s atom."""
+    space = rep.space
+    lhs = [u * b for u, b in zip(rep.field.eval(s, g).values, betas[s].values)]
+    weighted = Act(space, t, tuple(u * b for u, b in zip(rep.field.eval(t, f).values, betas[t].values)))
+    rhs = conditional_expectation(space, P_star, weighted, s).values
+    return [lhs[atom[0]] - rhs[atom[0]] for atom in space.partitions[s]]
+
+
+def assert_discount_margins_match(rep, P_star, rng, n_pairs):
+    """On ``n_pairs`` pairs drawn as the audit draws them, the per-atom
+    discount margins equal the whole-act ones bit for bit on every positive
+    atom, and are 0 on every null atom."""
+    betas = density_process(rep, P_star)
+    for _ in range(n_pairs):
+        s, t, g, f = _random_pair(rng, rep.space)
+        got = _discount_margins(rep, P_star, betas, s, t, g, f)
+        want = whole_act_discount_margin(rep, P_star, betas, s, t, g, f)
+        positive = rep.P.positive_atoms(s)
+        assert [(type(got[k]), repr(got[k])) for k in positive] == [
+            (type(want[k]), repr(want[k])) for k in positive
+        ]
+        assert all(got[k] == 0 for k in rep.P.null_atoms(s))
+
+
+def exact_equivalent_measure(rng, P):
+    """An equivalent measure with exact ``Fraction`` weights."""
+    raw = [rng.randint(1, 9) if w > 0 else 0 for w in P.weights]
+    return ProbabilityMeasure(P.space, tuple(Fraction(w, sum(raw)) for w in raw))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_discount_margins_equal_the_whole_act_construction(seed, exact, null):
+    """The discount audit's per-atom margins equal, in value and type, the
+    margins of the whole-act construction: float and exact representations,
+    with and without a null atom, under float and exact equivalent
+    measures."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 4, exact, null)
+    for P_star in (random_equivalent_measure(rng, rep.P), exact_equivalent_measure(rng, rep.P)):
+        assert_discount_margins_match(rep, P_star, rng, 50)
+
+
+@pytest.mark.parametrize("build", [villa_scenario, dpp_scenario, forward_scenario, random8_scenario])
+def test_discount_margins_on_shipped_scenarios(build):
+    """The same bit-for-bit equality on the shipped scenarios."""
+    rep = build().representation()
+    rng = random.Random(83)
+    for P_star in (rep.P, random_equivalent_measure(rng, rep.P), exact_equivalent_measure(rng, rep.P)):
+        assert_discount_margins_match(rep, P_star, rng, 100)
+
+
+def test_discount_margin_must_be_finite(four_state_space, four_state_measure):
+    """A margin that overflows raises, as the act validation it replaces did."""
+    rep = exp_rep(four_state_space, four_state_measure)
+    betas = density_process(rep, rep.P)
+    g = Act.constant(four_state_space, 0, 0)
+    f = Act.constant(four_state_space, 2, -1000.0)
+    with pytest.raises(InvariantError, match="^act values must be finite$"):
+        _discount_margins(rep, rep.P, betas, 0, 2, g, f)
 
 
 def first_state_margins(rep, s, t, g, f):

@@ -68,10 +68,9 @@ class TestInducedOracle:
         f = random_act(rng, rep.space, 2)
         g = cce(rep, s, 2, f)
         k = rep.P.positive_atoms(s)[0]
-        bump = Act.from_atom_values(
-            rep.space, s, [1 if j == k else 0 for j in range(rep.space.n_atoms(s))]
+        g_up = Act.from_atom_values(
+            rep.space, s, [v + 1 if j == k else v for j, v in enumerate(g.atom_values())]
         )
-        g_up = g.plus(bump)
         on_atom = oracle.ask(s, g_up, f, rep.space.atom_event(s, k))
         assert on_atom.succeq and not on_atom.preceq
         elsewhere = rep.space.atom_event(s, k).complement()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -33,11 +34,13 @@ from itpref import (  # noqa: E402
     indifference_profile,
     paste,
     recover_representation,
+    semigroup_residual,
 )
 from itpref.apps import villa_scenario  # noqa: E402
 from itpref.axioms import C_STYLES  # noqa: E402
 from itpref.controls import flat_segment, identity_representation, three_atom_space  # noqa: E402
-from itpref.engine import expected_utility_profile  # noqa: E402
+from itpref.curves import INVERT_TOL  # noqa: E402
+from itpref.engine import expected_utility, expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
@@ -50,7 +53,7 @@ from itpref.sampling import (  # noqa: E402
 )
 from itpref.scenario import ScenarioSpec, dumps_scenario, loads_scenario  # noqa: E402
 
-from conftest import bits, drawn_act, exact_representation  # noqa: E402
+from conftest import bits, drawn_act, drawn_representation  # noqa: E402
 
 
 def repeated_pattern(rng, space):
@@ -161,13 +164,8 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
     with and without a null atom; an act not measurable at t_{i+1} raises
     before any atom, a null one included, is valued."""
     rng = random.Random(seed)
-    rep = random_representation(rng, n_times=4, min_first_split=3)
+    rep = drawn_representation(rng, 4, exact, null)
     space = rep.space
-    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
-    if exact:
-        rep = exact_representation(rng, space, dead)
-    elif null:
-        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
     assert bool(rep.P.null_atoms(1)) == null
     oracle = InducedOracle(rep)
     for i in range(space.n_times - 1):
@@ -212,13 +210,8 @@ def test_atom_certainty_equivalents_are_the_profiles_constants(seed, exact, null
     representations, with and without a null atom, and an oracle whose
     brackets fail on the atoms where f takes a poisoned value."""
     rng = random.Random(seed)
-    rep = random_representation(rng, n_times=3, min_first_split=3)
+    rep = drawn_representation(rng, 3, exact, null)
     space = rep.space
-    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
-    if exact:
-        rep = exact_representation(rng, space, dead)
-    elif null:
-        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
     for i in (0, 1):
         per_atom = [rng.uniform(-2, 2) for _ in range(space.n_atoms(i + 1))]
         if exact:
@@ -247,9 +240,8 @@ def whole_act_verdict(rep, s, t, g, f, tol):
     whole acts: u(s, g) minus the conditional expectation of u(t, f), each
     positive time-s atom tagged by the margin at its first state."""
     space = rep.space
-    margin = rep.field.eval(s, g).minus(
-        conditional_expectation(space, rep.P, rep.field.eval(t, f), s)
-    )
+    expected = conditional_expectation(space, rep.P, rep.field.eval(t, f), s)
+    margin = Act(space, s, tuple(a - b for a, b in zip(rep.field.eval(s, g).values, expected.values)))
     part = space.partitions[s]
     a, b, c = [], [], []
     for k in rep.P.positive_atoms(s):
@@ -280,13 +272,8 @@ def test_compare_is_the_whole_act_verdict(seed, exact, null):
     float and exact representations with and without a null atom, for acts
     at or before their comparison times and for exact ties g = cce(f)."""
     rng = random.Random(seed)
-    rep = random_representation(rng, n_times=4, min_first_split=3)
+    rep = drawn_representation(rng, 4, exact, null)
     space = rep.space
-    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
-    if exact:
-        rep = exact_representation(rng, space, dead)
-    elif null:
-        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
     for s in range(space.last_index):
         for t in range(s + 1, space.n_times):
             f = drawn_act(rng, space, rng.randint(0, t), exact)
@@ -310,13 +297,8 @@ def test_compare_finds_the_certainty_equivalent_equivalent(seed, exact, null):
     s, t, f), f)`` is ``equiv``, and the certainty equivalent moved by
     +δ (-δ) on one positive time-s atom compares ``succeq`` (``preceq``)."""
     rng = random.Random(seed)
-    rep = random_representation(rng, n_times=4, min_first_split=3)
+    rep = drawn_representation(rng, 4, exact, null)
     space = rep.space
-    dead = space.atom_members(1, rng.randrange(space.n_atoms(1))) if null else ()
-    if exact:
-        rep = exact_representation(rng, space, dead)
-    elif null:
-        rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
     assert rep.star_continuity()
     delta = Fraction(1, 1000) if exact else 1e-3
     for s in range(space.last_index):
@@ -326,9 +308,25 @@ def test_compare_finds_the_certainty_equivalent_equivalent(seed, exact, null):
             assert compare(rep, s, t, g, f).tag == "equiv"
             k = rng.choice(rep.P.positive_atoms(s))
             for sign, tag in ((1, "succeq"), (-1, "preceq")):
-                bump = [sign * delta if j == k else 0 for j in range(space.n_atoms(s))]
-                moved = g.plus(Act.from_atom_values(space, s, bump))
+                moved = Act.from_atom_values(
+                    space, s, [v + sign * delta if j == k else v for j, v in enumerate(g.atom_values())]
+                )
                 assert compare(rep, s, t, moved, f).tag == tag
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_semigroup_residual_is_within_ten_inversion_tolerances(seed, exact, null):
+    """The semigroup identity: on jump-free representations, float and
+    exact, with and without a null atom, the direct s..v certainty
+    equivalent and the nested s..t of t..v one differ by at most
+    10·INVERT_TOL on the positive states, for every s < t < v."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 4, exact, null)
+    assert rep.star_continuity()
+    for s, t, v in itertools.combinations(range(rep.space.n_times), 3):
+        f = drawn_act(rng, rep.space, rng.randint(0, v), exact)
+        assert semigroup_residual(rep, s, t, v, f) <= 10 * INVERT_TOL
 
 
 def guarded_compare_flips(rep_a, rep_b, n_pairs, seed, margin=1e-5):
@@ -384,6 +382,13 @@ def test_expected_utility_profile_errors():
         expected_utility_profile(rep, 0, 4, f2)
     with pytest.raises(IndexError, match=r"^time index -1 out of range 0\.\.3$"):
         expected_utility_profile(rep, -1, 2, f2)
+    # the per-atom kernel raises the same errors
+    with pytest.raises(InvariantError, match=r"^cannot condition a time-1 act on later time index 2$"):
+        expected_utility(rep, 2, 1, f1, 0)
+    with pytest.raises(PreconditionError, match=r"^act at time index 2 is not measurable at 1$"):
+        expected_utility(rep, 0, 1, f2, 0)
+    with pytest.raises(IndexError, match=r"^time index -1 out of range 0\.\.3$"):
+        expected_utility(rep, -1, 2, f2, 0)
 
 
 def built(make):

@@ -79,21 +79,30 @@ class TestEval:
                 four_state_space, [[IdentityCurve()], [IdentityCurve()], [IdentityCurve()] * 4]
             )
 
-    def test_nonmeasurable_assignment_rejected(self):
-        space, _ = three_atom_space()
-        pair_space_rows = [
-            [IdentityCurve()] * 3,
-            [IdentityCurve(), LinearCurve(2), IdentityCurve()],
-        ]
-        UtilityField.from_state_curves(space, pair_space_rows)  # singleton atoms: fine
+    def test_nonmeasurable_field_evaluates_at_its_first_measurable_level(self):
+        """A raw-built field that mixes curves inside a time-1 atom (a
+        negative control): ``eval`` tags its result at the first level where
+        the values are measurable, and raises when no level is."""
         from itpref import FilteredSpace
 
+        rows = (
+            (IdentityCurve(),) * 3,
+            (IdentityCurve(), LinearCurve(2), IdentityCurve()),
+            (IdentityCurve(),) * 3,
+        )
+        space = FilteredSpace.build(
+            ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x", "y"], ["z"]], [["x"], ["y"], ["z"]]]
+        )
+        field = UtilityField(space, rows)
+        split = field.eval(1, Act(space, 1, (1, 1, 3)))
+        assert split.values == (1, 2, 3) and split.time_index == 2
+        zero = field.eval(1, Act.constant(space, 1, 0))
+        assert zero.values == (0, 0, 0) and zero.time_index == 1
         merged = FilteredSpace.build(
             ("x", "y", "z"), (0, 1), [[["x", "y", "z"]], [["x", "y"], ["z"]]]
         )
-        with pytest.raises(InvariantError, match="mixes curves"):
-            UtilityField.from_state_curves(merged, pair_space_rows)
-        UtilityField.from_state_curves(merged, pair_space_rows, validate_measurability=False)
+        with pytest.raises(InvariantError, match="not measurable at time index 1"):
+            UtilityField(merged, rows[:2]).eval(1, Act(merged, 1, (1, 1, 3)))
 
 
 class TestDiscontinuitySets:
