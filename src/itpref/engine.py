@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .curves import (
     ArgScaledCurve,
@@ -21,6 +21,7 @@ from .curves import (
     MonotoneCurve,
     NORM_TOL,
     RangeError,
+    ValueScaledCurve,
 )
 from .filtered_space import (
     ACT_TOL,
@@ -131,17 +132,25 @@ def _check_measurable(act: Act, j: int) -> None:
 
 
 def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
-    """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed as
-    ``conditional_expectation`` sums it; 0 on a null atom."""
+    """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed left to right
+    as ``conditional_expectation`` sums it; 0 on a null atom."""
     _check_measurable(f, t)
     if s > t:
         raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
+    try:
+        row = rep.field.evaluators_by_state[t]
+    except IndexError:
+        rep.space.check_time_index(t)  # raises with the range of time indices
+        raise
     P = rep.P
     mass = P.atom_masses(s)[k]
     if not mass > 0:
         return 0
-    row, weights, values = rep.field.evaluators_by_state[t], P.weights, f.values
-    value = sum((weights[x] * row[x](values[x]) for x in rep.space.partitions[s][k]), 0) / mass
+    weights, values = P.weights, f.values
+    value = 0
+    for x in rep.space.partitions[s][k]:
+        value += weights[x] * row[x](values[x])
+    value /= mass
     if not _is_finite(value):
         raise InvariantError("act values must be finite")
     return value
@@ -149,9 +158,7 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
 
 def expected_utility_profile(rep: Representation, s: int, t: int, f: Act) -> Act:
     """E[u(t, f) | F_s] for arbitrary grid times s <= t."""
-    _check_measurable(f, t)
     space = rep.space
-    space.check_time_index(t)
     per_atom = [expected_utility(rep, s, t, f, k) for k in range(space.n_atoms(s))]
     return Act.from_atom_values(space, s, per_atom, rep.P.null_atoms(s))
 
@@ -304,29 +311,46 @@ def _random_pair(
     return s, t, g, f
 
 
-def _discount_margins(
-    rep: Representation,
-    P_star: ProbabilityMeasure,
-    betas: Sequence[Act],
-    s: int,
-    t: int,
-    g: Act,
-    f: Act,
-) -> list[Number]:
-    """beta_s u(s, g) - E_{P*}[beta_t u(t, f) | A] on each time-``s`` atom A,
-    in atom order, summed as ``conditional_expectation`` sums it; 0 on a
-    P*-null atom."""
-    u_s, u_t = rep.field.evaluators_by_state[s], rep.field.evaluators_by_state[t]
-    b_s, b_t, w = betas[s].values, betas[t].values, P_star.weights
-    out = [
-        u_s[atom[0]](g.values[atom[0]]) * b_s[atom[0]]
-        - sum((w[x] * (u_t[x](f.values[x]) * b_t[x]) for x in atom), 0) / mass
-        if mass > 0 else 0
-        for atom, mass in zip(rep.space.partitions[s], P_star.atom_masses(s))
-    ]
-    if not all(map(_is_finite, out)):
-        raise InvariantError("act values must be finite")
-    return out
+def _transformed(
+    rep: Representation, P: ProbabilityMeasure,
+    curve_at: Callable[[int, int, MonotoneCurve], MonotoneCurve],
+) -> Representation:
+    """The representation on ``rep``'s space under ``P`` whose curve on each
+    time-``i`` atom ``k`` is ``curve_at(i, k, u)``, u being ``rep``'s curve
+    there: a change of measure or of numeraire, as a representation."""
+    space = rep.space
+    return Representation(space, P, UtilityField.from_atom_curves(space, [
+        [curve_at(i, k, rep.field.curve_on_atom(i, k)) for k in range(space.n_atoms(i))]
+        for i in range(space.n_times)
+    ]))
+
+
+def _scaled(kind: type, curve: MonotoneCurve, b: Number) -> MonotoneCurve:
+    """``kind(curve, b)``, or ``curve`` itself where ``b == 1``."""
+    return curve if b == 1 else kind(curve, b)
+
+
+def _discounted(rep: Representation, P: ProbabilityMeasure, betas: Sequence[Act]) -> Representation:
+    """(P, beta u) for an equivalent measure ``P``: ``rep``'s curves rescaled
+    by the density ``betas[i]`` on each time-i atom, time 0 included."""
+    return _transformed(rep, P, lambda i, k, u: _scaled(ValueScaledCurve, u, betas[i].value_on_atom(k)))
+
+
+def _flips(
+    rep: Representation, rep_star: Representation, n_pairs: int, seed: int, tol: float,
+    rebase: Callable[[int, Act], Act] = lambda i, act: act,
+) -> int:
+    """Of ``n_pairs`` random pairs (s, t, g, f), those on which ``rep`` and
+    ``rep_star`` give different ``compare`` tags, ``rep_star`` comparing
+    the acts as ``rebase`` maps them at their times."""
+    rng = random.Random(seed)
+    flips = 0
+    for _ in range(n_pairs):
+        s, t, g, f = _random_pair(rng, rep.space)
+        original = compare(rep, s, t, g, f, tol).tag
+        if compare(rep_star, s, t, rebase(s, g), rebase(t, f), tol).tag != original:
+            flips += 1
+    return flips
 
 
 def discount_transform(
@@ -338,18 +362,11 @@ def discount_transform(
 ) -> DiscountResult:
     """Stochastic discount factor for evaluating the same preference under an
     equivalent subjective measure, plus a randomized verdict-preservation
-    audit of the identity  beta_s u(s,g) >= E_{P*}[beta_t u(t,f) | F_s],
-    read atom by atom."""
+    audit of the identity  beta_s u(s,g) >= E_{P*}[beta_t u(t,f) | F_s]:
+    ``compare`` on (P*, beta u) against ``compare`` on ``rep``."""
     check_pair_count(n_pairs)
     betas = density_process(rep, P_star)
-    rng = random.Random(seed)
-    flips = 0
-    for _ in range(n_pairs):
-        s, t, g, f = _random_pair(rng, rep.space)
-        original = compare(rep, s, t, g, f, tol).tag
-        margin = _discount_margins(rep, P_star, betas, s, t, g, f)
-        if classify(rep.P, s, margin, tol)[0] != original:
-            flips += 1
+    flips = _flips(rep, _discounted(rep, P_star, betas), n_pairs, seed, tol)
     return DiscountResult(betas, flips == 0, n_pairs, flips)
 
 
@@ -359,10 +376,6 @@ class NumeraireResult:
     verified: bool
     pairs_checked: int
     flips: int
-
-
-def _arg_scaled(curve: MonotoneCurve, b: Number) -> MonotoneCurve:
-    return curve if b == 1 else ArgScaledCurve(curve, b)
 
 
 def numeraire_transform(
@@ -384,26 +397,13 @@ def numeraire_transform(
             raise InvariantError(f"numeraire at time index {i} is not F_{i}-measurable")
         if min(b.values) <= 0:
             raise InvariantError("numeraire must be strictly positive")
-    per_time = []
-    for i in range(space.n_times):
-        per_time.append(
-            tuple(
-                _arg_scaled(rep.field.curve_on_atom(i, k), numeraire[i].value_on_atom(k))
-                for k in range(space.n_atoms(i))
-            )
-        )
-    rep_star = Representation(space, rep.P, UtilityField.from_atom_curves(space, per_time))
-    rng = random.Random(seed)
-    flips = 0
-    for _ in range(n_pairs):
-        s, t, g, f = _random_pair(rng, space)
-        original = compare(rep, s, t, g, f, tol).tag
-        g_star = Act(
-            space, s, tuple(a / b for a, b in zip(g.values, numeraire[s].values))
-        )
-        f_star = Act(
-            space, t, tuple(a / b for a, b in zip(f.values, numeraire[t].values))
-        )
-        if compare(rep_star, s, t, g_star, f_star, tol).tag != original:
-            flips += 1
+    numeraire = [b.at_time(i) for i, b in enumerate(numeraire)]  # B_i read per time-i atom
+    rep_star = _transformed(
+        rep, rep.P, lambda i, k, u: _scaled(ArgScaledCurve, u, numeraire[i].value_on_atom(k))
+    )
+
+    def rebase(i: int, act: Act) -> Act:
+        return Act(space, i, tuple(a / b for a, b in zip(act.values, numeraire[i].values)))
+
+    flips = _flips(rep, rep_star, n_pairs, seed, tol, rebase)
     return NumeraireResult(rep_star, flips == 0, n_pairs, flips)

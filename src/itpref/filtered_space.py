@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -378,7 +378,7 @@ class ProbabilityMeasure:
         for w in self.weights:
             if not _is_finite(w) or w < 0:
                 raise InvariantError("weights must be finite and nonnegative")
-        total = sum(self.weights)
+        total = reduce(add, self.weights, 0)
         if abs(total - 1) > MEASURE_TOL:
             raise InvariantError(f"weights sum to {total!r}, not 1")
 
@@ -394,7 +394,7 @@ class ProbabilityMeasure:
         return cls(space, (Fraction(1, space.n_states),) * space.n_states)
 
     def mass(self, states: Iterable[int]) -> Number:
-        return sum((self.weights[s] for s in states), 0)
+        return reduce(add, (self.weights[s] for s in states), 0)
 
     @cached_property
     def _atom_masses(self) -> tuple[tuple[Number, ...], ...]:
@@ -423,7 +423,7 @@ class ProbabilityMeasure:
         return self.mass(A.members)
 
     def expectation(self, f: Act) -> Number:
-        return sum((w * v for w, v in zip(self.weights, f.values)), 0)
+        return reduce(add, (w * v for w, v in zip(self.weights, f.values)), 0)
 
     def positive_atoms(self, i: int) -> tuple[int, ...]:
         return self._positive_atoms[self.space.check_time_index(i)]
@@ -471,7 +471,7 @@ def conditional_expectation(
         )
     weights, values = P.weights, f.values
     per_atom = [
-        sum((weights[s] * values[s] for s in atom), 0) / mass if mass > 0 else 0
+        reduce(add, (weights[s] * values[s] for s in atom), 0) / mass if mass > 0 else 0
         for atom, mass in zip(space.partitions[i], P.atom_masses(i))
     ]
     return Act.from_atom_values(space, i, per_atom, P.null_atoms(i))

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .axioms import DEFAULT_GRID, ActGrid, grid_for
@@ -131,7 +133,10 @@ def recover_step_i(
 
     def value(f: Act) -> float:
         ces = atom_certainty_equivalents(oracle, i, f, tol)
-        return float(sum(mass * u(0 if ces[k] is None else ces[k]) for k, mass, u in terms))
+        total = 0
+        for k, mass, u in terms:
+            total += mass * u(0 if ces[k] is None else ces[k])
+        return float(total)
 
     # tab[k][p]: the value of xs[p] on time-(i+1) atom k and 0 elsewhere
     xs = _recovery_xs(grid)
@@ -154,7 +159,7 @@ def recover_step_i(
     # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
     for f, pos in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
         total = value(f)
-        split = sum(tab[k][pos[k]] for k in range(m))
+        split = reduce(add, (tab[k][pos[k]] for k in range(m)), 0)
         residual = max(residual, abs(total - split))
     if residual > debreu_tol:
         raise RecoveryError(
@@ -172,7 +177,7 @@ def recover_step_i(
                 f"oracle does not rank {X_BAR} above 0 on an essential atom"
             )
         weights[k] = w
-    total_weight = sum(weights.values())
+    total_weight = reduce(add, weights.values(), 0)
 
     # the auxiliary split P̃ and each essential atom's curve points under it
     aux: dict[int, Number] = {}
@@ -218,7 +223,7 @@ def recover_step_i(
             points[k] = [(x, kappa * y) for x, y in points[k]]
         curves[k] = PiecewiseLinearCurve.from_points(points[k])
     for a in range(space.n_atoms(i)):
-        children_total = sum(masses[k] for k in range(m) if parent[k] == a)
+        children_total = reduce(add, (masses[k] for k in range(m) if parent[k] == a), 0)
         if abs(children_total - prev.masses[a]) > 1e-9:
             raise RecoveryError(
                 f"updated probability does not agree with the step-{i} one on "

@@ -18,6 +18,8 @@ bounded kinds to the terminal time.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .axioms import DEFAULT_GRID
@@ -28,9 +30,10 @@ from .curves import (
     MonotoneCurve,
     PiecewiseLinearCurve,
     PowerCurve,
-    ValueScaledCurve,
 )
-from .engine import Representation, _random_pair, check_pair_count, classify, margins
+from .engine import (
+    Representation, _discounted, _random_pair, check_pair_count, classify, density_process, margins
+)
 from .filtered_space import Act, FilteredSpace, Number, ProbabilityMeasure
 from .utility_field import UtilityField
 
@@ -73,7 +76,7 @@ def random_measure(
         0.0 if s in null_states else MIN_MASS + rng.random()
         for s in range(space.n_states)
     ]
-    total = sum(raw)
+    total = reduce(add, raw, 0)
     return ProbabilityMeasure(space, tuple(w / total for w in raw))
 
 
@@ -132,27 +135,17 @@ def random_act(
 
 def random_equivalent_measure(rng: random.Random, P: ProbabilityMeasure) -> ProbabilityMeasure:
     raw = [(MIN_MASS + rng.random()) if w > 0 else 0.0 for w in P.weights]
-    total = sum(raw)
+    total = reduce(add, raw, 0)
     return ProbabilityMeasure(P.space, tuple(w / total for w in raw))
 
 
 def scaled_clone(rep: Representation, P_star: ProbabilityMeasure) -> Representation:
     """The (P*, delta u) construction of the relative-uniqueness clause:
     curves at time i >= 1 are rescaled by the time-i density of P with
-    respect to P*; the initial utility is untouched."""
-    space = rep.space
-    per_time: list[list[MonotoneCurve]] = [[rep.u0]]
-    for i in range(1, space.n_times):
-        row = []
-        for k, (p, q) in enumerate(zip(rep.P.atom_masses(i), P_star.atom_masses(i))):
-            base = rep.field.curve_on_atom(i, k)
-            if q > 0:
-                delta = p / q
-                row.append(ValueScaledCurve(base, delta) if delta != 1 else base)
-            else:
-                row.append(base)
-        per_time.append(row)
-    return Representation(space, P_star, UtilityField.from_atom_curves(space, per_time))
+    respect to P*; the initial utility is untouched, its density taken as 1.
+    ``P_star`` must be equivalent to ``rep.P``."""
+    deltas = density_process(rep, P_star)
+    return _discounted(rep, P_star, (Act.constant(rep.space, 0, 1), *deltas[1:]))
 
 
 def margin_guarded_pair(

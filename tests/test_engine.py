@@ -35,7 +35,7 @@ from itpref import (
 )
 from itpref.apps import dpp_scenario, forward_scenario, random8_scenario, villa_scenario
 from itpref.curves import INVERT_TOL
-from itpref.engine import _discount_margins, _random_pair, classify, expected_utility
+from itpref.engine import _discounted, _random_pair, classify, expected_utility, margins
 from itpref.sampling import (
     ACT_HULL,
     MAX_DRAWS,
@@ -447,6 +447,20 @@ class TestNumeraire:
         result = numeraire_transform(rep, numeraire, n_pairs=100, seed=5)
         assert result.verified and result.flips == 0
 
+    def test_numeraire_known_before_its_time(self):
+        """A numeraire given at an earlier time than its label scales each
+        atom's curve by its value on that atom."""
+        rng = random.Random(1)
+        rep = random_representation(rng, n_times=3, min_first_split=3)
+        space = rep.space
+        early = Act.from_atom_values(space, 1, [1.5 + k for k in range(space.n_atoms(1))])
+        numeraire = [Act.constant(space, 0, 1), early, early]
+        result = numeraire_transform(rep, numeraire, n_pairs=50, seed=4)
+        assert result.verified
+        for k in range(space.n_atoms(2)):
+            b = early.values[space.atom_members(2, k)[0]]
+            assert result.rep.field.curve_on_atom(2, k)(0.5) == rep.field.curve_on_atom(2, k)(0.5 * b)
+
     def test_nonpositive_numeraire_rejected(self, four_state_identity_rep):
         space = four_state_identity_rep.space
         bad = [Act.constant(space, i, 1) for i in range(space.n_times)]
@@ -463,6 +477,16 @@ class TestNumeraire:
 
 
 class TestScaleInvariance:
+    def test_non_equivalent_measure_rejected(self, four_state_space, four_state_measure):
+        """A clone needs the density of P with respect to P*: a P* with a
+        null state that P charges, or charging a state that P does not, is
+        refused either way round."""
+        rep = identity_rep(four_state_space, four_state_measure)
+        half = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+        for P, P_star in ((rep.P, half), (half, rep.P)):
+            with pytest.raises(InvariantError, match="equivalent"):
+                scaled_clone(Representation(four_state_space, P, rep.field), P_star)
+
     def test_delta_rescaling_preserves_all_verdicts(self):
         rng = random.Random(71)
         for _ in range(10):
@@ -546,19 +570,19 @@ def whole_act_discount_margin(rep, P_star, betas, s, t, g, f):
 
 
 def assert_discount_margins_match(rep, P_star, rng, n_pairs):
-    """On ``n_pairs`` pairs drawn as the audit draws them, the per-atom
-    discount margins equal the whole-act ones bit for bit on every positive
-    atom, and are 0 on every null atom."""
+    """On ``n_pairs`` pairs drawn as the audit draws them, ``margins`` on the
+    discounted representation (P*, beta u) equal the whole-act discount
+    margins bit for bit on every positive atom."""
     betas = density_process(rep, P_star)
+    discounted = _discounted(rep, P_star, betas)
     for _ in range(n_pairs):
         s, t, g, f = _random_pair(rng, rep.space)
-        got = _discount_margins(rep, P_star, betas, s, t, g, f)
+        got = margins(discounted, s, t, g, f)
         want = whole_act_discount_margin(rep, P_star, betas, s, t, g, f)
         positive = rep.P.positive_atoms(s)
         assert [(type(got[k]), repr(got[k])) for k in positive] == [
             (type(want[k]), repr(want[k])) for k in positive
         ]
-        assert all(got[k] == 0 for k in rep.P.null_atoms(s))
 
 
 def exact_equivalent_measure(rng, P):
@@ -570,10 +594,10 @@ def exact_equivalent_measure(rng, P):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
 def test_discount_margins_equal_the_whole_act_construction(seed, exact, null):
-    """The discount audit's per-atom margins equal, in value and type, the
-    margins of the whole-act construction: float and exact representations,
-    with and without a null atom, under float and exact equivalent
-    measures."""
+    """The discount audit's margins, read by ``margins`` on (P*, beta u),
+    equal in value and type the margins of the whole-act construction:
+    float and exact representations, with and without a null atom, under
+    float and exact equivalent measures."""
     rng = random.Random(seed)
     rep = drawn_representation(rng, 4, exact, null)
     for P_star in (random_equivalent_measure(rng, rep.P), exact_equivalent_measure(rng, rep.P)):
@@ -592,11 +616,11 @@ def test_discount_margins_on_shipped_scenarios(build):
 def test_discount_margin_must_be_finite(four_state_space, four_state_measure):
     """A margin that overflows raises, as the act validation it replaces did."""
     rep = exp_rep(four_state_space, four_state_measure)
-    betas = density_process(rep, rep.P)
+    discounted = _discounted(rep, rep.P, density_process(rep, rep.P))
     g = Act.constant(four_state_space, 0, 0)
     f = Act.constant(four_state_space, 2, -1000.0)
     with pytest.raises(InvariantError, match="^act values must be finite$"):
-        _discount_margins(rep, rep.P, betas, 0, 2, g, f)
+        margins(discounted, 0, 2, g, f)
 
 
 def first_state_margins(rep, s, t, g, f):

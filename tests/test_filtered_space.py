@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -298,7 +300,8 @@ class TestPerAtomFacts:
         assert any(P.null_atoms(space.last_index) for space, P in FLEET)
         for space, P in FLEET:
             for i in range(space.n_times):
-                want = tuple(sum((P.weights[s] for s in atom), 0) for atom in space.partitions[i])
+                # added left to right from 0, as the library adds
+                want = tuple(reduce(add, (P.weights[s] for s in atom), 0) for atom in space.partitions[i])
                 assert P.atom_masses(i) == want
                 assert tuple(P.atom_mass(i, k) for k in range(len(want))) == want
                 assert P.positive_atoms(i) == tuple(k for k, m in enumerate(want) if m > 0)

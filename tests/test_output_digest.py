@@ -7,11 +7,17 @@ that alters outputs on purpose re-pins it and says why.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import math
 import random
+from functools import reduce
+from operator import add
+from pathlib import Path
 
 from itpref import InducedOracle, check_C, check_M, check_ST, check_T, recover_representation
 from itpref.axioms import C_STYLES
+from itpref.cli import main
 from itpref.sampling import random_act, random_representation
 
 # re-pinned when float oracles began recovering on the grid's float form:
@@ -49,9 +55,41 @@ def output_lines():
             yield f"{i} {name} {res.passed} {res.note!r} {res.counterexample!r} {res.queries}"
 
 
-def test_recovery_and_audit_outputs_are_pinned():
+RANDOM8 = str(Path(__file__).resolve().parent.parent / "scenarios" / "random8.sdu")
+
+
+def digest_of(lines):
     digest, n = hashlib.sha256(), 0
-    for line in output_lines():
+    for line in lines:
         digest.update(line.encode() + b"\n")
         n += 1
-    assert (n, digest.hexdigest()) == (PINNED_LINES, PINNED_DIGEST)
+    return n, digest.hexdigest()
+
+
+def test_recovery_and_audit_outputs_are_pinned():
+    assert digest_of(output_lines()) == (PINNED_LINES, PINNED_DIGEST)
+
+
+def rounded_once_sum(iterable, /, start=0):
+    """``sum`` with float terms rounded once, as compensated summation (the
+    built-in ``sum`` of Python 3.12 and later) nearly does; other terms
+    added left to right."""
+    terms = [start, *iterable]
+    if any(type(x) is float for x in terms) and all(type(x) in (int, float) for x in terms):
+        return math.fsum(terms)
+    return reduce(add, terms)
+
+
+def test_outputs_do_not_depend_on_the_builtin_sum(monkeypatch, capsys):
+    """Every sum in the library adds left to right from its start value, so
+    a compensated built-in ``sum`` changes no output: neither the pinned
+    lines nor the residuals that ``itpref semigroup`` prints for random8."""
+    assert main(["semigroup", "--scenario", RANDOM8]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(builtins, "sum", rounded_once_sum)
+    lines = digest_of(output_lines())
+    assert main(["semigroup", "--scenario", RANDOM8]) == 0
+    got = capsys.readouterr().out
+    monkeypatch.undo()
+    assert lines == (PINNED_LINES, PINNED_DIGEST)
+    assert got == want

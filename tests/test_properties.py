@@ -389,6 +389,20 @@ def test_expected_utility_profile_errors():
         expected_utility(rep, 0, 1, f2, 0)
     with pytest.raises(IndexError, match=r"^time index -1 out of range 0\.\.3$"):
         expected_utility(rep, -1, 2, f2, 0)
+    with pytest.raises(IndexError, match=r"^time index 4 out of range 0\.\.3$"):
+        expected_utility(rep, 0, 4, f2, 0)
+
+
+def test_expected_utility_checks_t_before_a_null_atom():
+    """On a null atom the kernel answers 0, but only for a time index t that
+    exists: it checks t first."""
+    rng = random.Random(1)
+    rep = drawn_representation(rng, 4, False, True)
+    (k,) = rep.P.null_atoms(1)
+    f = random_act(rng, rep.space, 2)
+    assert expected_utility(rep, 1, 2, f, k) == 0
+    with pytest.raises(IndexError, match=r"^time index 4 out of range 0\.\.3$"):
+        expected_utility(rep, 1, 4, f, k)
 
 
 def built(make):
