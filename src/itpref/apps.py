@@ -295,13 +295,11 @@ def run_forward_check(spec: ScenarioSpec | None = None, tol: float = 1e-9) -> Ap
         raise ValueError("scenario declares no strategy set")
     st = spec.strategies
     rep = spec.representation()
-    space = spec.space
     xs = DEFAULT_GRID.float_form().values
 
     monotone_concave = True
-    for i in range(space.n_times):
-        for k in range(space.n_atoms(i)):
-            curve = rep.field.curve_on_atom(i, k)
+    for row in rep.field.curves:
+        for curve in row:
             vals = [float(curve(x)) for x in xs]
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 monotone_concave = False

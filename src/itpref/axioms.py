@@ -176,15 +176,19 @@ def derive_null_events(
     every tested act f with certainty equivalent g, rewriting f arbitrarily
     on the atom leaves the equivalence intact.  Exhaustive over the grid up
     to the act cap; i must be at least 1."""
-    return _null_events(_Budget(oracle), i, grid)
-
-
-def _null_events(budget: _Budget, i: int, grid: ActGrid) -> list[Event]:
-    """:func:`derive_null_events`, asking through ``budget``'s table."""
-    oracle = budget.oracle
-    space, grid = oracle.space, grid_for(oracle, grid)
     if i < 1:
         raise ValueError("null events are derived from the preceding step; need i >= 1")
+    events = oracle.space.atom_events(i)
+    return [events[k] for k in _null_atoms(_Budget(oracle), i, grid)]
+
+
+def _null_atoms(budget: _Budget, i: int, grid: ActGrid) -> tuple[int, ...]:
+    """The indices of :func:`derive_null_events`' atoms, asking through
+    ``budget``'s table; none at ``i < 1``."""
+    if i < 1:
+        return ()
+    oracle = budget.oracle
+    space, grid = oracle.space, grid_for(oracle, grid)
     step = i - 1
     candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=NULL_PROBE_ACTS)
     consts = [Act.constant(space, i, c) for c in grid.values]
@@ -199,22 +203,14 @@ def _null_events(budget: _Budget, i: int, grid: ActGrid) -> list[Event]:
             budget.ask(step, g, paste(c, f, A)).equiv for c in consts
         )
 
-    return [
-        A for A in space.atom_events(i)
+    return tuple(
+        k for k, A in enumerate(space.atom_events(i))
         if all(rewrite_keeps_equivalence(n, A) for n in range(len(candidates)))
-    ]
-
-
-def _null_indices(budget: _Budget, level: int, grid: ActGrid) -> frozenset[int]:
-    if level < 1:
-        return frozenset()
-    nulls = _null_events(budget, level, grid)
-    amap = budget.oracle.space.atom_index_map(level)
-    return frozenset(amap[min(e.members)] for e in nulls)
+    )
 
 
 def _essential_atoms(budget: _Budget, level: int, grid: ActGrid) -> list[int]:
-    nulls = _null_indices(budget, level, grid)
+    nulls = _null_atoms(budget, level, grid)
     return [k for k in range(budget.oracle.space.n_atoms(level)) if k not in nulls]
 
 
@@ -295,7 +291,7 @@ def check_T(
     ask = budget.ask
     report = TransitionReport(step=i)
 
-    null_i = _null_indices(budget, i, grid)
+    null_i = _null_atoms(budget, i, grid)
     null_union = space.union_event(i, null_i)
     ess = [k for k in range(space.n_atoms(i)) if k not in null_i]
     ess_atoms = [space.atom_event(i, k) for k in ess]

@@ -113,19 +113,13 @@ class MeanMaxOracle(PreferenceOracle):
         self.tol = tol
         self._positive = P.positive_states()
         self._values: dict = {}
-        self._last: tuple = (None, 0.0)
 
     def _value(self, f: Act) -> float:
-        """V(f), memoized like :meth:`InducedOracle.value_profile`: the act
-        asked last by identity, any other by its values."""
-        last_f, last = self._last
-        if f is last_f:
-            return last
+        """V(f), memoized by the act's values."""
         v = self._values.get(f.values)
         if v is None:
             v = float(self.P.expectation(f)) + max(float(f.values[s]) for s in self._positive)
             self._values[f.values] = v
-        self._last = (f, v)
         return v
 
     def query(self, i, g, f, A=None):

@@ -73,7 +73,7 @@ class Representation:
         """Whether every weight and every curve parameter is an ``int`` or a
         ``Fraction``."""
         return _is_exact(*self.P.weights) and all(
-            curve.exact for row in self.field.curves_by_state for curve in row
+            curve.exact for row in self.field.curves for curve in row
         )
 
     def star_continuity(self, i: int | None = None) -> StarContinuityResult:
@@ -124,7 +124,10 @@ class Verdict:
         return self.tag in ("preceq", "equiv")
 
 
-def _check_measurable(act: Act, j: int) -> None:
+def _check_act(space: FilteredSpace, act: Act, j: int) -> None:
+    """``act`` must live on ``space`` and be measurable at time index ``j``."""
+    if act.space is not space and act.space != space:
+        raise InvariantError("act is defined on another filtered space")
     if act.time_index > j:
         raise PreconditionError(
             f"act at time index {act.time_index} is not measurable at {j}"
@@ -134,7 +137,7 @@ def _check_measurable(act: Act, j: int) -> None:
 def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
     """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed left to right
     as ``conditional_expectation`` sums it; 0 on a null atom."""
-    _check_measurable(f, t)
+    _check_act(rep.space, f, t)
     if s > t:
         raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
     try:
@@ -195,7 +198,7 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
 def margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> list[Number]:
     """u(s, g) - E[u(t, f) | A] on each time-``s`` atom A, in atom order: the
     atom's curve at g's value there, minus :func:`expected_utility`."""
-    _check_measurable(g, s)
+    _check_act(rep.space, g, s)
     row = rep.field.evaluators_by_state[rep.space.check_time_index(s)]
     return [
         row[atom[0]](g.values[atom[0]]) - expected_utility(rep, s, t, f, k)
@@ -278,6 +281,8 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
     """beta_t = E_{P*}[dP/dP* | F_t] atom-wise: the conditional density
     P(atom)/P*(atom) per time.  Common-null atoms carry the neutral value 1,
     flagged as filled."""
+    if P_star.space != rep.space:
+        raise InvariantError("P* is defined on another filtered space")
     if not rep.P.is_equivalent_to(P_star):
         raise InvariantError("stochastic discount factor requires an equivalent measure")
     betas = []
@@ -318,11 +323,9 @@ def _transformed(
     """The representation on ``rep``'s space under ``P`` whose curve on each
     time-``i`` atom ``k`` is ``curve_at(i, k, u)``, u being ``rep``'s curve
     there: a change of measure or of numeraire, as a representation."""
-    space = rep.space
-    return Representation(space, P, UtilityField.from_atom_curves(space, [
-        [curve_at(i, k, rep.field.curve_on_atom(i, k)) for k in range(space.n_atoms(i))]
-        for i in range(space.n_times)
-    ]))
+    return Representation(rep.space, P, UtilityField(rep.space, tuple(
+        tuple(curve_at(i, k, u) for k, u in enumerate(row)) for i, row in enumerate(rep.field.curves)
+    )))
 
 
 def _scaled(kind: type, curve: MonotoneCurve, b: Number) -> MonotoneCurve:
@@ -393,6 +396,8 @@ def numeraire_transform(
     if len(numeraire) != space.n_times:
         raise InvariantError("one numeraire act per time label required")
     for i, b in enumerate(numeraire):
+        if b.space != space:
+            raise InvariantError("numeraire is defined on another filtered space")
         if b.time_index > i:
             raise InvariantError(f"numeraire at time index {i} is not F_{i}-measurable")
         if min(b.values) <= 0:

@@ -104,7 +104,6 @@ class InducedOracle(PreferenceOracle):
         self.rep = rep
         self.tol = tol
         self._value_memo: dict = {}
-        self._last_profile: tuple = (None, None, ())
         self._query_atoms: dict = {}
 
     @property
@@ -118,18 +117,12 @@ class InducedOracle(PreferenceOracle):
 
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
-        for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``.
-        The act asked last is recognised by identity, without hashing its
-        values: an audit asks about the same act many times in a row."""
-        last_f, last_i, last = self._last_profile
-        if f is last_f and i == last_i:
-            return last
+        for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``."""
         key = (i, f.time_index, f.values)
         hit = self._value_memo.get(key)
         if hit is None:
             hit = tuple([expected_utility(self.rep, i, i + 1, f, k) for k in range(self.space.n_atoms(i))])
             self._value_memo[key] = hit
-        self._last_profile = (f, i, hit)
         return hit
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:

@@ -27,38 +27,35 @@ from .filtered_space import (
 
 @dataclass(frozen=True)
 class UtilityField:
-    """One curve per state per time, constant across each atom.
-
-    Build with :meth:`from_atom_curves`.  The raw constructor takes the
-    per-state rows as given and checks only their shape; it serves negative
-    controls that deliberately break measurability.
-    """
+    """One curve per (time, atom): ``curves[i][k]`` is the curve on time-``i``
+    atom ``k``.  The field is adapted by construction: at time i a state
+    reads its curve through the time-i information alone."""
 
     space: FilteredSpace
-    curves_by_state: tuple[tuple[MonotoneCurve, ...], ...]
+    curves: tuple[tuple[MonotoneCurve, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.curves_by_state) != self.space.n_times:
-            raise InvariantError("one curve family per time label required")
-        for row in self.curves_by_state:
-            if len(row) != self.space.n_states:
-                raise InvariantError("one curve per state required")
+        if len(self.curves) != self.space.n_times:
+            raise InvariantError("one curve list per time label required")
+        for i, row in enumerate(self.curves):
+            if len(row) != self.space.n_atoms(i):
+                raise InvariantError(
+                    f"time index {i} needs {self.space.n_atoms(i)} curves, got {len(row)}"
+                )
 
     @classmethod
     def from_atom_curves(
         cls, space: FilteredSpace, per_time: Sequence[Sequence[MonotoneCurve]]
     ) -> "UtilityField":
-        if len(per_time) != space.n_times:
-            raise InvariantError("one curve list per time label required")
-        rows = []
-        for i, curves in enumerate(per_time):
-            if len(curves) != space.n_atoms(i):
-                raise InvariantError(
-                    f"time index {i} needs {space.n_atoms(i)} curves, got {len(curves)}"
-                )
-            amap = space.atom_index_map(i)
-            rows.append(tuple(curves[amap[s]] for s in range(space.n_states)))
-        return cls(space, tuple(rows))
+        return cls(space, tuple(tuple(row) for row in per_time))
+
+    @cached_property
+    def curves_by_state(self) -> tuple[tuple[MonotoneCurve, ...], ...]:
+        """``curves`` read per state: row i holds each state's time-i atom's
+        curve."""
+        return tuple(
+            tuple(row[k] for k in self.space.atom_index_map(i)) for i, row in enumerate(self.curves)
+        )
 
     @cached_property
     def evaluators_by_state(self) -> tuple[tuple[Callable[[Number], Number], ...], ...]:
@@ -66,33 +63,22 @@ class UtilityField:
         return tuple(tuple(curve.evaluator for curve in row) for row in self.curves_by_state)
 
     def __getstate__(self) -> dict:
-        # cached evaluators can be closures, which do not pickle
-        return {"space": self.space, "curves_by_state": self.curves_by_state}
+        # the derived views hold evaluators, which can be closures and do not pickle
+        return {"space": self.space, "curves": self.curves}
 
     def curve_on_atom(self, i: int, k: int) -> MonotoneCurve:
-        return self.curves_by_state[i][self.space.atom_members(i, k)[0]]
+        return self.curves[self.space.check_time_index(i)][k]
 
     def eval(self, j: int, f: Act) -> Act:
-        """u(t_j, f): apply each state's time-j curve to the act's value.
-
-        For a measurable field the result is measurable at j.  A field built
-        with the raw constructor that mixes curves inside an atom (a negative
-        control) can produce finer values; those are tagged at the first
-        index where they are measurable, so downstream conditioning still runs
-        and exposes the corruption instead of crashing."""
+        """u(t_j, f): each time-j atom's curve applied to the act's value
+        there, once per atom."""
         if f.time_index > j:
             raise InvariantError(
                 f"act at time index {f.time_index} is not measurable at {j}"
             )
-        row = self.evaluators_by_state[self.space.check_time_index(j)]
-        values = tuple(row[s](f.values[s]) for s in range(self.space.n_states))
-        for level in range(j, self.space.n_times):
-            try:
-                return Act(self.space, level, values)
-            except InvariantError:
-                if level == self.space.n_times - 1:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+        curves = self.curves[self.space.check_time_index(j)]
+        per_atom = [u(f.values[atom[0]]) for u, atom in zip(curves, self.space.partitions[j])]
+        return Act.from_atom_values(self.space, j, per_atom)
 
     def discontinuity_sets(self, j: int, f: Act) -> tuple[Event, Event, Event]:
         """States where f hits a right / left / any discontinuity of its curve.

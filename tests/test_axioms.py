@@ -49,6 +49,8 @@ def valid_oracle():
 class TestDeriveNullEvents:
     def test_strictly_positive_measure_has_none(self, valid_oracle):
         assert derive_null_events(valid_oracle, 1) == []
+        with pytest.raises(ValueError, match="need i >= 1"):
+            derive_null_events(valid_oracle, 0)
 
     def test_zero_weight_atom_found(self):
         space, _ = three_atom_space()

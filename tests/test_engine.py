@@ -4,6 +4,7 @@ semigroup identity, time consistency, discount and numeraire transforms."""
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -352,25 +353,82 @@ class TestTimeConsistency:
         """Non-measurable curve assignment inside a time-1 atom: the nested
         path evaluates through one curve and averages through another, so the
         verdict flips between the direct and nested comparisons."""
+
+        class CorruptedField(UtilityField):
+            """Identity curves, except that the per-state sums read state b's
+            time-1 curve as LinearCurve(9): not adapted."""
+
+            @property
+            def evaluators_by_state(self):
+                rows = [list(row) for row in UtilityField.evaluators_by_state.func(self)]
+                rows[1][1] = LinearCurve(9).evaluator
+                return tuple(map(tuple, rows))
+
         space = FilteredSpace.build(
             ("a", "b", "c"),
             (0, 1, 2),
             [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b"], ["c"]]],
         )
         P = ProbabilityMeasure(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        corrupted = UtilityField(
-            space,
-            (
-                (IdentityCurve(),) * 3,
-                (IdentityCurve(), LinearCurve(9), IdentityCurve()),
-                (IdentityCurve(),) * 3,
-            ),
-        )
-        rep = Representation(space, P, corrupted)
+        rows = [[IdentityCurve()] * space.n_atoms(i) for i in range(space.n_times)]
+        rep = Representation(space, P, CorruptedField.from_atom_curves(space, rows))
         g = Act.constant(space, 0, 1)
         f = Act(space, 2, (1, 1, 0))
         assert compare(rep, 0, 2, g, f).tag == "succeq"
         assert not time_consistency_check(rep, 0, 1, 2, g, f)
+
+
+class TestForeignSpace:
+    """Acts and measures on another space are refused where they enter, not
+    read state by state against this one: ``a`` has 7 states, ``b`` 8."""
+
+    @pytest.fixture
+    def reps(self):
+        a = random_representation(random.Random(3), n_times=3)
+        b = random_representation(random.Random(11), n_times=3)
+        assert a.space.n_states != b.space.n_states
+        return a, b
+
+    def test_compare_refuses_foreign_acts(self, reps):
+        a, b = reps
+        rng = random.Random(1)
+        g, f = random_act(rng, b.space, 0), random_act(rng, b.space, 1)
+        with pytest.raises(InvariantError, match="another filtered space"):
+            compare(a, 0, 1, g, f)
+        with pytest.raises(InvariantError, match="another filtered space"):
+            compare(a, 0, 1, random_act(rng, a.space, 0), f)
+
+    def test_cce_refuses_a_foreign_act(self, reps):
+        a, b = reps
+        with pytest.raises(InvariantError, match="another filtered space"):
+            cce(a, 0, 2, random_act(random.Random(1), b.space, 2))
+
+    def test_density_process_refuses_a_foreign_measure(self, reps):
+        a, b = reps
+        with pytest.raises(InvariantError, match="another filtered space"):
+            density_process(a, b.P)
+        with pytest.raises(InvariantError, match="another filtered space"):
+            discount_transform(a, b.P, n_pairs=5)
+
+    def test_numeraire_transform_refuses_a_foreign_numeraire(self, reps):
+        a, b = reps
+        numeraire = [Act.constant(b.space, i, 1.5) for i in range(b.space.n_times)]
+        with pytest.raises(InvariantError, match="another filtered space"):
+            numeraire_transform(a, numeraire, n_pairs=5)
+
+    def test_time_consistency_check_refuses_foreign_acts(self, reps):
+        a, b = reps
+        g, f = Act.constant(b.space, 0, 5.0), Act.constant(b.space, 2, 0.3)
+        with pytest.raises(InvariantError, match="another filtered space"):
+            time_consistency_check(a, 0, 1, 2, g, f)
+
+    def test_an_equal_space_is_accepted(self, reps):
+        a, _ = reps
+        twin = pickle.loads(pickle.dumps(a.space))
+        assert twin == a.space and twin is not a.space
+        f = random_act(random.Random(1), a.space, 2)
+        g = Act(twin, 2, f.values)
+        assert bits(cce(a, 1, 2, g)) == bits(cce(a, 1, 2, f))
 
 
 class TestDiscount:

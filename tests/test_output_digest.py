@@ -7,6 +7,7 @@ that alters outputs on purpose re-pins it and says why.
 
 from __future__ import annotations
 
+import ast
 import builtins
 import hashlib
 import math
@@ -15,6 +16,7 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
+import itpref
 from itpref import InducedOracle, check_C, check_M, check_ST, check_T, recover_representation
 from itpref.axioms import C_STYLES
 from itpref.cli import main
@@ -93,3 +95,17 @@ def test_outputs_do_not_depend_on_the_builtin_sum(monkeypatch, capsys):
     monkeypatch.undo()
     assert lines == (PINNED_LINES, PINNED_DIGEST)
     assert got == want
+
+
+def test_no_module_names_the_builtin_sum():
+    """README's summation rule over every library module, not only the
+    paths the pins exercise: no module under ``itpref`` names the built-in
+    ``sum``, which adds floats in a Python-version-dependent way."""
+    root = Path(itpref.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert found == []

@@ -7,22 +7,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itpref import (
     Act,
     ExponentialCurve,
+    FilteredSpace,
     IdentityCurve,
     InvariantError,
     LinearCurve,
     PiecewiseLinearCurve,
     ProbabilityMeasure,
     UtilityField,
+    cce,
     is_star_continuous,
 )
 from itpref.controls import three_atom_space
 from itpref.sampling import random_act, random_representation
 
-from conftest import bits
+from conftest import bits, drawn_act, drawn_representation
 
 JUMPY = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.9, 0.9), (1, 1.4)])
 
@@ -79,30 +82,34 @@ class TestEval:
                 four_state_space, [[IdentityCurve()], [IdentityCurve()], [IdentityCurve()] * 4]
             )
 
-    def test_nonmeasurable_field_evaluates_at_its_first_measurable_level(self):
-        """A raw-built field that mixes curves inside a time-1 atom (a
-        negative control): ``eval`` tags its result at the first level where
-        the values are measurable, and raises when no level is."""
-        from itpref import FilteredSpace
-
+    def test_per_state_rows_rejected(self):
+        """A field holds one curve per atom: rows of one curve per state,
+        which could mix curves inside an atom, fail the count check."""
+        space = FilteredSpace.build(
+            ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x", "y"], ["z"]], [["x"], ["y"], ["z"]]]
+        )
         rows = (
             (IdentityCurve(),) * 3,
             (IdentityCurve(), LinearCurve(2), IdentityCurve()),
             (IdentityCurve(),) * 3,
         )
-        space = FilteredSpace.build(
-            ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x", "y"], ["z"]], [["x"], ["y"], ["z"]]]
-        )
-        field = UtilityField(space, rows)
-        split = field.eval(1, Act(space, 1, (1, 1, 3)))
-        assert split.values == (1, 2, 3) and split.time_index == 2
-        zero = field.eval(1, Act.constant(space, 1, 0))
-        assert zero.values == (0, 0, 0) and zero.time_index == 1
-        merged = FilteredSpace.build(
-            ("x", "y", "z"), (0, 1), [[["x", "y", "z"]], [["x", "y"], ["z"]]]
-        )
-        with pytest.raises(InvariantError, match="not measurable at time index 1"):
-            UtilityField(merged, rows[:2]).eval(1, Act(merged, 1, (1, 1, 3)))
+        with pytest.raises(InvariantError, match="time index 0 needs 1 curves, got 3"):
+            UtilityField(space, rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_eval_is_each_states_curve_applied(seed, exact, null):
+    """``eval(j, f)`` equals each state's curve in ``curves_by_state``
+    applied to f's value there, in value and in type, on float and exact
+    representations."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 4, exact, null)
+    space, field = rep.space, rep.field
+    for j in range(space.n_times):
+        f = drawn_act(rng, space, rng.randint(0, j), exact)
+        want = Act(space, j, tuple(u(x) for u, x in zip(field.curves_by_state[j], f.values)))
+        assert bits(field.eval(j, f)) == bits(want)
 
 
 class TestDiscontinuitySets:
@@ -163,13 +170,17 @@ class TestStarContinuity:
 
 
 def test_evaluated_fields_and_curves_pickle():
-    """The curves' cached evaluators, closures, stay out of the pickled
-    state: an evaluated representation round-trips, and its copy evaluates
-    as the original does."""
+    """A field pickles as its space and its per-atom curves: the derived
+    per-state views and the curves' cached evaluators, closures, stay out.
+    An evaluated representation round-trips, and its copy evaluates as the
+    original does."""
     rng = random.Random(3)
     rep = random_representation(rng, n_times=3, kinds=("pl", "exp"))
     f = random_act(rng, rep.space, 2)
-    want = rep.field.eval(2, f)
+    want, want_cce = rep.field.eval(2, f), cce(rep, 1, 2, f)
+    assert "evaluators_by_state" in vars(rep.field)
+    assert set(rep.field.__getstate__()) == {"space", "curves"}
     copy = pickle.loads(pickle.dumps(rep))
     assert copy == rep
     assert bits(copy.field.eval(2, f)) == bits(want)
+    assert bits(cce(copy, 1, 2, f)) == bits(want_cce)
