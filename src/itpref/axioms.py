@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .curves import fmt_number
 from .engine import TriPartition
@@ -142,6 +142,14 @@ def _vals(act: Act) -> str:
     return "(" + ",".join(str(v) for v in act.atom_values()) + ")"
 
 
+def _grid_combos(choices: Sequence[Sequence], cap: int, keep: Callable | None = None) -> list[tuple]:
+    """The first ``cap`` tuples of ``itertools.product(*choices)`` that ``keep``
+    accepts (every one when it is None), in product order; none when ``cap <= 0``.
+    Every candidate act of the audits and of recovery is built from these."""
+    combos = itertools.product(*choices)
+    return list(itertools.islice(filter(keep, combos) if keep else combos, max(cap, 0)))
+
+
 def enumerate_simple_acts(
     space: FilteredSpace,
     level: int,
@@ -152,19 +160,34 @@ def enumerate_simple_acts(
     """Deterministic enumeration of grid simple acts at a time level:
     constants first, then products over atoms with a distinct-value cap."""
     acts = [Act.constant(space, level, v) for v in grid.values]
-    seen = {a.values for a in acts}
-    m = space.n_atoms(level)
-    if m > 1:
-        for combo in itertools.product(grid.values, repeat=m):
-            if len(acts) >= cap:
-                break
-            if len(set(combo)) > max_distinct:
-                continue
-            act = Act.from_atom_values(space, level, combo)
-            if act.values not in seen:
-                seen.add(act.values)
-                acts.append(act)
+    # a combo with one distinct value is a constant, listed already
+    combos = _grid_combos(
+        [grid.values] * space.n_atoms(level), cap - len(acts),
+        keep=lambda c: 1 < len(set(c)) <= max_distinct,
+    )
+    acts += [Act.from_atom_values(space, level, c) for c in combos]
     return acts[:cap]
+
+
+def _debreu_candidates(
+    space: FilteredSpace, level: int, xs: Sequence[Number], cap: int
+) -> list[tuple[Act, tuple[int, ...]]]:
+    """Up to ``cap`` time-``level`` acts, each with the positions in ``xs`` of
+    its per-atom values, that take the values of ``xs`` next to 0 (and 0
+    itself) on each atom and are not 0 everywhere."""
+    z = xs.index(0)  # sorted ``xs`` holds a positive value, so z + 1 is in range
+    picks = tuple(dict.fromkeys((max(z - 1, 0), z, z + 1)))
+    amap, origin = space.atom_index_map(level), (z,) * space.n_atoms(level)
+    combos = _grid_combos([picks] * len(origin), cap, keep=lambda pos: pos != origin)
+    # one finite grid value per atom: measurable at ``level`` by construction
+    return [(Act._trusted(space, level, tuple([xs[pos[k]] for k in amap])), pos) for pos in combos]
+
+
+def _sure_thing_candidates(space: FilteredSpace, level: int, atoms: Sequence[int]) -> list[Act]:
+    """:func:`check_ST`'s acts on the union of ``atoms``: ``SUBGRID`` on each
+    of them and 0 elsewhere, at most 32."""
+    choices = [SUBGRID if k in atoms else (0,) for k in range(space.n_atoms(level))]
+    return [Act.from_atom_values(space, level, c) for c in _grid_combos(choices, 32)]
 
 
 def derive_null_events(
@@ -492,18 +515,12 @@ def check_ST(
     ask = budget.ask
     unions = _atom_unions(_essential_atoms(budget, i + 1, grid), 2, cap=10)
     unions.append(tuple(range(space.n_atoms(i + 1))))
-    consts = list(grid.values)
-    h_acts = [Act.constant(space, i + 1, h) for h in consts]
+    h_acts = [Act.constant(space, i + 1, h) for h in grid.values]
     ext_acts = [Act.constant(space, i, c) for c in grid.extended()]
 
     for atoms in unions:
         A = space.union_event(i + 1, atoms)
-        f_cands = []
-        for combo in itertools.islice(itertools.product(SUBGRID, repeat=len(atoms)), 32):
-            per_atom = [0] * space.n_atoms(i + 1)
-            for k, v in zip(atoms, combo):
-                per_atom[k] = v
-            f_cands.append(Act.from_atom_values(space, i + 1, per_atom))
+        f_cands = _sure_thing_candidates(space, i + 1, atoms)
         # pasted[j][n]: candidate j on A and the n-th grid constant off it, built
         # once; its certainty equivalent is searched on first use
         pasted = [[paste(f, h, A) for h in h_acts] for f in f_cands]
@@ -513,14 +530,14 @@ def check_ST(
             if f1.values == f2.values:
                 continue
             premise_h = None
-            for n, (h, X1, X2) in enumerate(zip(consts, pasted[j1], pasted[j2])):
+            for n, (h, X1, X2) in enumerate(zip(grid.values, pasted[j1], pasted[j2])):
                 c1 = _equivalent(oracle, i, X1, equivalents, (j1, n))
                 if c1 is not None and ask(i, c1, X1).succeq and ask(i, c1, X2).preceq:
                     premise_h = h
                     break
             if premise_h is None:
                 continue
-            for n, (k, Y1, Y2) in enumerate(zip(consts, pasted[j1], pasted[j2])):
+            for n, (k, Y1, Y2) in enumerate(zip(grid.values, pasted[j1], pasted[j2])):
                 g2 = _equivalent(oracle, i, Y1, equivalents, (j1, n))
                 found = g2 is not None and ask(i, g2, Y1).succeq and ask(i, g2, Y2).preceq
                 if not found:

@@ -31,6 +31,7 @@ from .filtered_space import (
     InvariantError,
     Number,
     ProbabilityMeasure,
+    _check_act,
     _is_exact,
     _is_finite,
 )
@@ -124,20 +125,10 @@ class Verdict:
         return self.tag in ("preceq", "equiv")
 
 
-def _check_act(space: FilteredSpace, act: Act, j: int) -> None:
-    """``act`` must live on ``space`` and be measurable at time index ``j``."""
-    if act.space is not space and act.space != space:
-        raise InvariantError("act is defined on another filtered space")
-    if act.time_index > j:
-        raise PreconditionError(
-            f"act at time index {act.time_index} is not measurable at {j}"
-        )
-
-
 def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
     """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed left to right
     as ``conditional_expectation`` sums it; 0 on a null atom."""
-    _check_act(rep.space, f, t)
+    _check_act(rep.space, f, t, PreconditionError)
     if s > t:
         raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
     try:
@@ -198,7 +189,7 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
 def margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> list[Number]:
     """u(s, g) - E[u(t, f) | A] on each time-``s`` atom A, in atom order: the
     atom's curve at g's value there, minus :func:`expected_utility`."""
-    _check_act(rep.space, g, s)
+    _check_act(rep.space, g, s, PreconditionError)
     row = rep.field.evaluators_by_state[rep.space.check_time_index(s)]
     return [
         row[atom[0]](g.values[atom[0]]) - expected_utility(rep, s, t, f, k)

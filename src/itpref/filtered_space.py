@@ -64,17 +64,16 @@ class FilteredSpace:
             raise InvariantError("times must be strictly increasing")
         n = len(self.states)
         for i, part in enumerate(self.partitions):
-            seen: set[int] = set()
             for atom in part:
                 if not atom:
                     raise InvariantError(f"empty atom at time index {i}")
                 if tuple(sorted(atom)) != atom:
                     raise InvariantError(f"atom {atom} at time index {i} not in state order")
-                if seen & set(atom):
-                    raise InvariantError(f"overlapping atoms at time index {i}")
-                seen |= set(atom)
-            if seen != set(range(n)):
-                raise InvariantError(f"partition at time index {i} does not cover the state set")
+            # overlapping atoms, and a state repeated inside one atom, fail here too
+            if sorted(s for atom in part for s in atom) != list(range(n)):
+                raise InvariantError(
+                    f"partition at time index {i} does not cover the state set exactly once"
+                )
             firsts = [atom[0] for atom in part]
             if firsts != sorted(firsts):
                 raise InvariantError(f"atoms at time index {i} not ordered by first state")
@@ -423,6 +422,7 @@ class ProbabilityMeasure:
         return self.mass(A.members)
 
     def expectation(self, f: Act) -> Number:
+        _check_act(self.space, f)
         return reduce(add, (w * v for w, v in zip(self.weights, f.values)), 0)
 
     def positive_atoms(self, i: int) -> tuple[int, ...]:
@@ -437,6 +437,18 @@ class ProbabilityMeasure:
     def is_equivalent_to(self, other: "ProbabilityMeasure") -> bool:
         """Same null states (mutual absolute continuity on a finite space)."""
         return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
+
+
+def _check_act(
+    space: FilteredSpace, act: Act, j: int | None = None, late: type[ValueError] = InvariantError
+) -> None:
+    """``act`` must live on ``space`` (the same object, or an equal one) and,
+    when ``j`` is given, be measurable at time index ``j``; an act of a later
+    time raises ``late``."""
+    if act.space is not space and act.space != space:
+        raise InvariantError("act is defined on another filtered space")
+    if j is not None and act.time_index > j:
+        raise late(f"act at time index {act.time_index} is not measurable at {j}")
 
 
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:
@@ -464,6 +476,7 @@ def conditional_expectation(
     recorded in the result's ``null_fill`` so callers can honour the
     "up to null events" reading of downstream identities.
     """
+    _check_act(space, f)
     space.check_time_index(i)
     if i > f.time_index:
         raise InvariantError(

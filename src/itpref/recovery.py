@@ -19,21 +19,15 @@ so recovery is grid-exact only for piecewise-linear ground truth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Sequence
 
-from .axioms import DEFAULT_GRID, ActGrid, grid_for
+from .axioms import DEFAULT_GRID, ActGrid, _debreu_candidates, grid_for
 from .curves import IdentityCurve, MonotoneCurve, PiecewiseLinearCurve
 from .engine import Representation
-from .filtered_space import (
-    Act,
-    FilteredSpace,
-    Number,
-    ProbabilityMeasure,
-)
+from .filtered_space import Act, Number, ProbabilityMeasure
 from .oracles import PreferenceOracle, atom_certainty_equivalents
 from .utility_field import UtilityField
 
@@ -59,28 +53,7 @@ class RecoveredStep:
 
 
 def _recovery_xs(grid: ActGrid) -> tuple[Number, ...]:
-    xs = sorted(set(grid.values) | {X_BAR, 0})
-    return tuple(xs)
-
-
-def _debreu_candidates(
-    space: FilteredSpace, level: int, xs: Sequence[Number], cap: int
-) -> list[tuple[Act, tuple[int, ...]]]:
-    """Up to ``cap`` time-``level`` acts, each with the positions in ``xs`` of
-    its per-atom values, that take the grid values next to 0 (and 0 itself)
-    on each atom and are not 0 everywhere."""
-    z = xs.index(0)  # xs holds X_BAR > 0, so z + 1 is in range
-    picks = tuple(dict.fromkeys((max(z - 1, 0), z, z + 1)))
-    amap = space.atom_index_map(level)
-    out = []
-    for pos in itertools.product(picks, repeat=space.n_atoms(level)):
-        if all(p == z for p in pos):
-            continue
-        # one finite grid value per atom: measurable at ``level`` by construction
-        out.append((Act._trusted(space, level, tuple([xs[pos[k]] for k in amap])), pos))
-        if len(out) >= cap:
-            break
-    return out
+    return tuple(sorted(set(grid.values) | {X_BAR, 0}))
 
 
 def recover_step0(

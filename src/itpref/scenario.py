@@ -139,6 +139,9 @@ def _split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
+_CURVE_ARITY = {"linear": 1, "exp": 1, "power": 1, "ascaled": 2, "vscaled": 2}
+
+
 def parse_curve(text: str, line: int | None = None) -> MonotoneCurve:
     text = text.strip()
     if text == "identity":
@@ -151,6 +154,8 @@ def parse_curve(text: str, line: int | None = None) -> MonotoneCurve:
         args = _split_top_level(body)
     except ValueError as exc:
         raise ScenarioError(f"bad curve arguments in {text!r}: {exc}", line) from None
+    if (n := _CURVE_ARITY.get(kind, len(args))) != len(args):
+        raise ScenarioError(f"curve {text!r} takes {n} argument(s), got {len(args)}", line)
     try:
         if kind == "linear":
             return LinearCurve(parse_number(args[0], line))

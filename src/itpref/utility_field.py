@@ -22,6 +22,7 @@ from .filtered_space import (
     InvariantError,
     Number,
     ProbabilityMeasure,
+    _check_act,
 )
 
 
@@ -72,10 +73,7 @@ class UtilityField:
     def eval(self, j: int, f: Act) -> Act:
         """u(t_j, f): each time-j atom's curve applied to the act's value
         there, once per atom."""
-        if f.time_index > j:
-            raise InvariantError(
-                f"act at time index {f.time_index} is not measurable at {j}"
-            )
+        _check_act(self.space, f, j)
         curves = self.curves[self.space.check_time_index(j)]
         per_atom = [u(f.values[atom[0]]) for u, atom in zip(curves, self.space.partitions[j])]
         return Act.from_atom_values(self.space, j, per_atom)
@@ -88,6 +86,7 @@ class UtilityField:
         limit exceeds the attained value, and symmetrically on the left.
         """
         self.space.check_time_index(j)
+        _check_act(self.space, f, j)
         right: set[int] = set()
         left: set[int] = set()
         for s in range(self.space.n_states):

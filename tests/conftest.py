@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,11 @@ def drawn_act(rng, space, i, exact):
 def bits(act: Act):
     """An act's values with their types, and its ``null_fill``."""
     return [(type(v), repr(v)) for v in act.values], act.null_fill
+
+
+def foreign_act():
+    """A 7-state representation and a time-2 act on another, 8-state space."""
+    a = random_representation(random.Random(3), n_times=3)
+    b = random_representation(random.Random(11), n_times=3)
+    assert (a.space.n_states, b.space.n_states) == (7, 8)
+    return a, random_act(random.Random(0), b.space, 2)

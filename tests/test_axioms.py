@@ -3,15 +3,18 @@ own axiom, and oracle-derived structures agree with the measure-side ones."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itpref import (
     Act,
+    ActGrid,
     DEFAULT_GRID,
     FilteredSpace,
     InducedOracle,
@@ -27,7 +30,14 @@ from itpref import (
     null_events,
     tri_partition,
 )
-from itpref.axioms import C_STYLES, grid_for
+from itpref.axioms import (
+    C_STYLES,
+    SUBGRID,
+    _atom_unions,
+    _debreu_candidates,
+    _sure_thing_candidates,
+    grid_for,
+)
 from itpref.controls import (
     always_succeq,
     flat_segment,
@@ -37,7 +47,10 @@ from itpref.controls import (
     nonadditive_meanmax,
     three_atom_space,
 )
+from itpref.recovery import _recovery_xs
 from itpref.sampling import margin_guarded_pair, random_act, random_representation
+
+from conftest import bits, drawn_representation
 
 
 @pytest.fixture(scope="module")
@@ -712,3 +725,106 @@ def test_audit_grid_follows_the_oracle_number_kind():
         (int, -2), (int, -1), (float, -0.5), (int, 0), (float, 0.5), (int, 1), (int, 2)
     ]
     assert grid_for(inexact, grid) == grid
+
+
+# Reference loops for the candidate acts: the product prefix written out once
+# per call site, as enumerate_simple_acts, recovery's Debreu audit and check_ST
+# each wrote it by hand.  Replacing prefixes by covering arrays re-pins the
+# property test below on purpose.
+
+def prefix_simple_acts(space, level, grid, max_distinct, cap):
+    acts = [Act.constant(space, level, v) for v in grid.values]
+    seen = {a.values for a in acts}
+    m = space.n_atoms(level)
+    if m > 1:
+        for combo in itertools.product(grid.values, repeat=m):
+            if len(acts) >= cap:
+                break
+            if len(set(combo)) > max_distinct:
+                continue
+            act = Act.from_atom_values(space, level, combo)
+            if act.values not in seen:
+                seen.add(act.values)
+                acts.append(act)
+    return acts[:cap]
+
+
+def prefix_debreu_candidates(space, level, xs, cap):
+    z = xs.index(0)
+    picks = tuple(dict.fromkeys((max(z - 1, 0), z, z + 1)))
+    amap = space.atom_index_map(level)
+    out = []
+    for pos in itertools.product(picks, repeat=space.n_atoms(level)):
+        if all(p == z for p in pos):
+            continue
+        out.append((Act(space, level, tuple([xs[pos[k]] for k in amap])), pos))
+        if len(out) >= cap:
+            break
+    return out
+
+
+def prefix_sure_thing_candidates(space, level, atoms):
+    out = []
+    for combo in itertools.islice(itertools.product(SUBGRID, repeat=len(atoms)), 32):
+        per_atom = [0] * space.n_atoms(level)
+        for k, v in zip(atoms, combo):
+            per_atom[k] = v
+        out.append(Act.from_atom_values(space, level, per_atom))
+    return out
+
+
+SIXTEEN = FilteredSpace.build(
+    [f"s{k}" for k in range(16)],
+    (0, 1, 2),
+    [
+        [[f"s{k}" for k in range(16)]],
+        [[f"s{k}" for k in range(j, j + 4)] for j in range(0, 16, 4)],
+        [[f"s{k}"] for k in range(16)],
+    ],
+)
+ENUMERATION_GRIDS = (
+    DEFAULT_GRID,
+    DEFAULT_GRID.float_form(),
+    ActGrid((0, 2)),
+    ActGrid((-1, 0)),
+    ActGrid((-2, -1, 0, 1, 2)),
+    ActGrid((-0.5, 0, 0.25, 3)),
+    ActGrid((Fraction(-3, 4), 0, Fraction(1, 3), 2)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_candidate_acts_keep_the_product_prefix_order(seed, data):
+    """Every candidate-act list equals its reference loop's, act for act,
+    value types included: on drawn spaces (up to 16 states) and a space with
+    a 16-atom level, at every level (level 0 has one atom), on default and
+    non-default grids, and at caps below the number of grid constants."""
+    rng = random.Random(seed)
+    if data.draw(st.booleans(), label="16-atom level"):
+        space = SIXTEEN
+    else:
+        space = drawn_representation(rng, rng.choice((3, 4)), exact=False, null=False).space
+    level = data.draw(st.integers(0, space.last_index), label="level")
+    grid = data.draw(st.sampled_from(ENUMERATION_GRIDS), label="grid")
+    cap = data.draw(
+        st.one_of(st.integers(0, len(grid.values)), st.sampled_from((8, 12, 24, 128, 160))),
+        label="cap",
+    )
+    max_distinct = data.draw(st.sampled_from((2, 3)), label="max distinct")
+    assert [bits(a) for a in enumerate_simple_acts(space, level, grid, max_distinct, cap)] == [
+        bits(a) for a in prefix_simple_acts(space, level, grid, max_distinct, cap)
+    ]
+
+    xs = _recovery_xs(grid)
+    for debreu_cap in (max(cap, 1), 81, 64):  # the old loop returned one act at cap 0
+        got = _debreu_candidates(space, level, xs, debreu_cap)
+        want = prefix_debreu_candidates(space, level, xs, debreu_cap)
+        assert [(bits(f), pos) for f, pos in got] == [(bits(f), pos) for f, pos in want]
+
+    m = space.n_atoms(level)
+    essential = sorted(rng.sample(range(m), rng.randint(0, m)))
+    for atoms in _atom_unions(essential, 2, cap=10) + [tuple(range(m))]:
+        assert [bits(f) for f in _sure_thing_candidates(space, level, atoms)] == [
+            bits(f) for f in prefix_sure_thing_candidates(space, level, atoms)
+        ]

@@ -11,6 +11,8 @@ import pytest
 from itpref.cli import main
 from itpref.scenario import load_scenario
 
+from test_scenario import REPEATED_STATE
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 VILLA = str(SCENARIO_DIR / "villa.sdu")
@@ -37,6 +39,13 @@ class TestExitCodes:
         code, _, err = run(capsys, ["compare", "--scenario", "nope.sdu", "--g", "a", "--f", "b"])
         assert code == 2
         assert "no such scenario" in err
+
+    def test_state_repeated_inside_an_atom_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "repeat.sdu"
+        path.write_text(REPEATED_STATE + "\n[act x t=1]\na = 1\nb = 2\n")
+        code, _, err = run(capsys, ["cce", "--scenario", str(path), "--f", "x", "--s", "0"])
+        assert code == 2
+        assert "line 1:" in err and "exactly once" in err
 
     def test_unknown_act_is_input_error(self, capsys):
         code, _, err = run(capsys, ["cce", "--scenario", VILLA, "--f", "nonesuch"])

@@ -25,6 +25,8 @@ from itpref import (
 from itpref.apps import villa_scenario, villa_t2_formula
 from itpref.sampling import random_act, random_measure, random_representation, random_space
 
+from conftest import foreign_act
+
 
 class TestConstruction:
     def test_time0_must_be_trivial(self):
@@ -44,6 +46,13 @@ class TestConstruction:
     def test_partition_must_cover(self):
         with pytest.raises(InvariantError, match="cover"):
             FilteredSpace.build(("a", "b"), (0,), [[["a"]]])
+
+    def test_state_repeated_inside_an_atom_rejected(self):
+        # a repeated state counts twice: atom masses (1, 1/2) under uniform weights
+        with pytest.raises(InvariantError, match="exactly once"):
+            FilteredSpace.build(("a", "b"), (0, 1), [[["a", "b"]], [["a", "a"], ["b"]]])
+        with pytest.raises(InvariantError, match="exactly once"):
+            FilteredSpace(("a", "b"), (0, 1), (((0, 1),), ((0, 0), (1,))))
 
     def test_times_strictly_increasing(self):
         with pytest.raises(InvariantError, match="increasing"):
@@ -158,6 +167,27 @@ class TestMeasurability:
         ev = Event.of_states(four_state_space, ("w1", "w2"))
         assert is_measurable(four_state_space, 1, ev)
         assert not is_measurable(four_state_space, 1, Event.of_states(four_state_space, ("w2",)))
+
+
+class TestForeignActs:
+    def test_expectation_rejects_an_act_of_another_space(self):
+        a, f = foreign_act()
+        with pytest.raises(InvariantError, match="another filtered space"):
+            a.P.expectation(f)
+
+    def test_conditional_expectation_rejects_an_act_of_another_space(self):
+        a, f = foreign_act()
+        with pytest.raises(InvariantError, match="another filtered space"):
+            conditional_expectation(a.space, a.P, f, 1)
+
+    def test_an_equal_space_is_accepted(self, four_state_space, four_state_measure, staircase):
+        space = four_state_space
+        f = Act(FilteredSpace(space.states, space.times, space.partitions), 2, staircase.values)
+        assert four_state_measure.expectation(f) == four_state_measure.expectation(staircase)
+        got = conditional_expectation(four_state_space, four_state_measure, f, 1)
+        assert got.values == conditional_expectation(
+            four_state_space, four_state_measure, staircase, 1
+        ).values
 
 
 class TestConditionalExpectation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -95,6 +96,10 @@ a = identity
 b = linear(2)
 """
 
+REPEATED_STATE = MINIMAL.replace("t=1 = a | b", "t=1 = a, a | b").replace(
+    "[utility t=1]\na =", "[utility t=1]\na, a ="
+)
+
 
 class TestParsing:
     def test_minimal(self):
@@ -128,6 +133,20 @@ c = 1/3
 """
         with pytest.raises(ScenarioError, match="refine"):
             loads_scenario(bad3)
+
+    def test_state_repeated_inside_an_atom_rejected(self):
+        # a repeated state counts twice: atom masses (1, 1/2) at t=1
+        with pytest.raises(ScenarioError, match=r"line 1: .*exactly once"):
+            loads_scenario(REPEATED_STATE)
+
+    @pytest.mark.parametrize(
+        "curve", ["linear(2, banana)", "exp(0.3,1,2)", "vscaled(identity,2,9)", "ascaled(linear(2))"]
+    )
+    def test_curve_argument_count_checked(self, curve):
+        # an argument must not be dropped silently: a save would write the curve without it
+        bad = MINIMAL.replace("linear(2)", curve)
+        with pytest.raises(ScenarioError, match=re.escape(f"curve {curve!r} takes")):
+            loads_scenario(bad)
 
     def test_measure_must_normalize(self):
         bad = MINIMAL.replace("a = 1/2", "a = 2/3")

@@ -25,7 +25,7 @@ from itpref import (
 from itpref.controls import three_atom_space
 from itpref.sampling import random_act, random_representation
 
-from conftest import bits, drawn_act, drawn_representation
+from conftest import bits, drawn_act, drawn_representation, foreign_act
 
 JUMPY = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.9, 0.9), (1, 1.4)])
 
@@ -144,6 +144,29 @@ class TestDiscontinuitySets:
             _, _, d = field.discontinuity_sets(1, f)
             gap = limit_gap(JUMPY, x)
             assert (0 in d.members) == (gap > 1e-3)
+
+
+class TestForeignAndLateActs:
+    """Acts from another space, or of a later time, are refused as the engine
+    refuses them."""
+
+    def test_eval_rejects_an_act_of_another_space(self):
+        a, f = foreign_act()
+        with pytest.raises(InvariantError, match="another filtered space"):
+            a.field.eval(2, f)
+
+    def test_discontinuity_sets_reject_an_act_of_another_space(self):
+        a, f = foreign_act()
+        with pytest.raises(InvariantError, match="another filtered space"):
+            a.field.discontinuity_sets(2, f)
+
+    def test_discontinuity_sets_reject_a_later_act(self):
+        a, _ = foreign_act()
+        g = random_act(random.Random(0), a.space, 2)
+        with pytest.raises(InvariantError, match="act at time index 2 is not measurable at 1"):
+            a.field.eval(1, g)
+        with pytest.raises(InvariantError, match="act at time index 2 is not measurable at 1"):
+            a.field.discontinuity_sets(1, g)
 
 
 class TestStarContinuity:
