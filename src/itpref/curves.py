@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .filtered_space import Number, _is_exact
+from .filtered_space import Number, _float_image, _is_exact
 
 INVERT_TOL = 1e-12      # default inversion tolerance, on the utility scale
 MAX_BISECT = 200
@@ -262,7 +262,7 @@ class PiecewiseLinearCurve(MonotoneCurve):
         curve = cls(tuple(anchors))
         # a throwaway evaluator, so that building a curve caches none: an int
         # argument reads only the exact abscissae, so none are converted
-        u0 = _piecewise_linear(curve.anchors, curve._slopes, curve._xs, curve._xs)(0)
+        u0 = _segments(curve.anchors, curve._slopes, curve._xs, curve._xs)(0)
         if abs(u0) > NORM_TOL:
             raise ValueError(f"curve is not normalized: u(0) = {u0!r}")
         if strict:
@@ -351,8 +351,37 @@ def _piecewise_linear(
     float_xs: tuple[Number, ...],
 ) -> Callable[[Number], Number]:
     """The evaluator of the piecewise-linear curve with these anchors and
-    segment slopes: a float argument is placed among ``float_xs``, any
-    other among ``xs``."""
+    segment slopes: :func:`_segments` on them, for a curve with no
+    ``Fraction`` constant.  Otherwise a float argument meets each abscissa,
+    limit and slope through its float image
+    (:func:`~itpref.filtered_space._float_image`), made on the first float
+    argument, so each result is Python's own mixed arithmetic bit for bit
+    and an anchor hit still returns the anchor's own value."""
+    plain = _segments(anchors, slopes, xs, float_xs)
+    if not any(type(n) is Fraction for n in (*slopes, *(n for a in anchors for n in a))):
+        return plain
+    on_float = None
+
+    def evaluate(x: Number) -> Number:
+        nonlocal on_float
+        if type(x) is not float:
+            return plain(x)
+        if on_float is None:
+            images = tuple((_float_image(a), _float_image(l), v, _float_image(r)) for a, l, v, r in anchors)
+            on_float = _segments(images, tuple(map(_float_image, slopes)), float_xs, float_xs)
+        return on_float(x)
+
+    return evaluate
+
+
+def _segments(
+    anchors: tuple[tuple[Number, Number, Number, Number], ...],
+    slopes: tuple[Number, ...],
+    xs: tuple[Number, ...],
+    float_xs: tuple[Number, ...],
+) -> Callable[[Number], Number]:
+    """x ↦ the piecewise-linear value on these anchors and segment slopes: a
+    float argument is placed among ``float_xs``, any other among ``xs``."""
 
     def evaluate(x: Number) -> Number:
         at = float_xs if type(x) is float else xs

@@ -127,7 +127,9 @@ class Verdict:
 
 def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
     """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed left to right
-    as ``conditional_expectation`` sums it; 0 on a null atom."""
+    as ``conditional_expectation`` sums it; 0 on a null atom.  An exact
+    weight or mass meets a float through its float image, per term, so the
+    sum is the plain one bit for bit."""
     _check_act(rep.space, f, t, PreconditionError)
     if s > t:
         raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
@@ -140,11 +142,17 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
     mass = P.atom_masses(s)[k]
     if not mass > 0:
         return 0
-    weights, values = P.weights, f.values
+    weights, images, values = P.weights, P._weight_images, f.values
     value = 0
-    for x in rep.space.partitions[s][k]:
-        value += weights[x] * row[x](values[x])
-    value /= mass
+    if images is weights:  # no Fraction weight, so no Fraction mass
+        for x in rep.space.partitions[s][k]:
+            value += weights[x] * row[x](values[x])
+        value /= mass
+    else:
+        for x in rep.space.partitions[s][k]:
+            y = row[x](values[x])
+            value += (images[x] if type(y) is float else weights[x]) * y
+        value /= P._atom_mass_images[s][k] if type(value) is float else mass
     if not _is_finite(value):
         raise InvariantError("act values must be finite")
     return value

@@ -36,6 +36,28 @@ def _is_exact(*xs: Number) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
+def _float_image(q: Number) -> Number:
+    """The operand an exact ``q`` becomes where it meets a float: ``float(q)``,
+    which Python's own arithmetic computes again on every mixed operation,
+    forward or reverse (``q - x`` is ``float(q) - x``, ``x - q`` is
+    ``x - float(q)``), so using the image once made gives every result bit
+    for bit.  ``q`` itself when it overflows the float range, so that the
+    arithmetic raises as before.  Comparisons must keep ``q``: a float
+    compares with a ``Fraction`` exactly."""
+    try:
+        return float(q)
+    except OverflowError:
+        return q
+
+
+def _float_images(xs: tuple[Number, ...]) -> tuple[Number, ...]:
+    """:func:`_float_image` of each number, for float arguments to meet;
+    ``xs`` itself when it holds no ``Fraction``, so float data get no copy."""
+    if not any(type(x) is Fraction for x in xs):
+        return xs
+    return tuple(map(_float_image, xs))
+
+
 @dataclass(frozen=True)
 class FilteredSpace:
     """Finite state set with a refining chain of partitions, one per time.
@@ -346,6 +368,7 @@ class Act:
 
     def restrict(self, A: Event) -> "Act":
         """The act f·1_A (zero off ``A``)."""
+        _check_space(self.space, A, "event")
         values = tuple([v if s in A.members else 0 for s, v in enumerate(self.values)])
         if self._keeps_measurability(A):
             return Act._trusted(self.space, self.time_index, values)
@@ -400,6 +423,16 @@ class ProbabilityMeasure:
         return tuple(tuple(self.mass(atom) for atom in part) for part in self.space.partitions)
 
     @cached_property
+    def _weight_images(self) -> tuple[Number, ...]:
+        """The weights as a float utility meets them: ``_float_images``."""
+        return _float_images(self.weights)
+
+    @cached_property
+    def _atom_mass_images(self) -> tuple[tuple[Number, ...], ...]:
+        """Per time index, the atom masses as a float meets them."""
+        return tuple(map(_float_images, self._atom_masses))
+
+    @cached_property
     def _positive_atoms(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(k for k, m in enumerate(masses) if m > 0) for masses in self._atom_masses
@@ -419,6 +452,7 @@ class ProbabilityMeasure:
         return self.atom_masses(i)[k]
 
     def event_mass(self, A: Event) -> Number:
+        _check_space(self.space, A, "event")
         return self.mass(A.members)
 
     def expectation(self, f: Act) -> Number:
@@ -451,6 +485,13 @@ def _check_act(
         raise late(f"act at time index {act.time_index} is not measurable at {j}")
 
 
+def _check_space(space: FilteredSpace, obj: Event | ProbabilityMeasure, kind: str) -> None:
+    """``obj`` must live on ``space``, as :func:`_check_act` checks an act:
+    the same object, tested first, or an equal one."""
+    if obj.space is not space and obj.space != space:
+        raise InvariantError(f"{kind} is defined on another filtered space")
+
+
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:
     """True iff ``obj`` is constant per atom (acts) / a union of atoms (events)
     of the time-``i`` partition.  An act is measurable at every time from its
@@ -477,6 +518,7 @@ def conditional_expectation(
     "up to null events" reading of downstream identities.
     """
     _check_act(space, f)
+    _check_space(space, P, "measure")
     space.check_time_index(i)
     if i > f.time_index:
         raise InvariantError(
@@ -512,6 +554,7 @@ def paste(f: Act, g: Act, A: Event) -> Act:
         raise InvariantError(
             f"paste requires a shared time index, got {f.time_index} and {g.time_index}"
         )
+    _check_space(f.space, A, "event")
     values = tuple([
         fv if s in A.members else gv for s, (fv, gv) in enumerate(zip(f.values, g.values))
     ])

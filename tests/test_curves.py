@@ -132,7 +132,7 @@ class TestPiecewiseLinear:
         (j,) = u.jumps()
         assert (j.x, j.left, j.value, j.right) == (1, 1, 1, 2)
 
-    def test_evaluation_matches_the_anchor_scan(self):
+    def test_evaluation_matches_the_anchor_scan(self, monkeypatch):
         def scan(u, x):
             """Reference: find the segment by walking the anchors in order."""
             first, last, slopes = u.anchors[0], u.anchors[-1], u._slopes
@@ -167,13 +167,22 @@ class TestPiecewiseLinear:
                 [(-1, Fraction(-3, 2)), (0, 0), (Fraction(1, 3), Fraction(1, 4), Fraction(1, 3), 1),
                  (2, 3)]
             ),
+            # dyadic abscissae, non-dyadic slopes (1/3, 2/3) and right limit
+            # 7/10 at a jump: float arguments meet the float images of both
+            PiecewiseLinearCurve.from_points(
+                [(-1, Fraction(-1, 3)), (0, 0),
+                 (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 10)),
+                 (2, Fraction(17, 10))]
+            ),
         ]
+        floats_of = {}
         for u in curves:
             xs = [a[0] for a in u.anchors]
             points = [xs[0] - 1, xs[-1] + Fraction(7, 3)] + xs
             points += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
             points += [a + (b - a) / 7 for a, b in zip(xs, xs[1:])]
             floats = [float(x) for x in points] + [float(x) + d for x in xs for d in (-1e-12, 1e-12)]
+            floats_of[u] = floats
             for x in points + floats + [Fraction(x) for x in points]:
                 got, want = u(x), scan(u, x)
                 assert (type(got), repr(got)) == (type(want), repr(want)), x
@@ -185,6 +194,34 @@ class TestPiecewiseLinear:
         assert all(type(x) is float for x in curves[2]._float_xs)
         assert curves[2](0.5) == Fraction(1, 3) and curves[2](0.5 + 1e-12) > Fraction(5, 7)
         assert curves[3]._float_xs is curves[3]._xs
+        assert curves[4](0.5) == Fraction(2, 5) and curves[4](Fraction(1, 2)) == Fraction(2, 5)
+
+        # a float argument meets no Fraction operator on dyadic abscissae;
+        # beside 1/3 it meets only comparisons, which stay exact
+        met = []
+
+        def spy(name):
+            operator = getattr(Fraction, name)
+
+            def spied(a, b):
+                if type(b) is float:
+                    met.append(name)
+                return operator(a, b)
+
+            return spied
+
+        names = [f"__{op}__" for op in ("lt", "le", "gt", "ge", "eq")]
+        names += [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")]
+        with monkeypatch.context() as m:
+            for name in names:
+                m.setattr(Fraction, name, spy(name))
+            for u in curves[2], curves[4]:
+                for x in floats_of[u]:
+                    u(x)
+            assert met == []
+            for x in floats_of[curves[3]]:
+                curves[3](x)
+        assert met and set(met) <= set(names[:5])
 
     def test_fraction_arguments_with_no_exact_float_keep_the_exact_path(self):
         # float(2**53 + 1) and float(2**-1100) are the jump abscissae 2**53

@@ -180,14 +180,44 @@ class TestForeignActs:
         with pytest.raises(InvariantError, match="another filtered space"):
             conditional_expectation(a.space, a.P, f, 1)
 
+    def test_conditional_expectation_rejects_a_measure_of_another_space(self):
+        a, f = foreign_act()
+        g = random_act(random.Random(0), a.space, 2)
+        with pytest.raises(InvariantError, match="measure is defined on another filtered space"):
+            conditional_expectation(a.space, ProbabilityMeasure.uniform(f.space), g, 1)
+
+    def test_restrict_rejects_an_event_of_another_space(self):
+        a, f = foreign_act()
+        g = random_act(random.Random(0), a.space, 2)
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            g.restrict(f.space.atom_events(2)[-1])
+
+    def test_paste_rejects_an_event_of_another_space(self):
+        a, f = foreign_act()
+        g = random_act(random.Random(0), a.space, 2)
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            paste(g, g, f.space.atom_events(2)[-1])
+
+    def test_event_mass_rejects_an_event_of_another_space(self):
+        a, f = foreign_act()
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            a.P.event_mass(f.space.atom_events(2)[-1])
+
     def test_an_equal_space_is_accepted(self, four_state_space, four_state_measure, staircase):
         space = four_state_space
-        f = Act(FilteredSpace(space.states, space.times, space.partitions), 2, staircase.values)
+        twin = FilteredSpace(space.states, space.times, space.partitions)
+        f = Act(twin, 2, staircase.values)
         assert four_state_measure.expectation(f) == four_state_measure.expectation(staircase)
         got = conditional_expectation(four_state_space, four_state_measure, f, 1)
         assert got.values == conditional_expectation(
             four_state_space, four_state_measure, staircase, 1
         ).values
+        P = ProbabilityMeasure(twin, four_state_measure.weights)
+        assert conditional_expectation(space, P, staircase, 1).values == got.values
+        A, B = space.atom_event(1, 1), twin.atom_event(1, 1)
+        assert staircase.restrict(B) == staircase.restrict(A)
+        assert paste(f.restrict(A), staircase, B).values == staircase.values
+        assert four_state_measure.event_mass(B) == four_state_measure.event_mass(A)
 
 
 class TestConditionalExpectation:

@@ -188,6 +188,40 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
                     attempt()
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), null=st.booleans())
+def test_exact_oracle_answers_equal_exact_arithmetic(seed, null):
+    """On an exact representation and exact acts, the induced oracle's
+    ``atom_answers`` and ``query`` answers to float constants equal the
+    answers of exact arithmetic on the constant as a ``Fraction``: at dyadic
+    constants a bisection asks and at the curves' anchor abscissae."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 3, True, null)
+    space, P, tol = rep.space, rep.P, 1e-9
+    oracle = InducedOracle(rep, tol)
+    abscissae = {float(a[0]) for row in rep.field.curves for u in row for a in getattr(u, "anchors", ())}
+    constants = sorted(abscissae | {0.0, 2.0**20, -(2.0**20), 1.0, -1.0, 2.0, -4.0, 0.5, -0.75, 0.375})
+    constants += [rng.randint(-2**12, 2**12) / 2**rng.randint(1, 30) for _ in range(20)]
+    for i in range(space.n_times - 1):
+        f = drawn_act(rng, space, i + 1, True)
+
+        def exact_answer(k, c):
+            if not P.atom_masses(i)[k] > 0:
+                return QueryAnswer(True, True)
+            d = rep.field.curve_on_atom(i, k)(Fraction(c)) - expected_utility(rep, i, i + 1, f, k)
+            assert isinstance(d, Fraction)
+            return QueryAnswer(not d < -tol, not d > tol)
+
+        answers = [oracle.atom_answers(i, f, k) for k in range(space.n_atoms(i))]
+        for c in constants:
+            want = [exact_answer(k, c) for k in range(space.n_atoms(i))]
+            assert [answer(c) for answer in answers] == want, c
+            g = Act.constant(space, i, c)
+            for A, ks in [(None, range(len(want))), *((E, [k]) for k, E in enumerate(space.atom_events(i)))]:
+                both = [want[k] for k in ks]
+                assert oracle.query(i, g, f, A) == (all(w.succeq for w in both), all(w.preceq for w in both))
+
+
 def certainty_equivalents_outcome(search, oracle, i, f):
     """What ``search`` returns for f at step i, or the type and message of
     the ``BracketError`` it raises, with the queries it asked."""
@@ -403,6 +437,45 @@ def test_expected_utility_checks_t_before_a_null_atom():
     assert expected_utility(rep, 1, 2, f, k) == 0
     with pytest.raises(IndexError, match=r"^time index 4 out of range 0\.\.3$"):
         expected_utility(rep, 1, 4, f, k)
+
+
+def plain_expected_utility(rep, s, t, f, k):
+    """E[u(t, f) | A] on time-``s`` atom ``k``: the left-to-right loop on the
+    measure's own weights and masses, 0 on a null atom."""
+    mass = rep.P.atom_masses(s)[k]
+    if not mass > 0:
+        return 0
+    value = 0
+    for x in rep.space.partitions[s][k]:
+        value += rep.P.weights[x] * rep.field.curves_by_state[t][x](f.values[x])
+    return value / mass
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    null=st.booleans(),
+    float_curves=st.booleans(),
+    kinds=st.sampled_from((("float",), ("int", "dyadic", "third", "float"))),
+)
+def test_expected_utility_on_an_exact_measure_is_the_plain_sum(seed, null, float_curves, kinds):
+    """On an exact measure, with exact or float curves, ``expected_utility``
+    of a float act, or of a mixed act of ints, ``Fraction``s and floats,
+    equals the plain loop in value and type on every atom of every level."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 3, True, null)
+    if float_curves:
+        floats = random_representation(random.Random(seed), n_times=3)
+        rep = Representation(rep.space, rep.P, UtilityField(rep.space, tuple(
+            tuple(floats.field.curves[i][0] for _ in row) for i, row in enumerate(rep.field.curves)
+        )))
+    space = rep.space
+    for t in range(1, space.n_times):
+        f = Act.from_atom_values(space, t, [atom_value(rng, rng.choice(kinds)) for _ in range(space.n_atoms(t))])
+        for s in range(t + 1):
+            for k in range(space.n_atoms(s)):
+                got, want = expected_utility(rep, s, t, f, k), plain_expected_utility(rep, s, t, f, k)
+                assert (type(got), repr(got)) == (type(want), repr(want)), (s, t, k)
 
 
 def built(make):
