@@ -262,7 +262,8 @@ class PiecewiseLinearCurve(MonotoneCurve):
         curve = cls(tuple(anchors))
         # a throwaway evaluator, so that building a curve caches none: an int
         # argument reads only the exact abscissae, so none are converted
-        u0 = _segments(curve.anchors, curve._slopes, curve._xs, curve._xs)(0)
+        xs = tuple(a[0] for a in curve.anchors)
+        u0 = _segments(curve.anchors, curve._slopes, xs, xs)(0)
         if abs(u0) > NORM_TOL:
             raise ValueError(f"curve is not normalized: u(0) = {u0!r}")
         if strict:
@@ -279,30 +280,9 @@ class PiecewiseLinearCurve(MonotoneCurve):
         )
 
     @cached_property
-    def _xs(self) -> tuple[Number, ...]:
-        return tuple(a[0] for a in self.anchors)
-
-    @property
-    def _float_xs(self) -> tuple[Number, ...]:
-        """The abscissae a float argument is compared with: as floats when
-        every one converts exactly, so each comparison gives the same result
-        without converting the argument to a ``Fraction``; else ``_xs``.
-        Exact runs (villa) evaluate curves recovered on the ``Fraction`` grid
-        at float certainty equivalents, so every query of their oracle
-        searches would otherwise compare a float with ``Fraction``s.  Only
-        the evaluator reads it, once, and keeps it.  It can go once those
-        equivalents are exact."""
-        xs = self._xs
-        try:
-            fxs = tuple(map(float, xs))
-        except OverflowError:
-            return xs
-        return fxs if fxs == xs else xs
-
-    @cached_property
     def evaluator(self) -> Callable[[Number], Number]:
         """The curve's one copy of its arithmetic, built on first use."""
-        return _piecewise_linear(self.anchors, self._slopes, self._xs, self._float_xs)
+        return _piecewise_linear(self.anchors, self._slopes)
 
     def __call__(self, x: Number) -> Number:
         return self.evaluator(x)
@@ -347,17 +327,27 @@ class PiecewiseLinearCurve(MonotoneCurve):
 def _piecewise_linear(
     anchors: tuple[tuple[Number, Number, Number, Number], ...],
     slopes: tuple[Number, ...],
-    xs: tuple[Number, ...],
-    float_xs: tuple[Number, ...],
 ) -> Callable[[Number], Number]:
     """The evaluator of the piecewise-linear curve with these anchors and
-    segment slopes: :func:`_segments` on them, for a curve with no
-    ``Fraction`` constant.  Otherwise a float argument meets each abscissa,
-    limit and slope through its float image
+    segment slopes.
+
+    A float argument is compared with the abscissae as floats when every one
+    converts exactly, so each comparison gives the exact result without
+    converting the argument to a ``Fraction``, and with the abscissae as
+    given otherwise.  Exact runs (villa) evaluate curves recovered on the
+    ``Fraction`` grid at float certainty equivalents, so every query of their
+    oracle searches would otherwise meet ``Fraction`` constants.  On a curve
+    with a ``Fraction`` constant, a float argument also does its arithmetic
+    on the float images of the abscissae, limits and slopes
     (:func:`~itpref.filtered_space._float_image`), made on the first float
-    argument, so each result is Python's own mixed arithmetic bit for bit
-    and an anchor hit still returns the anchor's own value."""
-    plain = _segments(anchors, slopes, xs, float_xs)
+    argument: the operands Python's own mixed arithmetic makes on every
+    call, so each result is that arithmetic's bit for bit.  An anchor keeps
+    its value, so an anchor hit returns it as given.  A curve with no
+    ``Fraction`` constant gets no images and no dispatch."""
+    xs = tuple(a[0] for a in anchors)
+    float_xs = tuple(map(_float_image, xs))
+    at_float = float_xs if float_xs == xs else xs
+    plain = _segments(anchors, slopes, xs, at_float)
     if not any(type(n) is Fraction for n in (*slopes, *(n for a in anchors for n in a))):
         return plain
     on_float = None
@@ -367,8 +357,8 @@ def _piecewise_linear(
         if type(x) is not float:
             return plain(x)
         if on_float is None:
-            images = tuple((_float_image(a), _float_image(l), v, _float_image(r)) for a, l, v, r in anchors)
-            on_float = _segments(images, tuple(map(_float_image, slopes)), float_xs, float_xs)
+            images = tuple((fx, _float_image(l), v, _float_image(r)) for fx, (_, l, v, r) in zip(float_xs, anchors))
+            on_float = _segments(images, tuple(map(_float_image, slopes)), at_float, at_float)
         return on_float(x)
 
     return evaluate

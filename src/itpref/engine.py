@@ -32,6 +32,7 @@ from .filtered_space import (
     Number,
     ProbabilityMeasure,
     _check_act,
+    _check_space,
     _is_exact,
     _is_finite,
 )
@@ -144,7 +145,7 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
         return 0
     weights, images, values = P.weights, P._weight_images, f.values
     value = 0
-    if images is weights:  # no Fraction weight, so no Fraction mass
+    if images is weights:  # no Fraction weight or mass: the plain sum, no per-term test
         for x in rep.space.partitions[s][k]:
             value += weights[x] * row[x](values[x])
         value /= mass
@@ -280,8 +281,7 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
     """beta_t = E_{P*}[dP/dP* | F_t] atom-wise: the conditional density
     P(atom)/P*(atom) per time.  Common-null atoms carry the neutral value 1,
     flagged as filled."""
-    if P_star.space != rep.space:
-        raise InvariantError("P* is defined on another filtered space")
+    _check_space(rep.space, P_star, "P*")
     if not rep.P.is_equivalent_to(P_star):
         raise InvariantError("stochastic discount factor requires an equivalent measure")
     betas = []
@@ -395,8 +395,7 @@ def numeraire_transform(
     if len(numeraire) != space.n_times:
         raise InvariantError("one numeraire act per time label required")
     for i, b in enumerate(numeraire):
-        if b.space != space:
-            raise InvariantError("numeraire is defined on another filtered space")
+        _check_space(space, b, "numeraire")
         if b.time_index > i:
             raise InvariantError(f"numeraire at time index {i} is not F_{i}-measurable")
         if min(b.values) <= 0:

@@ -473,23 +473,22 @@ class ProbabilityMeasure:
         return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
 
 
+def _check_space(space: FilteredSpace, obj: Act | Event | ProbabilityMeasure, kind: str) -> None:
+    """``obj`` must live on ``space``: the same object, tested first, or an
+    equal one; else ``InvariantError`` naming the ``kind`` of ``obj``."""
+    if obj.space is not space and obj.space != space:
+        raise InvariantError(f"{kind} is defined on another filtered space")
+
+
 def _check_act(
     space: FilteredSpace, act: Act, j: int | None = None, late: type[ValueError] = InvariantError
 ) -> None:
-    """``act`` must live on ``space`` (the same object, or an equal one) and,
-    when ``j`` is given, be measurable at time index ``j``; an act of a later
-    time raises ``late``."""
-    if act.space is not space and act.space != space:
-        raise InvariantError("act is defined on another filtered space")
+    """``act`` must live on ``space`` (:func:`_check_space`) and, when ``j``
+    is given, be measurable at time index ``j``; an act of a later time
+    raises ``late``."""
+    _check_space(space, act, "act")
     if j is not None and act.time_index > j:
         raise late(f"act at time index {act.time_index} is not measurable at {j}")
-
-
-def _check_space(space: FilteredSpace, obj: Event | ProbabilityMeasure, kind: str) -> None:
-    """``obj`` must live on ``space``, as :func:`_check_act` checks an act:
-    the same object, tested first, or an equal one."""
-    if obj.space is not space and obj.space != space:
-        raise InvariantError(f"{kind} is defined on another filtered space")
 
 
 def is_measurable(space: FilteredSpace, i: int, obj: Act | Event) -> bool:

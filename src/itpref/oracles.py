@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, NamedTuple
 
 from .engine import Representation, expected_utility
-from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _float_image, _float_images
+from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _float_image
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
@@ -105,11 +105,6 @@ class InducedOracle(PreferenceOracle):
         self.tol = tol
         self._value_memo: dict = {}
         self._query_atoms: dict = {}
-        # with a Fraction weight a value profile can hold Fractions, which a
-        # float utility meets through their float images: those of the last
-        # profile ``query`` read, since a search asks many queries on one
-        self._fraction_weights = rep.P._weight_images is not rep.P.weights
-        self._profile_images: tuple = (None, None)
 
     @property
     def exact(self) -> bool:
@@ -132,12 +127,6 @@ class InducedOracle(PreferenceOracle):
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
-        images = values
-        if self._fraction_weights:
-            last = self._profile_images
-            if last[0] is not values:
-                last = self._profile_images = (values, _float_images(values))
-            images = last[1]
         # (atom, first state, curve evaluator) of each positive atom inside A,
         # per (i, A's states)
         key = (i, None if A is None else A.members)
@@ -152,8 +141,7 @@ class InducedOracle(PreferenceOracle):
         gv, tol = g.values, self.tol
         succ = prec = True
         for k, first, curve in atoms:
-            y = curve(gv[first])
-            d = y - (images[k] if type(y) is float else values[k])
+            d = curve(gv[first]) - values[k]
             if d < -tol:
                 succ = False
             if d > tol:
@@ -174,7 +162,7 @@ class InducedOracle(PreferenceOracle):
             return super().atom_answers(i, f, k)
         curve = self.rep.field.curve_on_atom(i, k).evaluator
         tol = self.tol
-        if type(value) is float:
+        if type(value) is float:  # as exact_answer, without its type test
 
             def answer(c: float) -> QueryAnswer:
                 self.queries += 1
@@ -182,7 +170,7 @@ class InducedOracle(PreferenceOracle):
                 return _ANSWERS[not d < -tol][not d > tol]
 
             return answer
-        # an exact value: a float utility meets it through its float image
+        # a float utility meets an exact value through its float image
         image = _float_image(value)
 
         def exact_answer(c: float) -> QueryAnswer:

@@ -18,8 +18,11 @@ from itpref import (
     BracketError,
     Event,
     FilteredSpace,
+    IdentityCurve,
     InducedOracle,
+    PiecewiseLinearCurve,
     ProbabilityMeasure,
+    UtilityField,
     cce,
     compare,
     indifference_profile,
@@ -76,6 +79,20 @@ class TestInducedOracle:
         elsewhere = rep.space.atom_event(s, k).complement()
         off_atom = oracle.ask(s, g_up, f, elsewhere)
         assert off_atom.equiv
+
+    def test_exact_margin_at_an_anchor_stays_exact(self, two_branch_space):
+        # at its anchor abscissa 1.0 the curve returns its exact value 1/3, so
+        # the margin over the exact value 1/10 is 7/30, which exceeds a tol
+        # set to the float margin float(1/3) - float(1/10): only the margin
+        # taken in exact arithmetic answers "not preceq"
+        space = two_branch_space
+        u0 = PiecewiseLinearCurve.from_points([(-1, Fraction(-1, 3)), (0, 0), (1, Fraction(1, 3))])
+        field = UtilityField.from_atom_curves(space, [[u0], [IdentityCurve()] * 2])
+        rep = Representation(space, ProbabilityMeasure(space, (Fraction(1, 2), Fraction(1, 2))), field)
+        oracle = InducedOracle(rep, float(Fraction(1, 3)) - float(Fraction(1, 10)))
+        f = Act.constant(space, 1, Fraction(1, 10))
+        assert oracle.atom_answers(0, f, 0)(1.0) == QueryAnswer(True, False)
+        assert oracle.query(0, Act.constant(space, 0, 1.0), f) == QueryAnswer(True, False)
 
     def test_null_event_answers_vacuously(self, four_state_space):
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
