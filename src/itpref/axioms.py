@@ -598,11 +598,7 @@ def check_C(
     budget = _Budget(oracle)
     ask = budget.ask
     f = f if f.time_index == i + 1 else f.at_time(i + 1)
-    ess_i = (
-        [space.whole_event(i)]
-        if i == 0
-        else [space.atom_event(i, k) for k in _essential_atoms(budget, i, grid)]
-    )
+    ess_i = [space.atom_event(i, k) for k in _essential_atoms(budget, i, grid)]
     try:
         profile = indifference_profile(oracle, i, f, BISECT_TOL)
     except BracketError:

@@ -189,14 +189,11 @@ def _cmd_recover(args) -> int:
         ("verdict agreement", f"{checked - mismatches}/{checked}"),
     ]
     if args.out:
-        recovered_spec = ScenarioSpec(
-            spec.space,
-            result.rep.P,
-            result.rep.field,
-            spec.acts,
-            spec.strategies,
-            (spec.title or "scenario") + "-recovered",
-            spec.variant,
+        recovered_spec = replace(
+            spec,
+            measure=result.rep.P,
+            field=result.rep.field,
+            title=(spec.title or "scenario") + "-recovered",
         )
         save_scenario(recovered_spec, args.out)
         rows.append(("written", args.out))

@@ -260,10 +260,9 @@ class PiecewiseLinearCurve(MonotoneCurve):
             else:
                 raise ValueError("points must be (x,y) or (x,left,value,right)")
         curve = cls(tuple(anchors))
-        # a throwaway evaluator, so that building a curve caches none: an int
-        # argument reads only the exact abscissae, so none are converted
-        xs = tuple(a[0] for a in curve.anchors)
-        u0 = _segments(curve.anchors, curve._slopes, xs, xs)(0)
+        # a throwaway evaluator, so that building a curve caches none and
+        # converts no abscissa
+        u0 = _segments(curve.anchors, curve._slopes, tuple(a[0] for a in curve.anchors))(0)
         if abs(u0) > NORM_TOL:
             raise ValueError(f"curve is not normalized: u(0) = {u0!r}")
         if strict:
@@ -347,9 +346,10 @@ def _piecewise_linear(
     xs = tuple(a[0] for a in anchors)
     float_xs = tuple(map(_float_image, xs))
     at_float = float_xs if float_xs == xs else xs
-    plain = _segments(anchors, slopes, xs, at_float)
     if not any(type(n) is Fraction for n in (*slopes, *(n for a in anchors for n in a))):
-        return plain
+        # equal to ``xs`` term by term, and Python compares numbers exactly
+        return _segments(anchors, slopes, at_float)
+    plain = _segments(anchors, slopes, xs)
     on_float = None
 
     def evaluate(x: Number) -> Number:
@@ -358,7 +358,7 @@ def _piecewise_linear(
             return plain(x)
         if on_float is None:
             images = tuple((fx, _float_image(l), v, _float_image(r)) for fx, (_, l, v, r) in zip(float_xs, anchors))
-            on_float = _segments(images, tuple(map(_float_image, slopes)), at_float, at_float)
+            on_float = _segments(images, tuple(map(_float_image, slopes)), at_float)
         return on_float(x)
 
     return evaluate
@@ -367,14 +367,12 @@ def _piecewise_linear(
 def _segments(
     anchors: tuple[tuple[Number, Number, Number, Number], ...],
     slopes: tuple[Number, ...],
-    xs: tuple[Number, ...],
-    float_xs: tuple[Number, ...],
+    at: tuple[Number, ...],
 ) -> Callable[[Number], Number]:
-    """x ↦ the piecewise-linear value on these anchors and segment slopes: a
-    float argument is placed among ``float_xs``, any other among ``xs``."""
+    """x ↦ the piecewise-linear value on these anchors and segment slopes,
+    with ``x`` placed among the abscissae ``at``."""
 
     def evaluate(x: Number) -> Number:
-        at = float_xs if type(x) is float else xs
         if x < at[0]:
             first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])

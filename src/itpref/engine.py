@@ -58,8 +58,8 @@ class Representation:
     field: UtilityField
 
     def __post_init__(self) -> None:
-        if self.P.space != self.space or self.field.space != self.space:
-            raise InvariantError("measure/field space mismatch")
+        _check_space(self.space, self.P, "measure")
+        _check_space(self.space, self.field, "field")
         u0 = self.field.curve_on_atom(0, 0)
         if u0.jumps():
             raise InvariantError("initial utility must be continuous")

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, itemgetter
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
+
+if TYPE_CHECKING:
+    from .utility_field import UtilityField
 
 Number = Union[int, float, Fraction]
 
@@ -473,7 +476,9 @@ class ProbabilityMeasure:
         return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
 
 
-def _check_space(space: FilteredSpace, obj: Act | Event | ProbabilityMeasure, kind: str) -> None:
+def _check_space(
+    space: FilteredSpace, obj: Act | Event | ProbabilityMeasure | UtilityField, kind: str
+) -> None:
     """``obj`` must live on ``space``: the same object, tested first, or an
     equal one; else ``InvariantError`` naming the ``kind`` of ``obj``."""
     if obj.space is not space and obj.space != space:
@@ -534,10 +539,12 @@ def conditional_expectation(
 def null_events(space: FilteredSpace, P: ProbabilityMeasure, i: int) -> list[Event]:
     """The zero-probability atoms at time ``i``; their union is the maximal
     null event, and an event is null iff contained in that union."""
+    _check_space(space, P, "measure")
     return [space.atom_event(i, k) for k in P.null_atoms(i)]
 
 
 def maximal_null_event(space: FilteredSpace, P: ProbabilityMeasure, i: int) -> Event:
+    _check_space(space, P, "measure")
     return space.union_event(i, P.null_atoms(i))
 
 
@@ -547,8 +554,7 @@ def is_null_event(P: ProbabilityMeasure, A: Event) -> bool:
 
 def paste(f: Act, g: Act, A: Event) -> Act:
     """The act equal to ``f`` on ``A`` and to ``g`` elsewhere."""
-    if f.space is not g.space and f.space != g.space:
-        raise InvariantError("acts live on different spaces")
+    _check_space(f.space, g, "act")
     if f.time_index != g.time_index:
         raise InvariantError(
             f"paste requires a shared time index, got {f.time_index} and {g.time_index}"

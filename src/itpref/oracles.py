@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, NamedTuple
 
 from .engine import Representation, expected_utility
-from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _float_image
+from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _check_space, _float_image
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
@@ -132,6 +132,10 @@ class InducedOracle(PreferenceOracle):
         key = (i, None if A is None else A.members)
         atoms = self._query_atoms.get(key)
         if atoms is None:
+            if A is not None:
+                # A must be known at t_i: a union of time-i atoms
+                _check_space(self.space, A, "event")
+                Event(self.space, A.members, i)
             field, part = self.rep.field, self.space.partitions[i]
             atoms = self._query_atoms[key] = tuple(
                 (k, part[k][0], field.curve_on_atom(i, k).evaluator)

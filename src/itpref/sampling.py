@@ -134,9 +134,7 @@ def random_act(
 
 
 def random_equivalent_measure(rng: random.Random, P: ProbabilityMeasure) -> ProbabilityMeasure:
-    raw = [(MIN_MASS + rng.random()) if w > 0 else 0.0 for w in P.weights]
-    total = reduce(add, raw, 0)
-    return ProbabilityMeasure(P.space, tuple(w / total for w in raw))
+    return random_measure(rng, P.space, [s for s, w in enumerate(P.weights) if w == 0])
 
 
 def scaled_clone(rep: Representation, P_star: ProbabilityMeasure) -> Representation:

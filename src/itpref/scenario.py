@@ -297,12 +297,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
                 members = tuple(sorted(space.state_index(n) for n in names))
             except KeyError as exc:
                 raise ScenarioError(f"unknown state in atom key: {exc}", lineno) from None
-            k = None
-            for kk in range(space.n_atoms(idx)):
-                if space.atom_members(idx, kk) == members:
-                    k = kk
-                    break
-            if k is None:
+            k = space.atom_index_map(idx)[members[0]]
+            if space.atom_members(idx, k) != members:
                 raise ScenarioError(
                     f"{key!r} is not an atom of partition t={idx}", lineno
                 )

@@ -23,6 +23,7 @@ from .filtered_space import (
     Number,
     ProbabilityMeasure,
     _check_act,
+    _check_space,
 )
 
 
@@ -125,7 +126,7 @@ def is_star_continuous(
     offending atom, zero elsewhere).
     """
     space = field.space
-    space.check_time_index(j)
+    _check_space(space, P, "measure")
     for k in P.positive_atoms(j):
         curve = field.curve_on_atom(j, k)
         jumps = curve.jumps()

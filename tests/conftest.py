@@ -122,3 +122,12 @@ def foreign_act():
     b = random_representation(random.Random(11), n_times=3)
     assert (a.space.n_states, b.space.n_states) == (7, 8)
     return a, random_act(random.Random(0), b.space, 2)
+
+
+def foreign_null_measure() -> ProbabilityMeasure:
+    """A measure on another space: states x, y, z with time-1 atoms {x,y}
+    and {z}, singletons at time 2, and the null state x."""
+    space = FilteredSpace.build(
+        ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x", "y"], ["z"]], [["x"], ["y"], ["z"]]]
+    )
+    return ProbabilityMeasure(space, (0, Fraction(1, 2), Fraction(1, 2)))

@@ -167,6 +167,39 @@ class TestCheckT:
         with pytest.raises(RangeError):
             cce(rep, 1, 2, Act.constant(space, 2, 2))
 
+    def test_consistency_and_stability_fail_on_different_pairs(self):
+        """Each of clauses 5 and 6 keeps examining pairs after the other
+        failed: stability fails on the first pair, whose g is constant,
+        and consistency only on a later one."""
+        from itpref import PreferenceOracle, QueryAnswer
+
+        space = FilteredSpace.build(
+            ("a", "b", "c"), (0, 1, 2), [[["a", "b", "c"]], [["a"], ["b"], ["c"]], [["a"], ["b"], ["c"]]]
+        )
+        induced = InducedOracle(
+            identity_representation(space, ProbabilityMeasure(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))))
+        )
+
+        class SplitUnions(PreferenceOracle):
+            """Induced answers, except at step 1 on two unions of atoms: the
+            whole space answers undecided when g is constant, and {a,b}
+            answers both ways when it is not."""
+
+            def query(self, i, g, f, A=None):
+                if i == 1 and A is not None:
+                    constant = len(set(g.values)) == 1
+                    if constant and len(A.members) == 3:
+                        return QueryAnswer(False, False)
+                    if not constant and A.members == {0, 1}:
+                        return QueryAnswer(True, True)
+                return induced.query(i, g, f, A)
+
+        report = check_T(SplitUnions(space), 1)
+        res5, res6 = report.clauses["5 consistency"], report.clauses["6 stability"]
+        assert not res5.passed and not res6.passed
+        g5, g6 = (re.match(r"g=\(([^)]*)\)", r.counterexample).group(1) for r in (res5, res6))
+        assert len(set(g6.split(","))) == 1 < len(set(g5.split(",")))
+
     def test_render_is_deterministic(self, valid_oracle):
         a = check_T(valid_oracle, 0).render()
         b = check_T(valid_oracle, 0).render()

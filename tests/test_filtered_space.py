@@ -23,9 +23,10 @@ from itpref import (
     paste,
 )
 from itpref.apps import villa_scenario, villa_t2_formula
+from itpref.controls import three_atom_space
 from itpref.sampling import random_act, random_measure, random_representation, random_space
 
-from conftest import foreign_act
+from conftest import foreign_act, foreign_null_measure
 
 
 class TestConstruction:
@@ -202,6 +203,17 @@ class TestForeignActs:
         a, f = foreign_act()
         with pytest.raises(InvariantError, match="event is defined on another filtered space"):
             a.P.event_mass(f.space.atom_events(2)[-1])
+
+    def test_null_events_reject_a_measure_of_another_space(self):
+        # read by atom index, the other measure's time-1 atoms are all positive
+        space, _ = three_atom_space()
+        with pytest.raises(InvariantError, match="measure is defined on another filtered space"):
+            null_events(space, foreign_null_measure(), 1)
+
+    def test_maximal_null_event_rejects_a_measure_of_another_space(self):
+        space, _ = three_atom_space()
+        with pytest.raises(InvariantError, match="measure is defined on another filtered space"):
+            maximal_null_event(space, foreign_null_measure(), 1)
 
     def test_an_equal_space_is_accepted(self, four_state_space, four_state_measure, staircase):
         space = four_state_space

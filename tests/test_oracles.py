@@ -20,6 +20,7 @@ from itpref import (
     FilteredSpace,
     IdentityCurve,
     InducedOracle,
+    InvariantError,
     PiecewiseLinearCurve,
     ProbabilityMeasure,
     UtilityField,
@@ -101,6 +102,34 @@ class TestInducedOracle:
         huge = Act.constant(four_state_space, 1, 100)
         tiny = Act.constant(four_state_space, 2, -100)
         assert oracle.ask(1, huge, tiny, dead).equiv
+
+    @pytest.mark.parametrize("level", [1, 1.0], ids=["exact-value", "float-value"])
+    def test_batched_answers_agree_at_the_band_edges(self, two_branch_space, level):
+        # margins of exactly -tol and +tol lie inside the band: both answers
+        # hold, from ``query`` and from either answer closure
+        space = two_branch_space
+        oracle = InducedOracle(identity_rep(space, ProbabilityMeasure.uniform(space)), tol=0.25)
+        f = Act.constant(space, 1, level)
+        answer = oracle.atom_answers(0, f, 0)
+        for c in (0.75, 1.25, Fraction(3, 4), Fraction(5, 4)):
+            assert answer(c) == oracle.query(0, Act.constant(space, 0, c), f) == QueryAnswer(True, True)
+
+    def test_an_event_not_known_at_t_i_is_refused(self):
+        sp = FilteredSpace.build(
+            ("a", "b", "c"), (0, 1, 2), [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b"], ["c"]]]
+        )
+        oracle = InducedOracle(identity_rep(sp, ProbabilityMeasure.uniform(sp)))
+        g, f = Act.constant(sp, 1, 0), Act(sp, 2, (10, -10, 0))
+        for state in (0, 1):  # {a} and {b} each split the time-1 atom {a,b}
+            with pytest.raises(InvariantError, match="not a union of atoms at time index 1: splits atom {a,b}"):
+                oracle.ask(1, g, f, Event(sp, frozenset({state}), 2))
+        # a union of time-1 atoms stays valid under a later time index
+        assert oracle.ask(1, g, f, Event(sp, frozenset({2}), 2)) == QueryAnswer(True, True)
+        other = FilteredSpace.build(
+            ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x"], ["y", "z"]], [["x"], ["y"], ["z"]]]
+        )
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            oracle.ask(1, g, f, Event(other, frozenset({1, 2}), 1))
 
     def test_answers_stable(self):
         space, P = three_atom_space()

@@ -14,6 +14,7 @@ from itpref import (
     DEFAULT_GRID,
     Act,
     ActGrid,
+    FilteredSpace,
     IdentityCurve,
     InducedOracle,
     LinearCurve,
@@ -333,6 +334,18 @@ class TestRecoverInductive:
         checked, mismatches = verdict_agreement(rep, result.rep, 500, seed=13, margin=0.05)
         assert mismatches == 0, f"{mismatches}/{checked} verdicts flipped"
 
+    def test_coarse_last_partition_spreads_each_atom_evenly(self):
+        # the oracle sees the time-1 atom {c,d} only, so its mass is split
+        # evenly over c and d, whatever the split under the original measure
+        space = FilteredSpace.build(
+            ("a", "b", "c", "d"), (0, 1), [[["a", "b", "c", "d"]], [["a"], ["b"], ["c", "d"]]]
+        )
+        P = ProbabilityMeasure(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)))
+        rep = identity_rep(space, P)
+        result = recover_representation(InducedOracle(rep, tol=1e-12), rep.u0)
+        assert [float(w) for w in result.rep.P.weights] == pytest.approx([0.25] * 4, abs=1e-7)
+        assert check_relative_uniqueness(rep, result.rep, tol=1e-7).accepted
+
     def test_updated_probability_agrees_on_coarser_atoms(self):
         rng = random.Random(17)
         rep = random_representation(rng, n_times=3, kinds=("pl",), min_first_split=3)
@@ -513,6 +526,12 @@ class TestRelativeUniqueness:
     def test_reflexive(self):
         rng = random.Random(23)
         rep = random_representation(rng)
+        res = check_relative_uniqueness(rep, rep)
+        assert res.accepted and res.max_deviation == 0.0
+
+    def test_reflexive_with_a_null_state(self):
+        space, _ = three_atom_space()
+        rep = identity_representation(space, ProbabilityMeasure(space, (Fraction(1, 2), 0, Fraction(1, 2))))
         res = check_relative_uniqueness(rep, rep)
         assert res.accepted and res.max_deviation == 0.0
 

@@ -25,7 +25,7 @@ from itpref import (
 from itpref.controls import three_atom_space
 from itpref.sampling import random_act, random_representation
 
-from conftest import bits, drawn_act, drawn_representation, foreign_act
+from conftest import bits, drawn_act, drawn_representation, foreign_act, foreign_null_measure
 
 JUMPY = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.9, 0.9), (1, 1.4)])
 
@@ -159,6 +159,15 @@ class TestForeignAndLateActs:
         a, f = foreign_act()
         with pytest.raises(InvariantError, match="another filtered space"):
             a.field.discontinuity_sets(2, f)
+
+    def test_star_continuity_rejects_a_measure_of_another_space(self):
+        # the other measure's positive time-1 atoms, read by index, would
+        # skip the jump on atom {z}
+        space, P = three_atom_space()
+        field = field_with_jump_on(space, 2)
+        assert not is_star_continuous(field, P, 1)
+        with pytest.raises(InvariantError, match="measure is defined on another filtered space"):
+            is_star_continuous(field, foreign_null_measure(), 1)
 
     def test_discontinuity_sets_reject_a_later_act(self):
         a, _ = foreign_act()
