@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .curves import IdentityCurve, PiecewiseLinearCurve
 from .engine import Representation
-from .filtered_space import Act, FilteredSpace, ProbabilityMeasure
+from .filtered_space import Act, Event, FilteredSpace, ProbabilityMeasure, _check_space
 from .oracles import InducedOracle, PreferenceOracle, QueryAnswer
 from .utility_field import UtilityField
 
@@ -113,6 +113,7 @@ class MeanMaxOracle(PreferenceOracle):
         self.tol = tol
         self._positive = P.positive_states()
         self._values: dict = {}
+        self._known: set = set()  # the (i, A's states) found known at t_i
 
     def _value(self, f: Act) -> float:
         """V(f), memoized by the act's values."""
@@ -123,9 +124,18 @@ class MeanMaxOracle(PreferenceOracle):
         return v
 
     def query(self, i, g, f, A=None):
-        # weights are nonnegative: A is null iff it holds no positive state
-        if A is not None and A.members.isdisjoint(self._positive):
-            return QueryAnswer(True, True)
+        if A is not None:
+            # A must live on this space and be known at t_i, as the induced
+            # oracle asks; each (i, A's states) is checked once
+            if A.space is not self.space:
+                _check_space(self.space, A, "event")
+            key = (i, A.members)
+            if key not in self._known:
+                Event(self.space, A.members, i)
+                self._known.add(key)
+            # weights are nonnegative: A is null iff it holds no positive state
+            if A.members.isdisjoint(self._positive):
+                return QueryAnswer(True, True)
         # time-0 information is trivial, so any essential A is the whole space
         u = float(g.values[0])  # identity initial utility; g is constant
         v = self._value(f)

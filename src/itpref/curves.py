@@ -370,21 +370,20 @@ def _segments(
     at: tuple[Number, ...],
 ) -> Callable[[Number], Number]:
     """x ↦ the piecewise-linear value on these anchors and segment slopes,
-    with ``x`` placed among the abscissae ``at``."""
+    with ``x`` placed among the abscissae ``at`` by one search."""
+    last = len(slopes)  # the last anchor's index
 
     def evaluate(x: Number) -> Number:
-        if x < at[0]:
+        # at[i] <= x < at[i + 1]; i = -1 left of the first anchor, i = last
+        # at or right of the last
+        i = bisect_right(at, x) - 1
+        if i < 0:
             first = anchors[0]
             return first[1] + slopes[0] * (x - first[0])
-        if x > at[-1]:
-            last = anchors[-1]
-            return last[3] + slopes[-1] * (x - last[0])
-        # at[i] <= x < at[i + 1], or x is the last anchor
-        i = bisect_right(at, x) - 1
         a = anchors[i]
         if x == at[i]:
             return a[2]
-        return a[3] + slopes[i] * (x - a[0])
+        return a[3] + (slopes[i] if i < last else slopes[-1]) * (x - a[0])
 
     return evaluate
 

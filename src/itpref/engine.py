@@ -10,8 +10,10 @@ the stochastic-discount / numeraire reformulations of the same preference.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .curves import (
@@ -174,8 +176,7 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
     a hard error (the representation's side condition fails), as is a target
     inside a jump gap.
     """
-    if not 0 <= s < t <= rep.space.last_index:
-        raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
+    _check_times(rep.space, s, t)
     per_atom: list[Number] = [0] * rep.space.n_atoms(s)
     for k in rep.P.positive_atoms(s):
         y = expected_utility(rep, s, t, f, k)
@@ -193,6 +194,12 @@ def cce(rep: Representation, s: int, t: int, f: Act, tol: float = INVERT_TOL) ->
             )
         per_atom[k] = inv.x
     return Act.from_atom_values(rep.space, s, per_atom, rep.P.null_atoms(s))
+
+
+def _check_times(space: FilteredSpace, s: int, t: int) -> None:
+    """``s`` and ``t`` must be time indices with ``0 <= s < t``."""
+    if not 0 <= s < t <= space.last_index:
+        raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
 
 
 def margins(rep: Representation, s: int, t: int, g: Act, f: Act) -> list[Number]:
@@ -214,8 +221,7 @@ def compare(
     Atoms with |margin| <= tol count as equivalent so that inversion noise
     never flips a tie; zero-probability atoms are left unclassified.
     """
-    if not 0 <= s < t <= rep.space.last_index:
-        raise PreconditionError(f"need time indices 0 <= s < t, got s={s}, t={t}")
+    _check_times(rep.space, s, t)
     margin = margins(rep, s, t, g, f)
     tag, a, b, c = classify(rep.P, s, margin, tol)
     tri = TriPartition.of_atoms(rep.space, s, a, b, c)
@@ -227,7 +233,11 @@ def classify(
 ) -> tuple[str, list[int], list[int], list[int]]:
     """(tag, equivalent, better, worse) time-``s`` atoms, from ``margin[k]``
     on each positive atom ``k``: |margin| <= tol is equivalent, else better
-    or worse by its sign."""
+    or worse by its sign.  A float ``tol`` meets exact margins as its exact
+    value, the ``Fraction`` each comparison would convert it to, made once
+    per call (an infinite ``tol`` has none and stays as given)."""
+    if type(tol) is float and math.isfinite(tol) and any(type(d) is Fraction for d in margin):
+        tol = Fraction(tol)
     a: list[int] = []
     b: list[int] = []
     c: list[int] = []
@@ -261,12 +271,22 @@ def time_consistency_check(
     time-t certainty equivalent.  Mixed verdicts violate the precondition."""
     if not s < t < v:
         raise PreconditionError(f"need s < t < v, got {s}, {t}, {v}")
-    before = compare(rep, s, v, g, f, tol)
-    if before.tag == "mixed":
+    _check_times(rep.space, s, v)
+    before = _tag(rep, s, v, g, f, tol)
+    if before == "mixed":
         raise PreconditionError("time-consistency check needs a one-sided verdict")
     h = cce(rep, t, v, f)
-    after = compare(rep, s, t, g, h, tol)
-    return after.tag == before.tag
+    return _tag(rep, s, t, g, h, tol) == before
+
+
+def _tag(rep: Representation, s: int, t: int, g: Act, f: Act, tol: float) -> str:
+    """``compare(rep, s, t, g, f, tol).tag`` for valid ``s < t``, read from
+    :func:`classify` with no tri-partition or margin act built; a margin
+    that is not finite raises as that act would."""
+    margin = margins(rep, s, t, g, f)
+    if not all(map(_is_finite, margin)):
+        raise InvariantError("act values must be finite")
+    return classify(rep.P, s, margin, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -343,14 +363,15 @@ def _flips(
     rebase: Callable[[int, Act], Act] = lambda i, act: act,
 ) -> int:
     """Of ``n_pairs`` random pairs (s, t, g, f), those on which ``rep`` and
-    ``rep_star`` give different ``compare`` tags, ``rep_star`` comparing
-    the acts as ``rebase`` maps them at their times."""
+    ``rep_star`` give different ``compare`` tags (:func:`_tag`),
+    ``rep_star`` comparing the acts as ``rebase`` maps them at their
+    times."""
     rng = random.Random(seed)
     flips = 0
     for _ in range(n_pairs):
         s, t, g, f = _random_pair(rng, rep.space)
-        original = compare(rep, s, t, g, f, tol).tag
-        if compare(rep_star, s, t, rebase(s, g), rebase(t, f), tol).tag != original:
+        original = _tag(rep, s, t, g, f, tol)
+        if _tag(rep_star, s, t, rebase(s, g), rebase(t, f), tol) != original:
             flips += 1
     return flips
 

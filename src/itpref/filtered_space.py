@@ -210,9 +210,14 @@ class FilteredSpace:
         return Event(self, frozenset(range(self.n_states)), i)
 
     def union_event(self, i: int, ks: Iterable[int]) -> "Event":
-        """The union of the time-``i`` atoms with indices ``ks``."""
+        """The union of the time-``i`` atoms with indices ``ks``.  A union of
+        time-``i`` atoms is known at ``i`` by construction, so only ``i`` is
+        checked, and the event is built unvalidated as ``Act._trusted``
+        builds acts."""
         part = self.partitions[self.check_time_index(i)]
-        return Event(self, frozenset(s for k in ks for s in part[k]), i)
+        event = object.__new__(Event)
+        event.__dict__.update(space=self, members=frozenset([s for k in ks for s in part[k]]), time_index=i)
+        return event
 
 
 @dataclass(frozen=True)

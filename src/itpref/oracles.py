@@ -127,15 +127,17 @@ class InducedOracle(PreferenceOracle):
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
+        # A must live on this space, on every call: the table below is keyed
+        # by A's states alone
+        if A is not None and A.space is not self.space:
+            _check_space(self.space, A, "event")
         # (atom, first state, curve evaluator) of each positive atom inside A,
         # per (i, A's states)
         key = (i, None if A is None else A.members)
         atoms = self._query_atoms.get(key)
         if atoms is None:
             if A is not None:
-                # A must be known at t_i: a union of time-i atoms
-                _check_space(self.space, A, "event")
-                Event(self.space, A.members, i)
+                Event(self.space, A.members, i)  # A must be known at t_i: a union of time-i atoms
             field, part = self.rep.field, self.space.partitions[i]
             atoms = self._query_atoms[key] = tuple(
                 (k, part[k][0], field.curve_on_atom(i, k).evaluator)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itpref import (
     ArgScaledCurve,
@@ -20,6 +22,8 @@ from itpref import (
     RangeError,
     ValueScaledCurve,
 )
+from itpref.curves import _segments
+from itpref.filtered_space import _float_image
 from itpref.scenario import parse_curve
 
 ALL_KINDS = [
@@ -107,6 +111,54 @@ class TestProperties:
             ExponentialCurve(-1)
         with pytest.raises(ValueError):
             PowerCurve(0)
+
+
+def three_test_segments(anchors, slopes, at):
+    """``curves._segments`` as it placed ``x`` before one search did: a test
+    for each end, then the search."""
+
+    def evaluate(x):
+        if x < at[0]:
+            first = anchors[0]
+            return first[1] + slopes[0] * (x - first[0])
+        if x > at[-1]:
+            last = anchors[-1]
+            return last[3] + slopes[-1] * (x - last[0])
+        i = bisect_right(at, x) - 1
+        a = anchors[i]
+        if x == at[i]:
+            return a[2]
+        return a[3] + slopes[i] * (x - a[0])
+
+    return evaluate
+
+
+@st.composite
+def pl_anchors(draw):
+    """Two to six increasing anchors, some of them jumps, each number an
+    ``int`` (where whole), a ``Fraction`` or a ``float``: all of one kind or
+    mixed."""
+    n = draw(st.integers(2, 6))
+    gaps = st.fractions(Fraction(1, 8), 3, max_denominator=12)
+    rises = st.one_of(st.just(Fraction(0)), gaps)
+    x, y = draw(st.fractions(-4, 0, max_denominator=12)), draw(st.fractions(-4, 0, max_denominator=12))
+    exact = []
+    for _ in range(n):
+        left = y
+        value = left + draw(rises)
+        right = value + draw(rises)
+        exact.append((x, left, value, right))
+        x, y = x + draw(gaps), right + draw(gaps)
+    kinds = ["int", "fraction", "float"]
+    kind = draw(st.sampled_from(kinds + ["mixed"]))
+
+    def typed(q):
+        k = draw(st.sampled_from(kinds)) if kind == "mixed" else kind
+        if k == "float":
+            return float(q)
+        return int(q) if k == "int" and q.denominator == 1 else q
+
+    return tuple(tuple(typed(q) for q in anchor) for anchor in exact)
 
 
 class TestPiecewiseLinear:
@@ -220,6 +272,29 @@ class TestPiecewiseLinear:
             for x in floats_of[curves[3]]:
                 curves[3](x)
         assert met and set(met) <= set(names[:5])
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(anchors=pl_anchors())
+    def test_one_search_equals_the_three_test_placement(self, anchors):
+        """``_segments`` equals, bit for bit and type for type, the evaluator
+        that placed ``x`` by two range tests and then a search: on the
+        anchors as given and on their float images, at every abscissa,
+        between abscissae, beyond both ends and at ±inf, as ``int``,
+        ``Fraction`` and ``float``."""
+        slopes = tuple((l1 - r0) / (x1 - x0) for (x0, _, _, r0), (x1, l1, _, _) in zip(anchors, anchors[1:]))
+        xs = tuple(a[0] for a in anchors)
+        images = tuple(tuple(map(_float_image, a)) for a in anchors)
+        points = [Fraction(x) for x in xs]
+        points += [(a + b) / 2 for a, b in zip(points, points[1:])]
+        points += [points[0] - 1, points[0] - Fraction(1, 3), points[-1] + Fraction(1, 3), points[-1] + 7]
+        args = [math.inf, -math.inf]
+        for p in points:
+            args += [Fraction(p), float(p)] + ([int(p)] if p.denominator == 1 else [])
+        for a, sl, at in ((anchors, slopes, xs), (images, tuple(map(_float_image, slopes)), tuple(map(_float_image, xs)))):
+            new, old = _segments(a, sl, at), three_test_segments(a, sl, at)
+            for x in args:
+                got, want = new(x), old(x)
+                assert (type(got), repr(got)) == (type(want), repr(want)), x
 
     def test_fraction_arguments_with_no_exact_float_keep_the_exact_path(self):
         # float(2**53 + 1) and float(2**-1100) are the jump abscissae 2**53

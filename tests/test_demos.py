@@ -1,6 +1,8 @@
 """The demos' standard output, byte for byte against the committed copies in
 ``tests/demo_stdout``.  Each demo runs in a fresh interpreter, as a reader
-would run it: ``PYTHONPATH=src python demos/<name>.py``."""
+would run it: ``PYTHONPATH=src python -W error demos/<name>.py``, with every
+warning an error as in the suite itself (``filterwarnings`` in
+``pyproject.toml`` does not reach a fresh interpreter)."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ def test_demo_stdout_is_unchanged(name):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     done = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "demos" / f"{name}.py")],
+        [sys.executable, "-W", "error", str(REPO_ROOT / "demos" / f"{name}.py")],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -36,7 +36,7 @@ from itpref import (
 )
 from itpref.apps import dpp_scenario, forward_scenario, random8_scenario, villa_scenario
 from itpref.curves import INVERT_TOL
-from itpref.engine import _discounted, _random_pair, classify, expected_utility, margins
+from itpref.engine import _discounted, _flips, _random_pair, classify, expected_utility, margins
 from itpref.sampling import (
     ACT_HULL,
     MAX_DRAWS,
@@ -377,6 +377,116 @@ class TestTimeConsistency:
         assert compare(rep, 0, 2, g, f).tag == "succeq"
         assert not time_consistency_check(rep, 0, 1, 2, g, f)
 
+    def test_time_indices_outside_the_space_raise_as_compare_does(self, four_state_identity_rep, staircase):
+        rep = four_state_identity_rep
+        g = Act.constant(rep.space, 0, 1)
+        for s, t, v in ((-1, 0, 1), (-2, 0, 2), (0, 1, 3), (1, 2, 5)):
+            with pytest.raises(PreconditionError) as direct:
+                compare(rep, s, v, g, staircase)
+            with pytest.raises(PreconditionError, match=r"need time indices 0 <= s < t, got s=-?\d+, t=\d+") as got:
+                time_consistency_check(rep, s, t, v, g, staircase)
+            assert str(got.value) == str(direct.value) == f"need time indices 0 <= s < t, got s={s}, t={v}"
+
+    def test_a_margin_that_is_not_finite_raises_as_compare_does(self):
+        space = FilteredSpace.build(("a", "b"), (0, 1, 2), [[["a", "b"]], [["a", "b"]], [["a"], ["b"]]])
+        P = ProbabilityMeasure.uniform(space)
+        # the time-0 curve saturates to -inf below -700
+        rows = [[ExponentialCurve(1.0)], [IdentityCurve()], [IdentityCurve(), IdentityCurve()]]
+        rep = Representation(space, P, UtilityField.from_atom_curves(space, rows))
+        g, f = Act.constant(space, 0, -800), Act(space, 2, (1, 2))
+        for check in (lambda: compare(rep, 0, 2, g, f), lambda: time_consistency_check(rep, 0, 1, 2, g, f)):
+            with pytest.raises(InvariantError, match="act values must be finite"):
+                check()
+
+
+def two_compare_time_consistency(rep, s, t, v, g, f, tol):
+    """``time_consistency_check`` as it read the tags of two ``compare``
+    verdicts."""
+    if not s < t < v:
+        raise PreconditionError(f"need s < t < v, got {s}, {t}, {v}")
+    before = compare(rep, s, v, g, f, tol)
+    if before.tag == "mixed":
+        raise PreconditionError("time-consistency check needs a one-sided verdict")
+    h = cce(rep, t, v, f)
+    after = compare(rep, s, t, g, h, tol)
+    return after.tag == before.tag
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (PreconditionError, InvariantError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), exact=st.booleans(), null=st.booleans())
+def test_time_consistency_equals_the_two_compare_tags(seed, exact, null):
+    """On float and exact representations, with and without a null atom:
+    one-sided, tied and mixed verdicts, and the equivalent shifted both
+    ways."""
+    rng = random.Random(seed)
+    rep = drawn_representation(rng, 4, exact, null)
+    space = rep.space
+    for s in range(space.last_index - 1):
+        for v in range(s + 2, space.n_times):
+            f = drawn_act(rng, space, rng.randint(0, v), exact)
+            h = cce(rep, s, v, f)
+            shift = Fraction(1, 4) if exact else 0.25
+            for g in (drawn_act(rng, space, rng.randint(0, s), exact), h, h.shift(shift), h.shift(-shift)):
+                for t in range(s + 1, v):
+                    for tol in (1e-9, 0.0, 0.3):
+                        want = outcome(lambda: two_compare_time_consistency(rep, s, t, v, g, f, tol))
+                        assert outcome(lambda: time_consistency_check(rep, s, t, v, g, f, tol)) == want
+
+
+def three_positive_atoms():
+    """A measure with three positive time-1 atoms."""
+    space = FilteredSpace.build(("x", "y", "z"), (0, 1), [[["x", "y", "z"]], [["x"], ["y"], ["z"]]])
+    return ProbabilityMeasure(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+
+
+def float_tol_tags(P, s, margin, tol):
+    """``classify``'s tag as each margin met the float ``tol`` itself."""
+    b = c = False
+    for k in P.positive_atoms(s):
+        d = margin[k]
+        if abs(d) <= tol:
+            continue
+        if d > tol:
+            b = True
+        else:
+            c = True
+    return ("mixed" if c else "succeq") if b else ("preceq" if c else "equiv")
+
+
+class TestClassifyExactMargins:
+    @pytest.mark.parametrize("tol", [1e-9, 0.3, 2.0**-30, 1e-300])
+    def test_the_band_edges_are_the_exact_tol(self, tol):
+        P = three_positive_atoms()
+        edge, eps = Fraction(tol), Fraction(1, 10**400)
+        assert classify(P, 1, [edge, -edge, Fraction(0)], tol) == ("equiv", [0, 1, 2], [], [])
+        assert classify(P, 1, [edge + eps, edge, -edge], tol) == ("succeq", [1, 2], [0], [])
+        assert classify(P, 1, [-edge, -edge - eps, edge], tol) == ("preceq", [0, 2], [], [1])
+        assert classify(P, 1, [edge + eps, Fraction(0), -edge - eps], tol) == ("mixed", [1], [0], [2])
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-9, math.inf, Fraction(1, 3)])
+    def test_exact_margins_get_the_tags_the_float_tol_gives(self, tol):
+        P = three_positive_atoms()
+        values = [Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9), Fraction(1, 3), Fraction(-1, 3),
+                  Fraction(10**400), Fraction(-(10**400)), 0.5, 0]
+        rng = random.Random(5)
+        for _ in range(200):
+            margin = [rng.choice(values) for _ in range(3)]
+            assert classify(P, 1, margin, tol)[0] == float_tol_tags(P, 1, margin, tol), margin
+
+    def test_a_decimal_margin_meets_the_binary_tol(self):
+        P = three_positive_atoms()
+        # the float 1e-9 lies just above 1/10**9
+        assert classify(P, 1, [Fraction(1, 10**9)] * 3, 1e-9)[0] == "equiv"
+        assert classify(P, 1, [Fraction(1e-9) + Fraction(1, 10**400)] * 3, 1e-9)[0] == "succeq"
+
 
 class TestForeignSpace:
     """Acts and measures on another space are refused where they enter, not
@@ -660,6 +770,33 @@ def test_discount_margins_equal_the_whole_act_construction(seed, exact, null):
     rep = drawn_representation(rng, 4, exact, null)
     for P_star in (random_equivalent_measure(rng, rep.P), exact_equivalent_measure(rng, rep.P)):
         assert_discount_margins_match(rep, P_star, rng, 50)
+
+
+def compare_tag_flips(rep, rep_star, n_pairs, seed, tol):
+    """``_flips`` as it read the tags of two ``compare`` verdicts per pair."""
+    rng = random.Random(seed)
+    flips = 0
+    for _ in range(n_pairs):
+        s, t, g, f = _random_pair(rng, rep.space)
+        flips += compare(rep_star, s, t, g, f, tol).tag != compare(rep, s, t, g, f, tol).tag
+    return flips
+
+
+def test_flips_count_the_pairs_whose_compare_tags_differ():
+    """Against a representation under another measure, so that tags do
+    differ: float and exact, with and without a null atom."""
+    total = 0
+    for seed in range(4):
+        for exact in (False, True):
+            for null in (False, True):
+                rng = random.Random(seed)
+                rep = drawn_representation(rng, 3, exact, null)
+                other = Representation(rep.space, random_measure(rng, rep.space), rep.field)
+                for tol in (1e-9, 0.3):
+                    got = _flips(rep, other, 30, seed, tol)
+                    assert got == compare_tag_flips(rep, other, 30, seed, tol)
+                    total += got
+    assert total > 0
 
 
 @pytest.mark.parametrize("build", [villa_scenario, dpp_scenario, forward_scenario, random8_scenario])

@@ -31,6 +31,7 @@ from itpref import (
 from itpref.controls import (
     AlwaysSucceqOracle,
     MeanMaxOracle,
+    flat_segment,
     identity_representation,
     intransitive_band,
     nonadditive_meanmax,
@@ -131,6 +132,34 @@ class TestInducedOracle:
         with pytest.raises(InvariantError, match="event is defined on another filtered space"):
             oracle.ask(1, g, f, Event(other, frozenset({1, 2}), 1))
 
+    def test_an_event_of_another_space_is_refused_after_a_valid_ask_on_its_states(self):
+        sp = FilteredSpace.build(
+            ("a", "b", "c"), (0, 1, 2), [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b"], ["c"]]]
+        )
+        oracle = InducedOracle(identity_rep(sp, ProbabilityMeasure.uniform(sp)))
+        g, f = Act.constant(sp, 1, 0), Act(sp, 2, (10, -10, 0))
+        assert oracle.ask(1, g, f, Event(sp, frozenset({2}), 1)) == QueryAnswer(True, True)
+        other = FilteredSpace.build(
+            ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x"], ["y", "z"]], [["x"], ["y"], ["z"]]]
+        )
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            oracle.ask(1, g, f, Event(other, frozenset({2}), 2))
+        # a space equal to the oracle's, built apart, is the same space
+        twin = FilteredSpace(sp.states, sp.times, sp.partitions)
+        assert oracle.ask(1, g, f, Event(twin, frozenset({2}), 1)) == QueryAnswer(True, True)
+
+    def test_the_flat_segment_control_refuses_another_space_on_every_call(self):
+        oracle = flat_segment()
+        space = oracle.space
+        g, f = Act.constant(space, 0, 0), Act.from_atom_values(space, 1, [1, 0, -1])
+        whole = space.whole_event(0)
+        first = oracle.ask(0, g, f, whole)
+        other = FilteredSpace.build(("p", "q", "r"), (0, 1), [[["p", "q", "r"]], [["p", "q"], ["r"]]])
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+                oracle.ask(0, g, f, Event(other, whole.members, 0))
+        assert oracle.ask(0, g, f, whole) == first
+
     def test_answers_stable(self):
         space, P = three_atom_space()
         oracle = InducedOracle(identity_representation(space, P))
@@ -195,11 +224,13 @@ class TestMeanMaxMemo:
         as_floats = Act.from_atom_values(space, 1, [1.0, 0.0, -1.0])
         h = Act.from_atom_values(space, 1, [Fraction(1, 3), 5, -0.5])  # 5 sits on the null state
         acts = [f, f, twin, h, as_floats, f, h, h, twin]
+        # the events known at t_0: none, the whole space (under time indices 0
+        # and 1) and the empty one
         events = [
             None,
             space.whole_event(0),
+            space.whole_event(1),
             Event(space, frozenset(), 0),
-            *space.atom_events(1),
         ]
         constants = [Act.constant(space, 0, c) for c in (0, 0.5, 0.5 + 2e-9, Fraction(5, 6), 1)]
         oracle = MeanMaxOracle(space, P)
@@ -213,6 +244,30 @@ class TestMeanMaxMemo:
                     assert got == MeanMaxOracle(space, P).ask(0, g, x, A), (x.values, g.values, A)
         answers = {oracle.ask(0, g, f, A) for g in constants for A in events}
         assert len(answers) == 3  # better, worse and equivalent all occur
+
+
+class TestMeanMaxEvents:
+    def test_an_event_not_known_at_t_i_is_refused(self):
+        oracle = nonadditive_meanmax()
+        sp = oracle.space
+        g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
+        for A in (Event(sp, frozenset({0})), *sp.atom_events(1), Event(sp, frozenset({0, 2}), 1)):
+            for _ in range(2):  # refused again, not remembered as asked
+                with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
+                    oracle.ask(0, g, f, A)
+        assert oracle.ask(0, g, f, sp.whole_event(1)) == oracle.ask(0, g, f)
+        assert oracle.ask(0, g, f, Event(sp, frozenset(), 0)) == QueryAnswer(True, True)
+
+    def test_an_event_of_another_space_is_refused_on_every_call(self):
+        oracle = nonadditive_meanmax()
+        sp = oracle.space
+        g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
+        first = oracle.ask(0, g, f, sp.whole_event(0))
+        other = FilteredSpace.build(("p", "q", "r"), (0, 1), [[["p", "q", "r"]], [["p", "q"], ["r"]]])
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+                oracle.ask(0, g, f, Event(other, frozenset({0, 1, 2}), 0))
+        assert oracle.ask(0, g, f, sp.whole_event(0)) == first
 
 
 class TestIndifference:
