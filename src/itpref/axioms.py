@@ -215,16 +215,12 @@ def _null_atoms(budget: _Budget, i: int, grid: ActGrid) -> tuple[int, ...]:
     step = i - 1
     candidates = enumerate_simple_acts(space, i, grid, max_distinct=2, cap=NULL_PROBE_ACTS)
     consts = [Act.constant(space, i, c) for c in grid.values]
-    equivalents: dict = {}
+    # per candidate: its certainty equivalent when that is equivalent to it
+    leads = _Row(lambda n: _lead(budget, step, candidates[n], "equiv"))
 
     def rewrite_keeps_equivalence(n: int, A: Event) -> bool:
-        f = candidates[n]
-        g = _equivalent(oracle, step, f, equivalents, n)
-        if g is None:
-            return True
-        return not budget.ask(step, g, f).equiv or all(
-            budget.ask(step, g, paste(c, f, A)).equiv for c in consts
-        )
+        f, g = candidates[n], leads[n]
+        return g is None or all(budget.ask(step, g, paste(c, f, A)).equiv for c in consts)
 
     return tuple(
         k for k, A in enumerate(space.atom_events(i))
@@ -249,7 +245,10 @@ class _Budget:
     """Query accounting and the table of answers for one check, and the only
     place its results are finished: the check asks through :meth:`ask`,
     capped loops draw their items through :meth:`each`, and every result
-    leaves through :meth:`close`.  The table lives as long as the check."""
+    leaves through :meth:`close`.  The table lives as long as the check and
+    is its memo across loops; within a loop, a check keeps rows of the
+    answers it reuses, indexed by loop position and filled through
+    :meth:`ask` on first use, so a repeat costs neither a key nor a hash."""
 
     def __init__(self, oracle: PreferenceOracle, cap: int = QUERY_CAP) -> None:
         self.oracle = oracle
@@ -290,15 +289,34 @@ class _Budget:
         return res
 
 
-def _equivalent(oracle: PreferenceOracle, i: int, X: Act, found: dict, key) -> Act | None:
-    """X's certainty equivalent at step i, or None when it does not bracket,
-    searched once per ``key`` of ``found``."""
-    if key not in found:
-        try:
-            found[key] = indifference_profile(oracle, i, X, BISECT_TOL)
-        except BracketError:
-            found[key] = None
-    return found[key]
+class _Row(dict):
+    """A check's answers within one loop, by loop position: each is found by
+    ``find(position)`` on first use, so a repeat is a plain lookup."""
+
+    __slots__ = ("find",)
+
+    def __init__(self, find: Callable) -> None:
+        super().__init__()
+        self.find = find
+
+    def __missing__(self, n):
+        found = self[n] = self.find(n)
+        return found
+
+
+def _equivalent(oracle: PreferenceOracle, i: int, X: Act) -> Act | None:
+    """X's certainty equivalent at step i, or None when it does not bracket."""
+    try:
+        return indifference_profile(oracle, i, X, BISECT_TOL)
+    except BracketError:
+        return None
+
+
+def _lead(budget: _Budget, i: int, X: Act, side: str) -> Act | None:
+    """X's certainty equivalent at step i when it brackets and holds ``side``
+    (an attribute of :class:`QueryAnswer`) against X, else None."""
+    c = _equivalent(budget.oracle, i, X)
+    return c if c is not None and getattr(budget.ask(i, c, X), side) else None
 
 
 def check_T(
@@ -347,8 +365,9 @@ def check_T(
     # 2. transitivity
     res = CheckResult(True)
     for f in budget.each(f_acts):
-        lows = [c for c, const in ext_acts if ask(i, const, f).preceq]
-        highs = [c for c, const in ext_acts if ask(i, const, f).succeq]
+        answers = [(c, ask(i, const, f)) for c, const in ext_acts]
+        lows = [c for c, ans in answers if ans.preceq]
+        highs = [c for c, ans in answers if ans.succeq]
         if not lows or not highs:
             continue
         a, b = max(lows), min(highs)
@@ -363,8 +382,13 @@ def check_T(
                 )
                 break
     if res.passed and i >= 1:
-        for f, g, h in budget.each(itertools.product(f_acts[:32], g_acts, g_acts)):
-            if ask(i, g, f).succeq and ask(i, h, f).preceq:
+        row_f = None
+        positions = range(len(g_acts))
+        for f, m, n in budget.each(itertools.product(f_acts[:32], positions, positions)):
+            if f is not row_f:
+                row_f, row = f, _Row(lambda m, f=f: ask(i, g_acts[m], f))
+            if row[m].succeq and row[n].preceq:
+                g, h = g_acts[m], g_acts[n]
                 where = {s for s in range(space.n_states) if g.values[s] < h.values[s]}
                 if not where <= null_union.members:
                     res = CheckResult(
@@ -472,22 +496,24 @@ def check_M(
 
     for A, f, (n1, n2) in budget.each(itertools.product(events, f_acts, pairs)):
         if A is not row_A or f is not row_f:
-            # the pairs run innermost: each grid constant pasted on A over f,
-            # and each paste's certainty equivalent, built once per (A, f)
+            # the pairs run innermost: each grid constant pasted on A over f
+            # once per (A, f); each paste's certainty equivalent, and whether
+            # it answers equivalent to the paste, on first use
             row_A, row_f = A, f
             row = [paste(c, f, A) for c in consts]
-            equivalents = {}
+            equivalents = _Row(lambda n, row=row: _equivalent(oracle, i, row[n]))
+            equiv = _Row(lambda n, row=row, cs=equivalents: ask(i, cs[n], row[n]).equiv)
         # the equivalent of each paste must sit strictly on its side of the other
         for n, m, below, side in (
             (n1, n2, True, "g1-paste is not strictly below the g2-paste"),
             (n2, n1, False, "g2-paste is not strictly above the g1-paste"),
         ):
             X, Y = row[n], row[m]
-            c = _equivalent(oracle, i, X, equivalents, n)
+            c = equivalents[n]
             if c is None:
                 skipped += 1
                 break
-            if ask(i, c, X).equiv and not any(
+            if equiv[n] and not any(
                 (ans.preceq if below else ans.succeq) and not ans.equiv
                 for ans in (ask(i, c, Y, e) for e in ess_i)
             ):
@@ -521,33 +547,42 @@ def check_ST(
     for atoms in unions:
         A = space.union_event(i + 1, atoms)
         f_cands = _sure_thing_candidates(space, i + 1, atoms)
-        # pasted[j][n]: candidate j on A and the n-th grid constant off it, built
-        # once; its certainty equivalent is searched on first use
+        # pasted[j][n]: candidate j on A and the n-th grid constant off it,
+        # built once.  Per paste: leads[j][n], its certainty equivalent when
+        # that answers succeq against it, else None; beyond[j][n][e],
+        # ext_acts[e] against it
         pasted = [[paste(f, h, A) for h in h_acts] for f in f_cands]
-        equivalents: dict = {}
+        leads = [_Row(lambda n, row=row: _lead(budget, i, row[n], "succeq")) for row in pasted]
+        beyond = [
+            _Row(lambda n, row=row: _Row(lambda e, Y=row[n]: ask(i, ext_acts[e], Y))) for row in pasted
+        ]
+        # off a union of every state, each constant pastes to the same act,
+        # so the first column answers for all
+        columns = range(1) if len(A.members) == space.n_states else range(len(h_acts))
         for j1, j2 in budget.each(itertools.product(range(len(f_cands)), repeat=2)):
             f1, f2 = f_cands[j1], f_cands[j2]
             if f1.values == f2.values:
                 continue
-            premise_h = None
-            for n, (h, X1, X2) in enumerate(zip(grid.values, pasted[j1], pasted[j2])):
-                c1 = _equivalent(oracle, i, X1, equivalents, (j1, n))
-                if c1 is not None and ask(i, c1, X1).succeq and ask(i, c1, X2).preceq:
-                    premise_h = h
-                    break
-            if premise_h is None:
+            lead, others = leads[j1], pasted[j2]
+            premise = next(
+                (n for n in columns if lead[n] is not None and ask(i, lead[n], others[n]).preceq),
+                None,
+            )
+            if premise is None:
                 continue
-            for n, (k, Y1, Y2) in enumerate(zip(grid.values, pasted[j1], pasted[j2])):
-                g2 = _equivalent(oracle, i, Y1, equivalents, (j1, n))
-                found = g2 is not None and ask(i, g2, Y1).succeq and ask(i, g2, Y2).preceq
+            for n in columns:
+                # below the premise, the premise's search found no bracket
+                found = n == premise or (
+                    n > premise and lead[n] is not None and ask(i, lead[n], others[n]).preceq
+                )
                 if not found:
-                    found = any(
-                        ask(i, cand, Y1).succeq and ask(i, cand, Y2).preceq for cand in ext_acts
-                    )
+                    row1, row2 = beyond[j1][n], beyond[j2][n]
+                    found = any(row1[e].succeq and row2[e].preceq for e in range(len(ext_acts)))
                 if not found:
                     return budget.close(CheckResult(
                         False,
-                        f"A={A.label()} f1={_vals(f1)} f2={_vals(f2)} h={premise_h} k={k}: "
+                        f"A={A.label()} f1={_vals(f1)} f2={_vals(f2)} "
+                        f"h={grid.values[premise]} k={grid.values[n]}: "
                         f"no bracketing act within the grid closure",
                     ))
     return budget.close(CheckResult(True))

@@ -9,6 +9,8 @@ and pass (possibly vacuously) every other check:
   instantiable premises.
 * ``intransitive_band``    — honest induced oracle except for one designated
   act that accepts strictly cheaper constants: breaks transitivity only.
+  Its searches keep the induced oracle's per-atom kernel, all but the
+  designated act's at step 0.
 * ``flat_segment``         — a utility curve flat on [-0.75, 0.75] on one
   atom: breaks strict monotonicity only.
 * ``nonadditive_meanmax``  — V(f) = E_P[f] + max f: strictly monotone and
@@ -46,10 +48,29 @@ def identity_representation(space: FilteredSpace, P: ProbabilityMeasure) -> Repr
     return Representation(space, P, UtilityField.from_atom_curves(space, rows))
 
 
+def _check_event(oracle: PreferenceOracle, known: set, i: int, A: Event) -> None:
+    """``A`` must live on the oracle's space and be known at t_i, as the
+    induced oracle asks; each (i, A's states) is checked once and kept in
+    ``known``."""
+    if A.space is not oracle.space:
+        _check_space(oracle.space, A, "event")
+    key = (i, A.members)
+    if key not in known:
+        Event(oracle.space, A.members, i)
+        known.add(key)
+
+
 class AlwaysSucceqOracle(PreferenceOracle):
-    """Degenerate control: holds_succeq always, holds_preceq never."""
+    """Degenerate control: holds_succeq always, holds_preceq never, on every
+    event of its space known at t_i."""
+
+    def __init__(self, space: FilteredSpace) -> None:
+        super().__init__(space)
+        self._known: set = set()  # the (i, A's states) found known at t_i
 
     def query(self, i, g, f, A=None):  # noqa: D102 - contract in class docstring
+        if A is not None:
+            _check_event(self, self._known, i, A)
         return QueryAnswer(True, False)
 
 
@@ -76,10 +97,21 @@ class IntransitiveBandOracle(InducedOracle):
 
     def query(self, i, g, f, A=None):
         if i == 0 and f.values == self.target.values and (A is None or len(A.members) == self.space.n_states):
+            # an event holding every state is known at t_0: only its space is checked
+            if A is not None and A.space is not self.space:
+                _check_space(self.space, A, "event")
             v = self._target_value
             u = self.rep.u0(g.values[0])
             return QueryAnswer(u >= v - self.HALF_BAND, u <= v + self.tol)
         return super().query(i, g, f, A)
+
+    def atom_answers(self, i, f, k):
+        """The induced kernel's answers, except for the designated act at
+        step 0, the one place :meth:`query` deviates: that search takes the
+        base class's path through ``ask``."""
+        if i == 0 and f.values == self.target.values:
+            return PreferenceOracle.atom_answers(self, i, f, k)
+        return self._kernel_answers(i, f, k)
 
 
 def intransitive_band() -> IntransitiveBandOracle:
@@ -125,14 +157,7 @@ class MeanMaxOracle(PreferenceOracle):
 
     def query(self, i, g, f, A=None):
         if A is not None:
-            # A must live on this space and be known at t_i, as the induced
-            # oracle asks; each (i, A's states) is checked once
-            if A.space is not self.space:
-                _check_space(self.space, A, "event")
-            key = (i, A.members)
-            if key not in self._known:
-                Event(self.space, A.members, i)
-                self._known.add(key)
+            _check_event(self, self._known, i, A)
             # weights are nonnegative: A is null iff it holds no positive state
             if A.members.isdisjoint(self._positive):
                 return QueryAnswer(True, True)

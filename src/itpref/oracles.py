@@ -11,8 +11,11 @@ negative controls live in :mod:`itpref.controls`.
 ``atom_answers`` returns the answer function c ↦ (c·1_A vs f·1_A) of one
 time-i atom A, one query per call: the base class answers through ``ask``,
 the induced oracle from the atom's curve and f's conditional expected
-utility on that atom alone.  ``queries`` counts only queries actually asked:
-a memo hit asks none.
+utility on that atom alone.  A subclass that overrides ``query`` or ``ask``
+falls back to the base class's path, except the intransitive-band control
+(:mod:`itpref.controls`), which keeps the induced kernel for every search
+but its designated act's at step 0.  ``queries`` counts only queries
+actually asked: a memo hit asks none.
 
 Also here: constant-act bisection (the workhorse of both axiom checking and
 recovery) and oracle-level null-atom detection, one search body that probes,
@@ -159,13 +162,25 @@ class InducedOracle(PreferenceOracle):
     def atom_answers(self, i: int, f: Act, k: int) -> Answer:
         """:meth:`query`'s answers on atom ``k`` from its curve and
         ``expected_utility`` alone, with no act or event built.  A
-        subclass that overrides ``query`` or ``ask`` gets the base class's."""
+        subclass that overrides ``query`` or ``ask`` gets the base class's,
+        unless it keeps this kernel where its ``query`` agrees, as
+        :class:`~itpref.controls.IntransitiveBandOracle` does."""
         cls = type(self)
         if cls.query is not InducedOracle.query or cls.ask is not PreferenceOracle.ask:
             return super().atom_answers(i, f, k)
+        return self._kernel_answers(i, f, k)
+
+    def _kernel_answers(self, i: int, f: Act, k: int) -> Answer:
+        """:meth:`atom_answers`' kernel, for any subclass whose ``query``
+        answers on atom ``k`` as :meth:`query` does."""
         value = expected_utility(self.rep, i, i + 1, f, k)
-        if not self.rep.P.atom_masses(i)[k] > 0:  # null: ``query`` answers both ways
-            return super().atom_answers(i, f, k)
+        if not self.rep.P.atom_masses(i)[k] > 0:
+
+            def null_answer(c: float) -> QueryAnswer:  # as ``query``: both ways
+                self.queries += 1
+                return _ANSWERS[True][True]
+
+            return null_answer
         curve = self.rep.field.curve_on_atom(i, k).evaluator
         tol = self.tol
         if type(value) is float:  # as exact_answer, without its type test

@@ -30,7 +30,9 @@ from itpref import (
 )
 from itpref.controls import (
     AlwaysSucceqOracle,
+    IntransitiveBandOracle,
     MeanMaxOracle,
+    always_succeq,
     flat_segment,
     identity_representation,
     intransitive_band,
@@ -172,7 +174,10 @@ class TestInducedOracle:
         """On float and exact ``Fraction`` representations with a null atom,
         at floats, exact ``Fraction``s and constants that sit exactly on an
         anchor of the atom's curve, given as its abscissa, as that
-        abscissa's float and as its ``Fraction``."""
+        abscissa's float and as its ``Fraction``.  The same for the
+        intransitive band on each representation, at steps 0 and 1, on its
+        designated act and on another: only the designated act's search at
+        step 0 calls ``query``."""
         rng = random.Random(13)
         anchors_on_positive_atoms = {False: 0, True: 0}
         for case in range(12):
@@ -200,6 +205,26 @@ class TestInducedOracle:
             answers = [per_atom.atom_answers(1, f, k) for k in range(space.n_atoms(1))]
             assert [answers[k](c) for k, c in asked] == want
             assert per_atom.queries == single.queries == len(asked)
+
+            target = drawn_act(rng, space, 1, exact)
+            per_band, single_band = IntransitiveBandOracle(rep, target), IntransitiveBandOracle(rep, target)
+            band_query, calls = per_band.query, []
+            per_band.query = lambda *args: calls.append(args) or band_query(*args)
+            consts = [c for _, c in asked]
+            for i, designated, other in (
+                (0, target, drawn_act(rng, space, 1, exact)),
+                (1, target.at_time(2), f),
+            ):
+                for g in (designated, other):
+                    for k in range(space.n_atoms(i)):
+                        before = len(calls)
+                        answer = per_band.atom_answers(i, g, k)
+                        assert [answer(c) for c in consts] == [
+                            single_band.ask(i, Act.constant(space, i, c), g, space.atom_event(i, k))
+                            for c in consts
+                        ]
+                        assert len(calls) - before == (len(consts) if i == 0 and g is designated else 0)
+            assert per_band.queries == single_band.queries
         assert all(anchors_on_positive_atoms.values())
 
 
@@ -268,6 +293,45 @@ class TestMeanMaxEvents:
             with pytest.raises(InvariantError, match="event is defined on another filtered space"):
                 oracle.ask(0, g, f, Event(other, frozenset({0, 1, 2}), 0))
         assert oracle.ask(0, g, f, sp.whole_event(0)) == first
+
+
+class TestControlEvents:
+    """The always-succeq and intransitive-band controls refuse the events
+    the induced and mean-max oracles refuse."""
+
+    OTHER = FilteredSpace.build(("p", "q", "r"), (0, 1), [[["p", "q", "r"]], [["p", "q"], ["r"]]])
+
+    def test_always_succeq_refuses_an_event_not_known_at_t_i(self):
+        oracle = always_succeq()
+        sp = oracle.space
+        g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
+        for A in (Event(sp, frozenset({0})), *sp.atom_events(1), Event(sp, frozenset({0, 2}), 1)):
+            for _ in range(2):  # refused again, not remembered as asked
+                with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
+                    oracle.ask(0, g, f, A)
+        for A in (None, sp.whole_event(0), sp.whole_event(1), Event(sp, frozenset(), 0)):
+            assert oracle.ask(0, g, f, A) == QueryAnswer(True, False)
+
+    def test_always_succeq_refuses_an_event_of_another_space_on_every_call(self):
+        oracle = always_succeq()
+        sp = oracle.space
+        g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
+        oracle.ask(0, g, f, sp.whole_event(0))
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+                oracle.ask(0, g, f, Event(self.OTHER, frozenset({0, 1, 2}), 0))
+
+    def test_the_band_refuses_another_space_for_its_designated_act(self):
+        oracle = intransitive_band()
+        sp = oracle.space
+        g = Act.constant(sp, 0, 0)
+        # the band's answer: 0 is within the band below the value 3/8
+        assert oracle.ask(0, g, oracle.target, sp.whole_event(0)) == QueryAnswer(True, True)
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+                oracle.ask(0, g, oracle.target, Event(self.OTHER, frozenset({0, 1, 2}), 0))
+        twin = FilteredSpace(sp.states, sp.times, sp.partitions)
+        assert oracle.ask(0, g, oracle.target, Event(twin, frozenset({0, 1, 2}), 0)) == QueryAnswer(True, True)
 
 
 class TestIndifference:
