@@ -133,7 +133,8 @@ def run_villa(spec: ScenarioSpec | None = None) -> AppResult:
     (the cash may change).  ``passed`` says whether the story holds on
     ``spec``: the villa wins when the intermediate time is neglected, waiting
     at t0 is at least as good as the cash, and after the election the cash
-    wins on the default branch and the villa on the other."""
+    wins on the default branch and the villa on the other.  A spec with fewer
+    than three time labels is a ``ValueError`` under either variant."""
     spec = spec if spec is not None else villa_scenario()
     variant = spec.variant or "paper-arithmetic"
     if variant not in VILLA_VARIANTS:
@@ -142,6 +143,8 @@ def run_villa(spec: ScenarioSpec | None = None) -> AppResult:
     if missing:
         raise ValueError(f"villa scenario has no act {', '.join(missing)}")
     space = spec.space
+    if space.n_times < 3:
+        raise ValueError(f"villa scenario needs three times (t0, t1, t2), got {space.n_times}")
     if space.n_atoms(1) != 2:
         raise ValueError(
             f"villa scenario needs two time-1 atoms (default, no default), got {space.n_atoms(1)}"

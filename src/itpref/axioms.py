@@ -634,9 +634,8 @@ def check_C(
     ask = budget.ask
     f = f if f.time_index == i + 1 else f.at_time(i + 1)
     ess_i = [space.atom_event(i, k) for k in _essential_atoms(budget, i, grid)]
-    try:
-        profile = indifference_profile(oracle, i, f, BISECT_TOL)
-    except BracketError:
+    profile = _equivalent(oracle, i, f)
+    if profile is None:
         return budget.close(
             CheckResult(True, note="no certainty equivalent bracketable; premise vacuous")
         )

@@ -19,6 +19,9 @@ and pass (possibly vacuously) every other check:
 * ``jump_on_positive_atom`` — a utility jump on an essential atom: breaks
   pointwise continuity only (the star-continuity contradiction), with the act
   sitting at the jump as the designated witness.
+
+Every control refuses the events the induced oracle refuses, through the
+base class's one event rule, :meth:`~itpref.oracles.PreferenceOracle._check_event`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 from .curves import IdentityCurve, PiecewiseLinearCurve
 from .engine import Representation
-from .filtered_space import Act, Event, FilteredSpace, ProbabilityMeasure, _check_space
+from .filtered_space import Act, FilteredSpace, ProbabilityMeasure
 from .oracles import InducedOracle, PreferenceOracle, QueryAnswer
 from .utility_field import UtilityField
 
@@ -48,29 +51,13 @@ def identity_representation(space: FilteredSpace, P: ProbabilityMeasure) -> Repr
     return Representation(space, P, UtilityField.from_atom_curves(space, rows))
 
 
-def _check_event(oracle: PreferenceOracle, known: set, i: int, A: Event) -> None:
-    """``A`` must live on the oracle's space and be known at t_i, as the
-    induced oracle asks; each (i, A's states) is checked once and kept in
-    ``known``."""
-    if A.space is not oracle.space:
-        _check_space(oracle.space, A, "event")
-    key = (i, A.members)
-    if key not in known:
-        Event(oracle.space, A.members, i)
-        known.add(key)
-
-
 class AlwaysSucceqOracle(PreferenceOracle):
     """Degenerate control: holds_succeq always, holds_preceq never, on every
     event of its space known at t_i."""
 
-    def __init__(self, space: FilteredSpace) -> None:
-        super().__init__(space)
-        self._known: set = set()  # the (i, A's states) found known at t_i
-
     def query(self, i, g, f, A=None):  # noqa: D102 - contract in class docstring
         if A is not None:
-            _check_event(self, self._known, i, A)
+            self._check_event(i, A)
         return QueryAnswer(True, False)
 
 
@@ -93,13 +80,12 @@ class IntransitiveBandOracle(InducedOracle):
     def __init__(self, rep: Representation, target: Act) -> None:
         super().__init__(rep)
         self.target = target
-        self._target_value = rep.P.expectation(rep.field.eval(1, target))
+        self._target_value = self.value_profile(0, target)[0]
 
     def query(self, i, g, f, A=None):
         if i == 0 and f.values == self.target.values and (A is None or len(A.members) == self.space.n_states):
-            # an event holding every state is known at t_0: only its space is checked
-            if A is not None and A.space is not self.space:
-                _check_space(self.space, A, "event")
+            if A is not None:
+                self._check_event(0, A)
             v = self._target_value
             u = self.rep.u0(g.values[0])
             return QueryAnswer(u >= v - self.HALF_BAND, u <= v + self.tol)
@@ -145,7 +131,6 @@ class MeanMaxOracle(PreferenceOracle):
         self.tol = tol
         self._positive = P.positive_states()
         self._values: dict = {}
-        self._known: set = set()  # the (i, A's states) found known at t_i
 
     def _value(self, f: Act) -> float:
         """V(f), memoized by the act's values."""
@@ -157,7 +142,7 @@ class MeanMaxOracle(PreferenceOracle):
 
     def query(self, i, g, f, A=None):
         if A is not None:
-            _check_event(self, self._known, i, A)
+            self._check_event(i, A)
             # weights are nonnegative: A is null iff it holds no positive state
             if A.members.isdisjoint(self._positive):
                 return QueryAnswer(True, True)

@@ -6,7 +6,10 @@ holds_preceq) pair.  The contract every oracle keeps: answers are
 deterministic, and an answer on A depends only on g and f on A (a
 conditional comparison sees nothing outside its event).  The induced oracle
 reads the answers off a representation; hand-corrupted oracles used as
-negative controls live in :mod:`itpref.controls`.
+negative controls live in :mod:`itpref.controls`.  The base class holds the
+event rule every oracle keeps, :meth:`PreferenceOracle._check_event`: an
+event of another space is refused on every call, and one not known at t_i
+once per (i, A's states).
 
 ``atom_answers`` returns the answer function c ↦ (c·1_A vs f·1_A) of one
 time-i atom A, one query per call: the base class answers through ``ask``,
@@ -78,6 +81,7 @@ class PreferenceOracle(ABC):
         # one entry per atom search: its constant, None (insensitive) or its
         # BracketError message
         self._atom_memo: dict = {}
+        self._known: set = set()  # the (i, A's states) found known at t_i
 
     def steps(self) -> range:
         """Supported step indices i for the (i, i+1) relation."""
@@ -95,6 +99,18 @@ class PreferenceOracle(ABC):
     @abstractmethod
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         """Answer g·1_A vs f·1_A for the relation between t_i and t_{i+1}."""
+
+    def _check_event(self, i: int, A: Event) -> None:
+        """The event rule of every oracle in the library: ``A`` must live on
+        this space, tested on every call (identity first, then equality),
+        and be known at t_i, a union of time-``i`` atoms, checked once per
+        (i, A's states)."""
+        if A.space is not self.space:
+            _check_space(self.space, A, "event")
+        key = (i, A.members)
+        if key not in self._known:
+            Event(self.space, A.members, i)
+            self._known.add(key)
 
 
 class InducedOracle(PreferenceOracle):
@@ -130,17 +146,14 @@ class InducedOracle(PreferenceOracle):
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
         values = self.value_profile(i, f)
-        # A must live on this space, on every call: the table below is keyed
-        # by A's states alone
-        if A is not None and A.space is not self.space:
-            _check_space(self.space, A, "event")
         # (atom, first state, curve evaluator) of each positive atom inside A,
-        # per (i, A's states)
+        # per (i, A's states); the table is keyed by A's states alone, so A's
+        # space is checked on every call that is not a hit on this space
         key = (i, None if A is None else A.members)
         atoms = self._query_atoms.get(key)
+        if A is not None and (atoms is None or A.space is not self.space):
+            self._check_event(i, A)
         if atoms is None:
-            if A is not None:
-                Event(self.space, A.members, i)  # A must be known at t_i: a union of time-i atoms
             field, part = self.rep.field, self.space.partitions[i]
             atoms = self._query_atoms[key] = tuple(
                 (k, part[k][0], field.curve_on_atom(i, k).evaluator)

@@ -32,7 +32,7 @@ from .curves import (
     PowerCurve,
 )
 from .engine import (
-    Representation, _discounted, _random_pair, check_pair_count, classify, density_process, margins
+    Representation, _discounted, _random_pair, _tag, check_pair_count, classify, density_process, margins
 )
 from .filtered_space import Act, FilteredSpace, Number, ProbabilityMeasure
 from .utility_field import UtilityField
@@ -174,7 +174,6 @@ def verdict_agreement(
     mismatches = 0
     for _ in range(n_pairs):
         s, t, g, f, d = margin_guarded_pair(rng, rep_a, margin)
-        tag_a = classify(rep_a.P, s, d, tol)[0]
-        if tag_a != classify(rep_b.P, s, margins(rep_b, s, t, g, f), tol)[0]:
+        if classify(rep_a.P, s, d, tol)[0] != _tag(rep_b, s, t, g, f, tol):
             mismatches += 1
     return n_pairs, mismatches

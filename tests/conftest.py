@@ -131,3 +131,19 @@ def foreign_null_measure() -> ProbabilityMeasure:
         ("x", "y", "z"), (0, 1, 2), [[["x", "y", "z"]], [["x", "y"], ["z"]], [["x"], ["y"], ["z"]]]
     )
     return ProbabilityMeasure(space, (0, Fraction(1, 2), Fraction(1, 2)))
+
+
+def short_villa_text(n_times: int, variant: str) -> str:
+    """A villa scenario of ``n_times`` < 3 time labels that holds the acts
+    cash, villa_t1 and villa_t2, each at the latest time up to its own."""
+    last = n_times - 1
+    partitions = ["d1, d2, ok", "d1 | d2, ok"][:n_times]
+    utilities = ["d1, d2, ok = identity", "d1 = identity\nd2, ok = identity"][:n_times]
+    text = f"title = short\nvariant = {variant}\n\n[space]\nstates = d1, d2, ok\n"
+    text += f"times = {', '.join(map(str, range(n_times)))}\n"
+    text += "".join(f"partition t={t} = {p}\n" for t, p in enumerate(partitions))
+    text += "\n[measure]\nd1 = 1/4\nd2 = 1/4\nok = 1/2\n"
+    text += "".join(f"\n[utility t={t}]\n{u}\n" for t, u in enumerate(utilities))
+    for name, t in (("cash", 0), ("villa_t1", 1), ("villa_t2", 2)):
+        text += f"\n[act {name} t={min(t, last)}]\nd1 = 1\nd2 = 1\nok = 1\n"
+    return text

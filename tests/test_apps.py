@@ -16,6 +16,7 @@ from itpref import (
     UtilityField,
 )
 from itpref.apps import (
+    VILLA_VARIANTS,
     dpp_scenario,
     forward_scenario,
     run_dpp,
@@ -27,6 +28,8 @@ from itpref.apps import (
     villa_t2_value,
 )
 from itpref.scenario import ScenarioSpec, StrategySet, loads_scenario
+
+from conftest import short_villa_text
 
 VILLA_SDU = Path(__file__).resolve().parent.parent / "scenarios" / "villa.sdu"
 
@@ -100,6 +103,14 @@ class TestVilla:
         assert "on {ok,d2} (no election default): PRECEQ (take the villa)" in result.text
         assert "the cash on {d1} and the villa on {ok,d2}" in result.text
         assert result.passed
+
+    @pytest.mark.parametrize("variant", VILLA_VARIANTS)
+    @pytest.mark.parametrize("n_times", [1, 2])
+    def test_a_scenario_with_fewer_than_three_times_is_refused(self, n_times, variant):
+        # before, these raised an IndexError from the time-1 or time-2 reads
+        spec = loads_scenario(short_villa_text(n_times, variant))
+        with pytest.raises(ValueError, match=rf"villa scenario needs three times \(t0, t1, t2\), got {n_times}"):
+            run_villa(spec)
 
     @pytest.mark.parametrize(
         "name, time, values, part",

@@ -209,6 +209,28 @@ class TestCheckT:
         g5, g6 = (re.match(r"g=\(([^)]*)\)", r.counterexample).group(1) for r in (res5, res6))
         assert len(set(g6.split(","))) == 1 < len(set(g5.split(",")))
 
+    def test_normalization_compares_the_union_of_two_null_atoms(self):
+        """With two null time-1 atoms their union is a null event too: an
+        oracle that ranks only the union's indicator apart fails
+        normalization on it."""
+        from itpref import PreferenceOracle, QueryAnswer
+
+        space = FilteredSpace.build(
+            ("a", "b", "c"), (0, 1, 2), [[["a", "b", "c"]], [["a"], ["b"], ["c"]], [["a"], ["b"], ["c"]]]
+        )
+        induced = InducedOracle(identity_representation(space, ProbabilityMeasure(space, (1, 0, 0))))
+
+        class UnionApart(PreferenceOracle):
+            def query(self, i, g, f, A=None):
+                if i == 1 and g.values == (0, 1, 1):
+                    return QueryAnswer(False, False)
+                return induced.query(i, g, f, A)
+
+        res = check_T(UnionApart(space), 1).clauses["3 normalization"]
+        assert not res.passed
+        assert res.counterexample == "1_{b,c} !~ 1_{} despite both null"
+        assert check_T(induced, 1).clauses["3 normalization"].passed
+
     def test_render_is_deterministic(self, valid_oracle):
         a = check_T(valid_oracle, 0).render()
         b = check_T(valid_oracle, 0).render()

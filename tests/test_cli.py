@@ -11,6 +11,7 @@ import pytest
 from itpref.cli import main
 from itpref.scenario import load_scenario
 
+from conftest import short_villa_text
 from test_scenario import REPEATED_STATE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -244,6 +245,16 @@ class TestExamples:
         assert code == 2
         assert out == ""
         assert "no act cash, villa_t1, villa_t2" in err
+
+    @pytest.mark.parametrize("variant", ["paper-arithmetic", "paper-stated"])
+    @pytest.mark.parametrize("n_times", [1, 2])
+    def test_villa_with_fewer_than_three_times_is_input_error(self, capsys, tmp_path, n_times, variant):
+        short = tmp_path / "short.sdu"
+        short.write_text(short_villa_text(n_times, variant), encoding="utf-8")
+        code, out, err = run(capsys, ["example", "villa", "--scenario", str(short)])
+        assert code == 2
+        assert out == ""
+        assert f"villa scenario needs three times (t0, t1, t2), got {n_times}" in err
 
     def test_edited_villa_under_paper_arithmetic_is_input_error(self, capsys, tmp_path):
         text = Path(VILLA).read_text(encoding="utf-8")

@@ -16,9 +16,11 @@ from itpref import (
     Event,
     ExponentialCurve,
     FilteredSpace,
+    GapError,
     IdentityCurve,
     InvariantError,
     LinearCurve,
+    PiecewiseLinearCurve,
     PreconditionError,
     ProbabilityMeasure,
     RangeError,
@@ -179,6 +181,14 @@ class TestCCE:
         rep = Representation(two_branch_space, P, field)
         with pytest.raises(RangeError, match="exp"):
             cce(rep, 0, 1, Act.constant(two_branch_space, 1, 5))
+
+    def test_gap_error_names_value_curve_and_atom(self, four_state_space, four_state_measure):
+        jump = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.9, 0.9), (1, 1.4)])
+        rows = [[IdentityCurve()], [jump, IdentityCurve()], [IdentityCurve()] * 4]
+        field = UtilityField.from_atom_curves(four_state_space, rows)
+        rep = Representation(four_state_space, four_state_measure, field)
+        with pytest.raises(GapError, match=r"utility 0\.6 falls in a jump gap of .* on atom \{w1,w2\}"):
+            cce(rep, 1, 2, Act.constant(four_state_space, 2, 0.6))
 
     def test_time_order_required(self, four_state_identity_rep, staircase):
         with pytest.raises(PreconditionError):

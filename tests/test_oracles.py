@@ -334,6 +334,65 @@ class TestControlEvents:
         assert oracle.ask(0, g, oracle.target, Event(twin, frozenset({0, 1, 2}), 0)) == QueryAnswer(True, True)
 
 
+# every oracle in the library, each with the act f it is asked about at step
+# 0: the band's designated act takes its own branch, any other act the
+# induced oracle's
+EVENT_ORACLES = {
+    "induced": (lambda: InducedOracle(identity_representation(*three_atom_space())), False),
+    "flat_segment": (flat_segment, False),
+    "mean_max": (nonadditive_meanmax, False),
+    "always_succeq": (always_succeq, False),
+    "band_designated_act": (intransitive_band, True),
+    "band_other_act": (intransitive_band, False),
+}
+
+
+def event_case(name):
+    build, designated = EVENT_ORACLES[name]
+    oracle = build()
+    sp = oracle.space
+    f = oracle.target if designated else Act.from_atom_values(sp, 1, [1, 0, -1])
+    return oracle, Act.constant(sp, 0, 0), f
+
+
+@pytest.mark.parametrize("name", list(EVENT_ORACLES))
+class TestEventRule:
+    """Each oracle keeps the one event rule: an event must live on the
+    oracle's space and be known at t_i."""
+
+    OTHER = TestControlEvents.OTHER
+
+    def test_another_space_is_refused_first_and_after_a_valid_ask(self, name):
+        oracle, g, f = event_case(name)
+        foreign = Event(self.OTHER, frozenset({0, 1, 2}), 0)
+        with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+            oracle.ask(0, g, f, foreign)
+        first = oracle.ask(0, g, f, oracle.space.whole_event(0))
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="event is defined on another filtered space"):
+                oracle.ask(0, g, f, foreign)
+        assert oracle.ask(0, g, f, oracle.space.whole_event(0)) == first
+        assert oracle.queries == 5
+
+    def test_an_event_not_known_at_t_i_is_refused_on_every_repeat(self, name):
+        oracle, g, f = event_case(name)
+        sp = oracle.space
+        for A in (Event(sp, frozenset({0})), *sp.atom_events(1), Event(sp, frozenset({0, 2}), 1)):
+            for _ in range(2):
+                with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
+                    oracle.ask(0, g, f, A)
+        assert oracle.ask(0, g, f, sp.whole_event(1)) == oracle.ask(0, g, f)
+
+    def test_an_equal_space_built_apart_is_accepted(self, name):
+        oracle, g, f = event_case(name)
+        sp = oracle.space
+        twin = FilteredSpace(sp.states, sp.times, sp.partitions)
+        for members in (frozenset({0, 1, 2}), frozenset()):
+            on_twin = oracle.ask(0, g, f, Event(twin, members, 0))
+            assert oracle.ask(0, g, f, Event(sp, members, 0)) == on_twin
+            assert oracle.ask(0, g, f, Event(twin, members, 0)) == on_twin
+
+
 class TestIndifference:
     def test_profile_matches_engine_cce(self):
         rng = random.Random(7)

@@ -127,6 +127,11 @@ class TestDiscontinuitySets:
         assert d.names == ("x",)
         assert ld.names == ("x",)       # value above the left limit
         assert rd.is_empty              # right limit equals the value
+        # a jump on {y} attaining its left limit: right limit above the value
+        right_jump = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.4, 0.9), (1, 1.4)])
+        field = UtilityField.from_atom_curves(space, [[IdentityCurve()], [JUMPY, right_jump, IdentityCurve()]])
+        rd, ld, d = field.discontinuity_sets(1, Act(space, 1, (0.5, 0.5, 0.5)))
+        assert (rd.names, ld.names, d.names) == (("y",), ("x",), ("x", "y"))
 
     def test_act_avoiding_jumps_is_clean(self):
         space, _ = three_atom_space()
