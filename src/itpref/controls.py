@@ -91,13 +91,13 @@ class IntransitiveBandOracle(InducedOracle):
             return QueryAnswer(u >= v - self.HALF_BAND, u <= v + self.tol)
         return super().query(i, g, f, A)
 
-    def atom_answers(self, i, f, k):
-        """The induced kernel's answers, except for the designated act at
+    def search_atom(self, i, f, k, tol):
+        """The induced kernel's search, except for the designated act at
         step 0, the one place :meth:`query` deviates: that search takes the
         base class's path through ``ask``."""
         if i == 0 and f.values == self.target.values:
-            return PreferenceOracle.atom_answers(self, i, f, k)
-        return self._kernel_answers(i, f, k)
+            return PreferenceOracle.search_atom(self, i, f, k, tol)
+        return self._kernel_search(i, f, k, tol)
 
 
 def intransitive_band() -> IntransitiveBandOracle:

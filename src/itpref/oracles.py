@@ -11,27 +11,31 @@ event rule every oracle keeps, :meth:`PreferenceOracle._check_event`: an
 event of another space is refused on every call, and one not known at t_i
 once per (i, A's states).
 
-``atom_answers`` returns the answer function c ↦ (c·1_A vs f·1_A) of one
-time-i atom A, one query per call: the base class answers through ``ask``,
-the induced oracle from the atom's curve and f's conditional expected
-utility on that atom alone.  A subclass that overrides ``query`` or ``ask``
-falls back to the base class's path, except the intransitive-band control
+Also here: constant-act bisection (the workhorse of both axiom checking and
+recovery) and oracle-level null-atom detection: :func:`_search` probes,
+brackets and bisects on an answer function c ↦ (c·1_A vs f·1_A).
+``search_atom`` runs that search on one time-i atom A: the base class
+answers through ``ask``, one query per answer; the induced oracle runs the
+same probe, bracket and bisection in one loop on the atom's curve minus f's
+conditional expected utility on that atom, with the answers ``query`` would
+give and the same ``queries`` count.  A subclass that overrides ``query`` or
+``ask`` takes the base class's search, except the intransitive-band control
 (:mod:`itpref.controls`), which keeps the induced kernel for every search
 but its designated act's at step 0.  ``queries`` counts only queries
 actually asked: a memo hit asks none.
 
-Also here: constant-act bisection (the workhorse of both axiom checking and
-recovery) and oracle-level null-atom detection, one search body that probes,
-brackets and bisects on an answer function.  ``indifference_profile`` runs
-it on each atom of a level in index order, up to the first bracket failure,
-which it raises; by the contract an atom's certainty equivalent depends only
-on f on that atom, so it stores each atom's search on the oracle, the
-bracket failures with the rest, and never repeats it.
+``atom_certainty_equivalents`` searches each atom of a level in index order,
+up to the first bracket failure, which it raises; by the contract an atom's
+certainty equivalent depends only on f on that atom, so it stores each
+atom's search on the oracle, the bracket failures with the rest, and never
+repeats it.  A search stops when its bracket is ``tol`` wide or its ends are
+adjacent floats; ``tol`` must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import isfinite
 from typing import Callable, NamedTuple
 
 from .engine import Representation, expected_utility
@@ -91,10 +95,12 @@ class PreferenceOracle(ABC):
         self.queries += 1
         return self.query(i, g, f, A)
 
-    def atom_answers(self, i: int, f: Act, k: int) -> Answer:
-        """The answer function of time-``i`` atom ``k``: c ↦ c·1_A vs f·1_A,
-        with A that atom, one query per call."""
-        return _answers_on(self, i, f, self.space.atom_events(i)[k])
+    def search_atom(self, i: int, f: Act, k: int, tol: float) -> float | str | None:
+        """:func:`_search` on time-``i`` atom A = ``k`` through ``ask``, one
+        query per answer: the constant c with c·1_A ~ f·1_A, None when A is
+        insensitive, or the bracket failure's message."""
+        A = self.space.atom_events(i)[k]
+        return _search(_answers_on(self, i, f, A), i, A, tol)
 
     @abstractmethod
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
@@ -172,48 +178,73 @@ class InducedOracle(PreferenceOracle):
                 break
         return _ANSWERS[succ][prec]
 
-    def atom_answers(self, i: int, f: Act, k: int) -> Answer:
-        """:meth:`query`'s answers on atom ``k`` from its curve and
-        ``expected_utility`` alone, with no act or event built.  A
-        subclass that overrides ``query`` or ``ask`` gets the base class's,
-        unless it keeps this kernel where its ``query`` agrees, as
-        :class:`~itpref.controls.IntransitiveBandOracle` does."""
+    def search_atom(self, i: int, f: Act, k: int, tol: float) -> float | str | None:
+        """:meth:`PreferenceOracle.search_atom` on :meth:`query`'s answers,
+        taken from atom ``k``'s curve and ``expected_utility`` alone, with no
+        act or event built.  A subclass that overrides ``query`` or ``ask``
+        gets the base class's search, unless it keeps this kernel where its
+        ``query`` agrees, as :class:`~itpref.controls.IntransitiveBandOracle`
+        does."""
         cls = type(self)
         if cls.query is not InducedOracle.query or cls.ask is not PreferenceOracle.ask:
-            return super().atom_answers(i, f, k)
-        return self._kernel_answers(i, f, k)
+            return super().search_atom(i, f, k, tol)
+        return self._kernel_search(i, f, k, tol)
 
-    def _kernel_answers(self, i: int, f: Act, k: int) -> Answer:
-        """:meth:`atom_answers`' kernel, for any subclass whose ``query``
-        answers on atom ``k`` as :meth:`query` does."""
+    def _kernel_search(self, i: int, f: Act, k: int, tol: float) -> float | str | None:
+        """:func:`_search`'s probe, bracket and bisection in one loop on
+        atom ``k``'s margin, answering as :meth:`query` does, for any
+        subclass whose ``query`` agrees on that atom.  ``queries`` gains the
+        answers asked once, also when a curve evaluation raises."""
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:
-
-            def null_answer(c: float) -> QueryAnswer:  # as ``query``: both ways
-                self.queries += 1
-                return _ANSWERS[True][True]
-
-            return null_answer
+            self.queries += 2  # as ``query``, the probe's constants answer both ways
+            return None
         curve = self.rep.field.curve_on_atom(i, k).evaluator
-        tol = self.tol
-        if type(value) is float:  # as exact_answer, without its type test
+        margin = curve  # the answer to c is margin(c) - value against the band
+        if type(value) is not float:
+            # a float utility meets an exact value through its float image,
+            # an anchor hit's exact utility meets the value itself
+            image, exact = _float_image(value), value
 
-            def answer(c: float) -> QueryAnswer:
-                self.queries += 1
-                d = curve(c) - value
-                return _ANSWERS[not d < -tol][not d > tol]
+            def margin(c: float) -> Number:
+                y = curve(c)
+                return y - (image if type(y) is float else exact)
 
-            return answer
-        # a float utility meets an exact value through its float image
-        image = _float_image(value)
-
-        def exact_answer(c: float) -> QueryAnswer:
-            self.queries += 1
-            y = curve(c)
-            d = y - (image if type(y) is float else value)
-            return _ANSWERS[not d < -tol][not d > tol]
-
-        return exact_answer
+            value = 0
+        band, asked = self.tol, 1
+        try:
+            huge = margin(INSENSITIVITY_PROBE) - value
+            asked = 2
+            tiny = margin(-INSENSITIVITY_PROBE) - value
+            if not huge > band and not tiny < -band:
+                return None
+            hi, asked = 1.0, 3
+            while margin(hi) - value < -band:  # not succeq
+                hi *= 2
+                if hi > BRACKET_LIMIT:
+                    return f"no upper bracket on {self.space.atom_events(i)[k].label()} at step {i}"
+                asked += 1
+            lo = -1.0
+            asked += 1
+            while margin(lo) - value > band:  # not preceq
+                lo *= 2
+                if lo < -BRACKET_LIMIT:
+                    return f"no lower bracket on {self.space.atom_events(i)[k].label()} at step {i}"
+                asked += 1
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                asked += 1
+                if margin(mid) - value < -band:
+                    if mid == lo:
+                        break
+                    lo = mid
+                elif mid == hi:
+                    break
+                else:
+                    hi = mid
+            return hi
+        finally:
+            self.queries += asked
 
 
 def _answers_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Answer:
@@ -232,7 +263,9 @@ def _search(answer: Answer, i: int, A: Event, tol: float):
     tiny constants both compare both ways (A is insensitive); else each end
     of the bracket doubles from [-1, 1] until it answers its side, up to
     ``BRACKET_LIMIT`` (or the result is the failure's message), and the
-    bisected upper end converges to inf{c : c·1_A >= f·1_A}."""
+    bisected upper end converges to inf{c : c·1_A >= f·1_A}.  The bisection
+    stops when the bracket is at most ``tol`` wide or an answer would leave
+    it unchanged, its ends being adjacent floats."""
     huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
     if huge.preceq and tiny.succeq:
         return None
@@ -249,10 +282,21 @@ def _search(answer: Answer, i: int, A: Event, tol: float):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if answer(mid).succeq:
+            if mid == hi:
+                break
             hi = mid
+        elif mid == lo:
+            break
         else:
             lo = mid
     return hi
+
+
+def _check_tol(tol: float) -> None:
+    """A search ``tol`` must be finite and >= 0, the CLI's rule for
+    tolerances: a NaN or infinite one would end the bisection at once."""
+    if not (tol >= 0 and isfinite(tol)):
+        raise ValueError(f"search tol must be finite and >= 0, got {tol!r}")
 
 
 def indifference_constant(
@@ -261,6 +305,7 @@ def indifference_constant(
     """The constant c with c·1_A ~ f·1_A on the time-``i`` event A by
     :func:`_search`, or None when A is insensitive (as a null event is);
     raises :class:`BracketError` when a bracket end fails."""
+    _check_tol(tol)
     c = _search(_answers_on(oracle, i, f, A), i, A, tol)
     if type(c) is str:
         raise BracketError(c)
@@ -274,21 +319,24 @@ def atom_certainty_equivalents(
     queries alone: one constant c_k with c_k·1_A ~ f·1_A per time-``i`` atom
     A, in atom order, or None for an insensitive (null-behaving) atom.
 
-    The atoms are searched one after another, each to its end on
-    :meth:`~PreferenceOracle.atom_answers`, and each search is memoized on
-    the oracle under ``f``'s values on that atom, a bracket failure as its
+    The atoms are searched one after another, each to its end by
+    :meth:`~PreferenceOracle.search_atom` (the induced oracle's one-loop
+    kernel, or the base class's search through ``ask`` for an oracle that
+    overrides ``query`` or ``ask``), and each search is memoized on the
+    oracle under ``f``'s values on that atom, a bracket failure as its
     message: an atom whose restriction was searched before asks no query.
     The first atom that fails to bracket stops the search: its failure is
     raised as a fresh :class:`BracketError`, and the atoms above it are not
-    searched."""
+    searched.  ``tol`` must be finite and >= 0 (a ``ValueError`` else)."""
+    _check_tol(tol)
     space = oracle.space
-    values, memo, events = f.values, oracle._atom_memo, space.atom_events(i)
+    values, memo = f.values, oracle._atom_memo
     found = []
     for k, pick in enumerate(space.atom_pickers(i)):
         atom_key = (i, k, f.time_index, pick(values), tol)
         c = memo.get(atom_key, _UNSEARCHED)
         if c is _UNSEARCHED:
-            c = memo[atom_key] = _search(oracle.atom_answers(i, f, k), i, events[k], tol)
+            c = memo[atom_key] = oracle.search_atom(i, f, k, tol)
         if type(c) is str:
             raise BracketError(c)
         found.append(c)

@@ -567,8 +567,8 @@ def test_capped_result_is_capped_or_the_uncapped_result(name):
 def test_check_asks_each_question_once(check, i):
     """One check call asks the oracle each distinct (step, g, f, event)
     question once.  The log is an instance attribute, so the induced
-    oracle's ``atom_answers`` keeps its fast path and the searches' queries
-    are not logged."""
+    oracle's ``search_atom`` keeps its kernel and the searches' queries are
+    not logged."""
     rep, fs = _criterion5_rep()
     oracle = InducedOracle(rep)
     asked = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 import shlex
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 VILLA = str(SCENARIO_DIR / "villa.sdu")
 RANDOM8 = str(SCENARIO_DIR / "random8.sdu")
 BINOMIAL = str(SCENARIO_DIR / "binomial.sdu")
+FORWARD = str(SCENARIO_DIR / "forward.sdu")
 
 
 def run(capsys, args):
@@ -126,6 +129,33 @@ class TestGridFlag:
         )
         assert code == 0
         assert "FAIL" not in out
+
+
+@contextmanager
+def raises_after(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed, so
+    that a command that never ends fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+def test_axioms_on_a_grid_of_large_constants_ends(capsys):
+    # the audits bisect near 3e4 with tol 1e-12, below the float spacing
+    # there: each search ends on adjacent floats
+    with raises_after(60):
+        code, out, _ = run(capsys, ["axioms", "--scenario", FORWARD, "--step", "0", "--grid=-30000,0,30000"])
+    assert code == 0
+    assert "FAIL" not in out
 
 
 class TestCCE:

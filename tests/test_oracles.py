@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from itpref import (
     IdentityCurve,
     InducedOracle,
     InvariantError,
+    LinearCurve,
     PiecewiseLinearCurve,
     ProbabilityMeasure,
     UtilityField,
@@ -50,7 +52,7 @@ from itpref.oracles import (
 )
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
 
-from conftest import drawn_act, exact_representation, identity_rep
+from conftest import drawn_act, drawn_representation, exact_representation, identity_rep
 
 
 class TestInducedOracle:
@@ -90,13 +92,26 @@ class TestInducedOracle:
         # set to the float margin float(1/3) - float(1/10): only the margin
         # taken in exact arithmetic answers "not preceq"
         space = two_branch_space
-        u0 = PiecewiseLinearCurve.from_points([(-1, Fraction(-1, 3)), (0, 0), (1, Fraction(1, 3))])
-        field = UtilityField.from_atom_curves(space, [[u0], [IdentityCurve()] * 2])
-        rep = Representation(space, ProbabilityMeasure(space, (Fraction(1, 2), Fraction(1, 2))), field)
-        oracle = InducedOracle(rep, float(Fraction(1, 3)) - float(Fraction(1, 10)))
+        band = float(Fraction(1, 3)) - float(Fraction(1, 10))
+
+        def oracle_with(u0):
+            field = UtilityField.from_atom_curves(space, [[u0], [IdentityCurve()] * 2])
+            P = ProbabilityMeasure(space, (Fraction(1, 2), Fraction(1, 2)))
+            return InducedOracle(Representation(space, P, field), band)
+
+        oracle = oracle_with(PiecewiseLinearCurve.from_points([(-1, Fraction(-1, 3)), (0, 0), (1, Fraction(1, 3))]))
         f = Act.constant(space, 1, Fraction(1, 10))
-        assert oracle.atom_answers(0, f, 0)(1.0) == QueryAnswer(True, False)
         assert oracle.query(0, Act.constant(space, 0, 1.0), f) == QueryAnswer(True, False)
+        # mirrored at the search's first upper bracket end 1.0: u0(1) = 1/10
+        # against the value 1/3 is the margin -7/30, below -tol, so the
+        # bracket doubles; a float margin would be -tol and keep 1.0
+        mirrored = PiecewiseLinearCurve.from_points(
+            [(-1, Fraction(-1, 10)), (0, 0), (1, Fraction(1, 10)), (2, Fraction(1, 5))]
+        )
+        f = Act.constant(space, 1, Fraction(1, 3))
+        assert oracle_with(mirrored).query(0, Act.constant(space, 0, 1.0), f) == QueryAnswer(False, True)
+        got = assert_kernel_is_reference(lambda: oracle_with(mirrored), 0, f, 0, 1e-10)
+        assert 1.0 < got <= 1.0 + 1e-10
 
     def test_null_event_answers_vacuously(self, four_state_space):
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
@@ -106,16 +121,25 @@ class TestInducedOracle:
         tiny = Act.constant(four_state_space, 2, -100)
         assert oracle.ask(1, huge, tiny, dead).equiv
 
-    @pytest.mark.parametrize("level", [1, 1.0], ids=["exact-value", "float-value"])
+    @pytest.mark.parametrize("level", [Fraction(5, 4), 1.25], ids=["exact-value", "float-value"])
     def test_batched_answers_agree_at_the_band_edges(self, two_branch_space, level):
         # margins of exactly -tol and +tol lie inside the band: both answers
-        # hold, from ``query`` and from either answer closure
+        # hold, from ``query`` and in the kernel's search, at the bracket
+        # ends 1.0 (margin -tol against the value 5/4) and -1.0 (margin +tol
+        # against -5/4), which each search then keeps
         space = two_branch_space
-        oracle = InducedOracle(identity_rep(space, ProbabilityMeasure.uniform(space)), tol=0.25)
-        f = Act.constant(space, 1, level)
-        answer = oracle.atom_answers(0, f, 0)
-        for c in (0.75, 1.25, Fraction(3, 4), Fraction(5, 4)):
-            assert answer(c) == oracle.query(0, Act.constant(space, 0, c), f) == QueryAnswer(True, True)
+
+        def make():
+            return InducedOracle(identity_rep(space, ProbabilityMeasure.uniform(space)), tol=0.25)
+
+        for sign, c in ((1, 1.0), (-1, -1.0)):
+            f = Act.constant(space, 1, sign * level)
+            assert make().query(0, Act.constant(space, 0, c), f) == QueryAnswer(True, True)
+            got = assert_kernel_is_reference(make, 0, f, 0, 1e-10)
+            if sign == 1:
+                assert got == 1.0  # kept: the value is inf{c : c >= 1}
+            else:
+                assert -1.0 < got <= -1.0 + 1e-10  # bisected down to the kept -1.0
 
     def test_an_event_not_known_at_t_i_is_refused(self):
         sp = FilteredSpace.build(
@@ -171,13 +195,13 @@ class TestInducedOracle:
         assert all(oracle.ask(0, g, f) == first for _ in range(5))
 
     def test_batched_answers_equal_single_queries(self):
-        """On float and exact ``Fraction`` representations with a null atom,
-        at floats, exact ``Fraction``s and constants that sit exactly on an
-        anchor of the atom's curve, given as its abscissa, as that
-        abscissa's float and as its ``Fraction``.  The same for the
-        intransitive band on each representation, at steps 0 and 1, on its
-        designated act and on another: only the designated act's search at
-        step 0 calls ``query``."""
+        """The kernel's per-atom searches return, and ask, what the search
+        through ``ask`` does, on float and exact ``Fraction``
+        representations with a null atom, at three search tolerances; the
+        searches' constants include anchors of positive atoms' curves.  The
+        same for the intransitive band on each representation, at steps 0
+        and 1, on its designated act and on another: only the designated
+        act's search at step 0 calls ``query``."""
         rng = random.Random(13)
         anchors_on_positive_atoms = {False: 0, True: 0}
         for case in range(12):
@@ -190,43 +214,38 @@ class TestInducedOracle:
             else:
                 rep = Representation(space, random_measure(rng, space, null_states=dead), rep.field)
             per_atom, single = InducedOracle(rep), InducedOracle(rep)
+            asked, ask = [], single.ask
+            single.ask = lambda i, g, f, A=None: asked.append((A.members, g.values[0])) or ask(i, g, f, A)
             f = drawn_act(rng, space, 2, exact)
-            asked = []
             for k in range(space.n_atoms(1)):
-                asked += [(k, rng.uniform(-3, 3)) for _ in range(3)]
-                asked += [(k, Fraction(rng.randint(-27, 27), rng.randint(1, 9))) for _ in range(3)]
-                for anchor in getattr(rep.field.curve_on_atom(1, k), "anchors", ()):
-                    asked += [(k, anchor[0]), (k, float(anchor[0])), (k, Fraction(anchor[0]))]
-                    anchors_on_positive_atoms[exact] += k > 0  # atom 0 is null
-            want = [
-                single.ask(1, Act.constant(space, 1, c), f, space.atom_event(1, k))
-                for k, c in asked
-            ]
-            answers = [per_atom.atom_answers(1, f, k) for k in range(space.n_atoms(1))]
-            assert [answers[k](c) for k, c in asked] == want
-            assert per_atom.queries == single.queries == len(asked)
+                for tol in (1e-10, 2.0**-30, 0.0):
+                    assert search_outcome(per_atom.search_atom, 1, f, k, tol) == search_outcome(
+                        lambda *args: atom_search(single, *args), 1, f, k, tol
+                    )
+                    assert per_atom.queries == single.queries
+            for members, c in asked:
+                k = space.atom_index_map(1)[min(members)]
+                anchors = getattr(rep.field.curve_on_atom(1, k), "anchors", ())
+                anchors_on_positive_atoms[exact] += k > 0 and any(a[0] == c for a in anchors)  # atom 0 is null
 
             target = drawn_act(rng, space, 1, exact)
             per_band, single_band = IntransitiveBandOracle(rep, target), IntransitiveBandOracle(rep, target)
             band_query, calls = per_band.query, []
             per_band.query = lambda *args: calls.append(args) or band_query(*args)
-            consts = [c for _, c in asked]
             for i, designated, other in (
                 (0, target, drawn_act(rng, space, 1, exact)),
                 (1, target.at_time(2), f),
             ):
                 for g in (designated, other):
                     for k in range(space.n_atoms(i)):
-                        before = len(calls)
-                        answer = per_band.atom_answers(i, g, k)
-                        assert [answer(c) for c in consts] == [
-                            single_band.ask(i, Act.constant(space, i, c), g, space.atom_event(i, k))
-                            for c in consts
-                        ]
-                        assert len(calls) - before == (len(consts) if i == 0 and g is designated else 0)
+                        before, asked_before = len(calls), per_band.queries
+                        assert search_outcome(per_band.search_atom, i, g, k, 1e-10) == search_outcome(
+                            lambda *args: atom_search(single_band, *args), i, g, k, 1e-10
+                        )
+                        spent = per_band.queries - asked_before
+                        assert len(calls) - before == (spent if i == 0 and g is designated else 0)
             assert per_band.queries == single_band.queries
         assert all(anchors_on_positive_atoms.values())
-
 
     def test_an_oracle_that_has_answered_pickles(self):
         rng = random.Random(5)
@@ -437,7 +456,8 @@ class TestIndifference:
 def atom_search(oracle, i, f, k, tol):
     """The reference search of one atom, written on ``oracle.ask`` apart
     from the library's: the probe (None when the atom is insensitive), then
-    the bracket and the bisection."""
+    the bracket and the bisection, which stops when the bracket is ``tol``
+    wide or an answer would leave it unchanged."""
     space = oracle.space
     A = space.atom_event(i, k)
 
@@ -460,10 +480,42 @@ def atom_search(oracle, i, f, k, tol):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if ask(mid).succeq:
+            if mid == hi:
+                break
             hi = mid
         else:
+            if mid == lo:
+                break
             lo = mid
     return hi
+
+
+def search_outcome(search, i, f, k, tol):
+    """What ``search(i, f, k, tol)`` finds, as ``search_atom`` returns it:
+    the constant, None for an insensitive atom, or the message of a
+    bracket failure (which :func:`atom_search` raises)."""
+    try:
+        return search(i, f, k, tol)
+    except BracketError as exc:
+        return str(exc)
+
+
+def assert_kernel_is_reference(make_oracle, i, f, k, tol):
+    """The induced kernel's search of atom ``k`` on a fresh ``make_oracle()``
+    returns, and asks, what :func:`atom_search` and the base class's search
+    through ``ask`` do, each on another; the kernel calls no ``query``.
+    Returns what it found."""
+    kernel, reference, base = make_oracle(), make_oracle(), make_oracle()
+
+    def unreachable(*args):
+        raise AssertionError("the kernel's search asked through query")
+
+    kernel.query = unreachable  # an instance attribute: the dispatch sees the class's
+    got = search_outcome(kernel.search_atom, i, f, k, tol)
+    assert got == search_outcome(lambda *args: atom_search(reference, *args), i, f, k, tol)
+    assert got == search_outcome(lambda *args: PreferenceOracle.search_atom(base, *args), i, f, k, tol)
+    assert kernel.queries == reference.queries == base.queries
+    return got
 
 
 def sequential_profile(oracle, i, f, tol):
@@ -483,7 +535,7 @@ def as_profile(space, i, found):
 
 class TestLockstepProfile:
     """``indifference_profile`` searches every atom of a level through
-    ``atom_answers``; it must return, and ask, exactly what the reference
+    ``search_atom``; it must return, and ask, exactly what the reference
     search on ``ask`` does."""
 
     @staticmethod
@@ -588,21 +640,16 @@ class TestLockstepProfile:
 
 
 class AtomLog(InducedOracle):
-    """Induced oracle that records which atoms its per-atom answer
-    functions are asked about."""
+    """Induced oracle that records which atoms it searches; it overrides
+    neither ``query`` nor ``ask``, so it keeps the kernel."""
 
     def __init__(self, rep):
         super().__init__(rep, tol=1e-12)
         self.asked = set()
 
-    def atom_answers(self, i, f, k):
-        answer = super().atom_answers(i, f, k)
-
-        def logged(c):
-            self.asked.add(k)
-            return answer(c)
-
-        return logged
+    def search_atom(self, i, f, k, tol):
+        self.asked.add(k)
+        return super().search_atom(i, f, k, tol)
 
 
 def stored_atoms(oracle):
@@ -791,3 +838,150 @@ if given is not None:
             assert oracle.queries == reference.queries
             assert outcome(run, oracle) == want
             assert oracle.queries == reference.queries
+
+
+# two equiprobable states under one time-0 atom, split at time 1
+TWO = FilteredSpace.build(("up", "down"), (0, 1), [[["up", "down"]], [["up"], ["down"]]])
+
+
+def on_two(u0, band=0.25):
+    """The factory of the induced oracle on ``TWO`` with time-0 curve
+    ``u0``, identity curves at time 1 and answer band ``band``."""
+    field = UtilityField.from_atom_curves(TWO, [[u0], [IdentityCurve()] * 2])
+    rep = Representation(TWO, ProbabilityMeasure.uniform(TWO), field)
+    return lambda: InducedOracle(rep, band)
+
+
+# a curve flat at -1/4 below -1 and at 1/4 above 1: against the value 0 the
+# probe's margins are exactly -1/4 and +1/4
+FLAT_ENDS = PiecewiseLinearCurve.from_points([(-2, -0.25), (-1, -0.25), (1, 0.25), (2, 0.25)], strict=False)
+TINY_SLOPE = LinearCurve(Fraction(1, 2**50))  # 2**-10 at the bracket limit
+LIMIT_SLOPE = LinearCurve(Fraction(1, 2**40))  # 1 at the bracket limit
+
+
+class Exhausting(IdentityCurve):
+    """The identity curve, which raises once ``left`` evaluations are spent:
+    a search that would never end fails instead."""
+
+    def __init__(self, left=10_000):
+        self.left = left
+
+    def __call__(self, x):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("evaluations spent")
+        return x
+
+
+class TestKernelSearch:
+    """The induced oracle's one-loop search against the search through
+    ``ask`` at the places where one comparison or one count decides."""
+
+    @pytest.mark.parametrize(
+        "u0, level, band, tol, want",
+        [
+            # margin -tol at the first midpoint 0.0: kept as the upper end
+            (IdentityCurve(), 0.25, 0.25, 1e-10, 0.0),
+            (IdentityCurve(), Fraction(1, 4), 0.25, 1e-10, 0.0),
+            # margins +tol and -tol at the probe's huge and tiny constants
+            (FLAT_ENDS, 0, 0.25, 1e-10, None),
+            (FLAT_ENDS, 0.0, 0.25, 1e-10, None),
+            # a bracket width that reaches tol exactly
+            (IdentityCurve(), 0.3, 0.0, 2.0**-30, 0.30000000074505806),
+            # no tol, or one below 0: the bisection ends on adjacent floats
+            (Exhausting(), 0.3, 0.0, 0.0, 0.3),
+            (Exhausting(), Fraction(3, 10), 0.0, 0.0, 0.3),
+            (Exhausting(), 0.3, 0.0, -1.0, 0.3),
+            # the upper end found at the bracket limit itself
+            (LIMIT_SLOPE, 1, 0.0, 1e-10, 2.0**40),
+            (TINY_SLOPE, 1, 0.25, 1e-10, "no upper bracket on {up,down} at step 0"),
+            (TINY_SLOPE, -1.0, 0.25, 1e-10, "no lower bracket on {up,down} at step 0"),
+        ],
+    )
+    def test_pinned_cases(self, u0, level, band, tol, want):
+        f = Act.constant(TWO, 1, level)
+        assert assert_kernel_is_reference(on_two(u0, band), 0, f, 0, tol) == want
+
+    def test_a_null_atom_asks_the_probe_only(self, four_state_space):
+        P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+        f = Act(four_state_space, 2, (1, 3, 5, 7))
+        rep = identity_rep(four_state_space, P)
+        assert assert_kernel_is_reference(lambda: InducedOracle(rep), 1, f, 0, 1e-10) == pytest.approx(2, abs=1e-9)
+        assert assert_kernel_is_reference(lambda: InducedOracle(rep), 1, f, 1, 1e-10) is None
+        oracle = InducedOracle(rep)
+        assert oracle.search_atom(1, f, 1, 1e-10) is None and oracle.queries == 2
+
+    def test_queries_count_the_answer_a_curve_raised_in(self):
+        for fails_at in (1, 2, 3, 30):
+            spent = []
+            for search in (InducedOracle.search_atom, PreferenceOracle.search_atom):
+                curve = Exhausting()
+                oracle = on_two(curve)()
+                curve.left = fails_at - 1
+                with pytest.raises(RuntimeError, match="evaluations spent"):
+                    search(oracle, 0, Act.constant(TWO, 1, 0.3), 0, 1e-10)
+                spent.append(oracle.queries)
+            assert spent == [fails_at, fails_at]
+
+
+class Bounded(InducedOracle):
+    """An induced oracle that overrides ``ask``, so it searches through it,
+    and raises after ``limit`` queries in place of asking forever."""
+
+    limit = 10_000
+
+    def ask(self, i, g, f, A=None):
+        if self.queries >= self.limit:
+            raise RuntimeError("queries spent")
+        return super().ask(i, g, f, A)
+
+
+class TestSearchEnds:
+    """A bisection whose ``tol`` is below the float spacing at its constant
+    stops on adjacent floats, on the kernel and through ``ask``."""
+
+    def test_a_tol_below_the_spacing_ends_on_adjacent_floats(self):
+        f = Act(TWO, 1, (1e8, 1e8 + 2))
+        bounded = Bounded(on_two(IdentityCurve(), band=1e-12)().rep, 1e-12)
+        for oracle in (on_two(Exhausting(), band=1e-12)(), bounded):
+            assert indifference_profile(oracle, 0, f, 1e-9).values == (100000001.0, 100000001.0)
+            assert oracle.queries == 85
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_a_tol_not_finite_and_nonnegative_is_refused(self, tol):
+        space, P = three_atom_space()
+        field = UtilityField.from_atom_curves(space, [[Exhausting()], [IdentityCurve()] * 3])
+        oracle = InducedOracle(Representation(space, P, field))
+        f = Act.from_atom_values(space, 1, [Fraction(-1, 2), 1, Fraction(1, 2)])  # value 3/8
+        searches = (
+            lambda: atom_certainty_equivalents(oracle, 0, f, tol),
+            lambda: indifference_profile(oracle, 0, f, tol),
+            lambda: indifference_constant(oracle, 0, f, oracle.space.whole_event(0), tol),
+        )
+        for search in searches:
+            with pytest.raises(ValueError, match="search tol must be finite and >= 0, got"):
+                search()
+        assert oracle.queries == 0
+        assert atom_certainty_equivalents(oracle, 0, f, 1e-10) == [pytest.approx(0.375, abs=1e-9)]
+
+
+if given is not None:
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exact=st.booleans(),
+        null=st.booleans(),
+        band=st.sampled_from([1e-9, 0.0, 0.25]),
+        tol=st.sampled_from([1e-9, 2.0**-30, 0.0]),
+    )
+    def test_kernel_search_is_the_search_through_ask(seed, exact, null, band, tol):
+        """On generated float and exact induced oracles, with and without a
+        null time-1 atom, every per-atom search at steps 0 and 1 returns,
+        and asks, what the search through ``ask`` does."""
+        rng = random.Random(seed)
+        rep = drawn_representation(rng, 3, exact, null)
+        for i in (0, 1):
+            f = drawn_act(rng, rep.space, i + 1, exact)
+            for k in range(rep.space.n_atoms(i)):
+                assert_kernel_is_reference(lambda: InducedOracle(rep, band), i, f, k, tol)

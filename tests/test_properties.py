@@ -41,7 +41,7 @@ from itpref.axioms import C_STYLES  # noqa: E402
 from itpref.controls import flat_segment, identity_representation, three_atom_space  # noqa: E402
 from itpref.curves import INVERT_TOL  # noqa: E402
 from itpref.engine import expected_utility, expected_utility_profile  # noqa: E402
-from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
+from itpref.oracles import QueryAnswer, _search, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
     random_equivalent_measure,
@@ -162,7 +162,7 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
     """The induced oracle's per-atom expected utilities equal the engine's
     conditional expectation bit for bit, on float and exact representations
     with and without a null atom; an act not measurable at t_{i+1} raises
-    before any atom, a null one included, is valued."""
+    before any atom, a null one included, is valued or searched."""
     rng = random.Random(seed)
     rep = drawn_representation(rng, 4, exact, null)
     space = rep.space
@@ -182,7 +182,7 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
             for attempt in (
                 lambda: expected_utility_profile(rep, i, i + 1, f),
                 lambda: oracle.value_profile(i, f),
-                *[lambda k=k: oracle.atom_answers(i, f, k) for k in range(space.n_atoms(i))],
+                *[lambda k=k: oracle.search_atom(i, f, k, 1e-9) for k in range(space.n_atoms(i))],
             ):
                 with pytest.raises(PreconditionError):
                     attempt()
@@ -192,9 +192,11 @@ def test_value_profile_is_the_engines_profile(seed, exact, null):
 @given(seed=st.integers(0, 2**32 - 1), null=st.booleans())
 def test_exact_oracle_answers_equal_exact_arithmetic(seed, null):
     """On an exact representation and exact acts, the induced oracle's
-    ``atom_answers`` and ``query`` answers to float constants equal the
-    answers of exact arithmetic on the constant as a ``Fraction``: at dyadic
-    constants a bisection asks and at the curves' anchor abscissae."""
+    answers to float constants equal the answers of exact arithmetic on the
+    constant as a ``Fraction``: ``query``'s at dyadic constants a bisection
+    asks and at the curves' anchor abscissae, and the kernel's per-atom
+    searches, which return and ask what the search on the exact answers
+    does."""
     rng = random.Random(seed)
     rep = drawn_representation(rng, 3, True, null)
     space, P, tol = rep.space, rep.P, 1e-9
@@ -212,10 +214,14 @@ def test_exact_oracle_answers_equal_exact_arithmetic(seed, null):
             assert isinstance(d, Fraction)
             return QueryAnswer(not d < -tol, not d > tol)
 
-        answers = [oracle.atom_answers(i, f, k) for k in range(space.n_atoms(i))]
+        for k, A in enumerate(space.atom_events(i)):
+            asked = []
+            want = _search(lambda c: asked.append(c) or exact_answer(k, c), i, A, tol)
+            before = oracle.queries
+            assert oracle.search_atom(i, f, k, tol) == want
+            assert oracle.queries - before == len(asked)
         for c in constants:
             want = [exact_answer(k, c) for k in range(space.n_atoms(i))]
-            assert [answer(c) for answer in answers] == want, c
             g = Act.constant(space, i, c)
             for A, ks in [(None, range(len(want))), *((E, [k]) for k, E in enumerate(space.atom_events(i)))]:
                 both = [want[k] for k in ks]
