@@ -4,7 +4,12 @@ Evaluate stochastic dynamic utilities, compute conditional certainty
 equivalents, decide intertemporal preference queries, verify the preference
 axioms by exhaustive search at desk scale, and recover the representing
 (probability, utility) pair from a preference oracle.
+
+The public surface is ``__all__``: every name imported below, and no
+submodule.
 """
+
+from types import ModuleType as _ModuleType
 
 from .axioms import (
     ActGrid,
@@ -95,4 +100,7 @@ from .utility_field import StarContinuityResult, UtilityField, is_star_continuou
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

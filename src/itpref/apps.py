@@ -100,10 +100,6 @@ def villa_t1_value(variant: str = "paper-arithmetic") -> Fraction:
     return _villa_values(villa_scenario(variant), variant)[0]
 
 
-def villa_t2_value(variant: str = "paper-arithmetic") -> Fraction:
-    return _villa_values(villa_scenario(variant), variant)[1]
-
-
 # what each verdict of cash against the villa means at each decision
 _VILLA_T2_SAYS = {
     "preceq": "the villa wins this comparison",

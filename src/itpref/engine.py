@@ -303,7 +303,7 @@ def density_process(rep: Representation, P_star: ProbabilityMeasure) -> tuple[Ac
     flagged as filled."""
     _check_space(rep.space, P_star, "P*")
     if not rep.P.is_equivalent_to(P_star):
-        raise InvariantError("stochastic discount factor requires an equivalent measure")
+        raise InvariantError("stochastic discount factor requires a measure equivalent on the terminal atoms")
     betas = []
     for i in range(rep.space.n_times):
         per_atom = [

@@ -206,9 +206,6 @@ class FilteredSpace:
         except ValueError:
             raise KeyError(f"unknown state {name!r}") from None
 
-    def whole_event(self, i: int | None = None) -> "Event":
-        return Event(self, frozenset(range(self.n_states)), i)
-
     def union_event(self, i: int, ks: Iterable[int]) -> "Event":
         """The union of the time-``i`` atoms with indices ``ks``.  A union of
         time-``i`` atoms is known at ``i`` by construction, so only ``i`` is
@@ -242,32 +239,9 @@ class Event:
                         f"splits atom {self.space.atom_label(i, k)}"
                     )
 
-    @classmethod
-    def of_states(
-        cls, space: FilteredSpace, names: Iterable[str], time_index: int | None = None
-    ) -> "Event":
-        return cls(space, frozenset(space.state_index(n) for n in names), time_index)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self.space.states[s] for s in sorted(self.members))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def complement(self) -> "Event":
-        return Event(
-            self.space,
-            frozenset(range(self.space.n_states)) - self.members,
-            self.time_index,
-        )
-
-    def __contains__(self, state: int) -> bool:
-        return state in self.members
-
-    def __le__(self, other: "Event") -> bool:
-        return self.members <= other.members
 
     def label(self) -> str:
         return "{" + ",".join(self.names) + "}"
@@ -477,8 +451,11 @@ class ProbabilityMeasure:
         return tuple(s for s, w in enumerate(self.weights) if w > 0)
 
     def is_equivalent_to(self, other: "ProbabilityMeasure") -> bool:
-        """Same null states (mutual absolute continuity on a finite space)."""
-        return all((a > 0) == (b > 0) for a, b in zip(self.weights, other.weights))
+        """Same null terminal atoms: mutual absolute continuity on the
+        terminal information.  Acts are measurable there, so how a terminal
+        atom's mass spreads over its states is invisible to preferences."""
+        last = self.space.last_index
+        return self.null_atoms(last) == other.null_atoms(last)
 
 
 def _check_space(

@@ -33,6 +33,7 @@ from .utility_field import UtilityField
 
 NULL_VALUE_TOL = 1e-7   # |V_j| below this on the whole grid marks a null atom
 DEBREU_TOL = 1e-6
+MASS_AGREEMENT_TOL = 1e-9  # the updated masses must sum to each step-i atom's mass
 X_BAR = 1  # calibration outcome: an atom's mass is proportional to its value gap X_BAR vs 0
 
 
@@ -197,7 +198,7 @@ def recover_step_i(
         curves[k] = PiecewiseLinearCurve.from_points(points[k])
     for a in range(space.n_atoms(i)):
         children_total = reduce(add, (masses[k] for k in range(m) if parent[k] == a), 0)
-        if abs(children_total - prev.masses[a]) > 1e-9:
+        if abs(children_total - prev.masses[a]) > MASS_AGREEMENT_TOL:
             raise RecoveryError(
                 f"updated probability does not agree with the step-{i} one on "
                 f"atom {space.atom_label(i, a)}"
@@ -271,18 +272,20 @@ def check_relative_uniqueness(
     xs: Sequence[Number] = DEFAULT_GRID.values,
     tol: float = 1e-9,
 ) -> UniquenessResult:
-    """Whether rep_b is the delta-rescaling of rep_a: equivalent measures and
+    """Whether rep_b is the delta-rescaling of rep_a: measures equivalent on
+    the terminal atoms (``ProbabilityMeasure.is_equivalent_to``) and
     u_b(t_i, x) = delta_i u_a(t_i, x) with delta_i the time-i density of P_a
     with respect to P_b, for every i >= 1 and positive-probability atom."""
     space = rep_a.space
     if space != rep_b.space:
         raise RecoveryError("representations live on different spaces")
-    for s, (wa, wb) in enumerate(zip(rep_a.P.weights, rep_b.P.weights)):
-        if (wa > 0) != (wb > 0):
-            return UniquenessResult(
-                False, float("inf"),
-                f"state {space.states[s]} is null under exactly one measure",
-            )
+    if not rep_a.P.is_equivalent_to(rep_b.P):
+        last = space.last_index
+        k = min(set(rep_a.P.null_atoms(last)) ^ set(rep_b.P.null_atoms(last)))
+        return UniquenessResult(
+            False, float("inf"),
+            f"terminal atom {space.atom_label(last, k)} is null under exactly one measure",
+        )
     worst = 0.0
     witness = None
     for i in range(space.n_times):

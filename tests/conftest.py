@@ -87,6 +87,24 @@ def exact_representation(rng, space, null_states=()):
     return Representation(space, P, UtilityField.from_atom_curves(space, rows))
 
 
+def coarse_terminal_reps() -> tuple[Representation, Representation]:
+    """Two representations with the same curves on a 5-state space whose
+    terminal atom {d,e} holds two states: d is null under P_a = (1/5, 1/5,
+    1/5, 0, 2/5) and not under the uniform P_b, and both give {d,e} the mass
+    2/5.  Acts are terminal-measurable, so the two are one preference."""
+    space = FilteredSpace.build(
+        ("a", "b", "c", "d", "e"), (0, 1, 2),
+        [[["a", "b", "c", "d", "e"]], [["a", "b"], ["c", "d", "e"]], [["a"], ["b"], ["c"], ["d", "e"]]],
+    )
+    kink = PiecewiseLinearCurve.from_points([(-2, -4), (0, 0), (1, 1), (2, Fraction(3, 2))])
+    field = UtilityField.from_atom_curves(
+        space, [[IdentityCurve()], [LinearCurve(2), kink], [kink, LinearCurve(3), IdentityCurve(), kink]]
+    )
+    fifth = Fraction(1, 5)
+    P_a = ProbabilityMeasure(space, (fifth, fifth, fifth, 0, 2 * fifth))
+    return Representation(space, P_a, field), Representation(space, ProbabilityMeasure.uniform(space), field)
+
+
 def drawn_representation(rng, n_times, exact, null):
     """A generated jump-free representation with at least three time-1
     atoms: float, or exact when ``exact``; with one null time-1 atom when

@@ -77,9 +77,9 @@ def test_criterion_1_villa_reproduction():
         assert result.passed
         # the engine's measure-path terminal value agrees with the displayed
         # formula to 1e-6 relative
-        from itpref.apps import villa_t2_value
-
-        measure_path = villa_t2_value("paper-stated")
+        spec = villa_scenario("paper-stated")
+        rep = spec.representation()
+        measure_path = rep.P.expectation(rep.field.eval(2, spec.acts["villa_t2"]))
         assert abs(measure_path - formula) / formula <= 1e-6
         assert "on {d1} (election default): SUCCEQ" in result.text
         assert "on {d2,ok} (no election default): PRECEQ" in result.text

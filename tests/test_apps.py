@@ -25,7 +25,6 @@ from itpref.apps import (
     villa_scenario,
     villa_t1_value,
     villa_t2_formula,
-    villa_t2_value,
 )
 from itpref.scenario import ScenarioSpec, StrategySet, loads_scenario
 
@@ -47,7 +46,9 @@ class TestVilla:
 
     def test_paper_stated_values(self):
         assert villa_t1_value("paper-stated") == 1_099_900
-        assert villa_t2_value("paper-stated") == Fraction(1_782_998_317, 1000)
+        spec = villa_scenario("paper-stated")
+        rep = spec.representation()
+        assert rep.P.expectation(rep.field.eval(2, spec.acts["villa_t2"])) == Fraction(1_782_998_317, 1000)
 
     def test_narrative_lines(self):
         text = run_villa().text

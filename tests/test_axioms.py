@@ -267,7 +267,7 @@ class TestCheckST:
         assert not res.passed
         assert "no bracketing act" in res.counterexample
 
-    def test_whole_event_instance_trivial(self, valid_oracle):
+    def test_whole_space_instance_trivial(self, valid_oracle):
         # A = whole space leaves nothing off A; the премise transfers directly
         assert check_ST(valid_oracle, 0).passed
 
@@ -687,7 +687,7 @@ class TestTriPartition:
         f = Act.constant(space, 1, 0)
         tri, violations = tri_partition(oracle, 0, g, f)
         assert violations == ["atom {x,y,z} unclassifiable (local completeness fails)"]
-        assert tri.A.is_empty and tri.B.is_empty and tri.C.is_empty
+        assert not tri.A.members and not tri.B.members and not tri.C.members
 
 
 class TestFaultMatrix:

@@ -51,7 +51,7 @@ from itpref.sampling import (
     verdict_agreement,
 )
 
-from conftest import bits, drawn_act, drawn_representation, identity_rep
+from conftest import bits, coarse_terminal_reps, drawn_act, drawn_representation, identity_rep
 
 
 def exp_rep(space: FilteredSpace, P: ProbabilityMeasure, a: float = 1.0) -> Representation:
@@ -85,7 +85,7 @@ class TestVFunctional:
     def test_localization(self, four_state_identity_rep, staircase):
         # V(f 1_A) = V(f) 1_A for A known at the conditioning time
         space = four_state_identity_rep.space
-        A = Event.of_states(space, ("w1", "w2"), time_index=1)
+        A = Event(space, frozenset(map(space.state_index, ("w1", "w2"))), time_index=1)
         lhs = expected_utility_profile(four_state_identity_rep, 1, 2, staircase.restrict(A))
         rhs = expected_utility_profile(four_state_identity_rep, 1, 2, staircase).restrict(A)
         assert lhs.sup_dist(rhs) < 1e-12
@@ -214,7 +214,7 @@ class TestCompare:
             g = cce(rep, 0, t, f).shift(1)
             verdict = compare(rep, 0, t, g, f)
             assert verdict.tag == "succeq"
-            assert verdict.tri.C.is_empty
+            assert not verdict.tri.C.members
 
     def test_villa_cash_against_terminal_villa(self):
         spec = villa_scenario()
@@ -578,6 +578,14 @@ class TestDiscount:
         P_star = random_equivalent_measure(rng, rep.P)
         result = discount_transform(rep, P_star, n_pairs=100, seed=7)
         assert result.verified and result.flips == 0
+
+    def test_a_measure_equivalent_on_the_terminal_atoms_is_accepted(self):
+        # P_a and P_b differ on the states of {d,e} alone, where d is null
+        # under P_a only; every atom mass agrees, so each density is 1
+        rep_a, rep_b = coarse_terminal_reps()
+        result = discount_transform(rep_a, rep_b.P, n_pairs=100, seed=7)
+        assert result.verified and result.flips == 0
+        assert all(set(beta.values) == {1} for beta in result.betas)
 
     def test_non_equivalent_rejected(self, four_state_space, four_state_measure):
         rep = identity_rep(four_state_space, four_state_measure)

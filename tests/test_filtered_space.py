@@ -93,8 +93,8 @@ class TestConstruction:
 
     def test_event_atom_union_check(self, four_state_space):
         with pytest.raises(InvariantError, match="union of atoms"):
-            Event.of_states(four_state_space, ("w1",), time_index=1)
-        Event.of_states(four_state_space, ("w1", "w2"), time_index=1)
+            Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1",))), time_index=1)
+        Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1", "w2"))), time_index=1)
 
 
 class TestAtoms:
@@ -165,9 +165,10 @@ class TestMeasurability:
             coarse.at_time(0)
 
     def test_event_measurability(self, four_state_space):
-        ev = Event.of_states(four_state_space, ("w1", "w2"))
+        ev = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1", "w2"))))
         assert is_measurable(four_state_space, 1, ev)
-        assert not is_measurable(four_state_space, 1, Event.of_states(four_state_space, ("w2",)))
+        w2 = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w2",))))
+        assert not is_measurable(four_state_space, 1, w2)
 
 
 class TestForeignActs:
@@ -296,7 +297,7 @@ class TestConditionalExpectation:
 
     def test_pull_out_indicator(self, four_state_space, four_state_measure, staircase):
         # E[f 1_A | F_i] = 1_A E[f | F_i] for A known at time i
-        A = Event.of_states(four_state_space, ("w1", "w2"), time_index=1)
+        A = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1", "w2"))), time_index=1)
         lhs = conditional_expectation(
             four_state_space, four_state_measure, staircase.restrict(A), 1
         )
@@ -318,8 +319,8 @@ class TestNullEvents:
         got = null_events(space, P, 1)
         assert [e.names for e in got] == [("c",)]
         assert maximal_null_event(space, P, 1).names == ("c",)
-        assert is_null_event(P, Event.of_states(space, ("c",)))
-        assert not is_null_event(P, Event.of_states(space, ("b", "c")))
+        assert is_null_event(P, Event(space, frozenset(map(space.state_index, ("c",)))))
+        assert not is_null_event(P, Event(space, frozenset(map(space.state_index, ("b", "c")))))
 
     def test_strictly_positive_measure(self, four_state_space, four_state_measure):
         assert null_events(four_state_space, four_state_measure, 1) == []
@@ -442,24 +443,24 @@ class TestPerAtomFacts:
 
 class TestPaste:
     def test_idempotent(self, four_state_space, staircase):
-        A = Event.of_states(four_state_space, ("w1", "w2"))
+        A = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1", "w2"))))
         assert paste(staircase, staircase, A).values == staircase.values
 
-    def test_whole_event_returns_first(self, four_state_space, staircase):
+    def test_whole_space_returns_first(self, four_state_space, staircase):
         other = Act.constant(four_state_space, 2, (9))
-        assert paste(staircase, other, four_state_space.whole_event()).values == staircase.values
+        assert paste(staircase, other, four_state_space.atom_event(0, 0)).values == staircase.values
 
     def test_definitional_example(self, four_state_space):
         f = Act(four_state_space, 1, (1, 1, 0, 0))
         g = Act.constant(four_state_space, 1, 5)
-        A = Event.of_states(four_state_space, ("w1", "w2"))
+        A = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w1", "w2"))))
         assert paste(f, g, A).values == (1, 1, 5, 5)
 
     def test_time_mismatch_rejected(self, four_state_space):
         f = Act.constant(four_state_space, 1, 1)
         g = Act.constant(four_state_space, 2, 2)
         with pytest.raises(InvariantError, match="time index"):
-            paste(f, g, four_state_space.whole_event())
+            paste(f, g, four_state_space.atom_event(0, 0))
 
     def test_sum_identity(self):
         rng = random.Random(8)
@@ -479,6 +480,6 @@ class TestPaste:
     def test_preserves_measurability(self, four_state_space):
         f = Act(four_state_space, 1, (1, 1, 0, 0))
         g = Act(four_state_space, 1, (2, 2, 3, 3))
-        A = Event.of_states(four_state_space, ("w3", "w4"), time_index=1)
+        A = Event(four_state_space, frozenset(map(four_state_space.state_index, ("w3", "w4"))), time_index=1)
         out = paste(f, g, A)
         assert is_measurable(four_state_space, 1, out)

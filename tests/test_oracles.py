@@ -82,7 +82,7 @@ class TestInducedOracle:
         )
         on_atom = oracle.ask(s, g_up, f, rep.space.atom_event(s, k))
         assert on_atom.succeq and not on_atom.preceq
-        elsewhere = rep.space.atom_event(s, k).complement()
+        elsewhere = rep.space.union_event(s, [j for j in range(rep.space.n_atoms(s)) if j != k])
         off_atom = oracle.ask(s, g_up, f, elsewhere)
         assert off_atom.equiv
 
@@ -178,7 +178,7 @@ class TestInducedOracle:
         oracle = flat_segment()
         space = oracle.space
         g, f = Act.constant(space, 0, 0), Act.from_atom_values(space, 1, [1, 0, -1])
-        whole = space.whole_event(0)
+        whole = space.atom_event(0, 0)
         first = oracle.ask(0, g, f, whole)
         other = FilteredSpace.build(("p", "q", "r"), (0, 1), [[["p", "q", "r"]], [["p", "q"], ["r"]]])
         for _ in range(2):
@@ -272,8 +272,8 @@ class TestMeanMaxMemo:
         # and 1) and the empty one
         events = [
             None,
-            space.whole_event(0),
-            space.whole_event(1),
+            space.atom_event(0, 0),
+            space.union_event(1, range(space.n_atoms(1))),
             Event(space, frozenset(), 0),
         ]
         constants = [Act.constant(space, 0, c) for c in (0, 0.5, 0.5 + 2e-9, Fraction(5, 6), 1)]
@@ -299,19 +299,19 @@ class TestMeanMaxEvents:
             for _ in range(2):  # refused again, not remembered as asked
                 with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
                     oracle.ask(0, g, f, A)
-        assert oracle.ask(0, g, f, sp.whole_event(1)) == oracle.ask(0, g, f)
+        assert oracle.ask(0, g, f, sp.union_event(1, range(sp.n_atoms(1)))) == oracle.ask(0, g, f)
         assert oracle.ask(0, g, f, Event(sp, frozenset(), 0)) == QueryAnswer(True, True)
 
     def test_an_event_of_another_space_is_refused_on_every_call(self):
         oracle = nonadditive_meanmax()
         sp = oracle.space
         g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
-        first = oracle.ask(0, g, f, sp.whole_event(0))
+        first = oracle.ask(0, g, f, sp.atom_event(0, 0))
         other = FilteredSpace.build(("p", "q", "r"), (0, 1), [[["p", "q", "r"]], [["p", "q"], ["r"]]])
         for _ in range(2):
             with pytest.raises(InvariantError, match="event is defined on another filtered space"):
                 oracle.ask(0, g, f, Event(other, frozenset({0, 1, 2}), 0))
-        assert oracle.ask(0, g, f, sp.whole_event(0)) == first
+        assert oracle.ask(0, g, f, sp.atom_event(0, 0)) == first
 
 
 class TestControlEvents:
@@ -328,14 +328,14 @@ class TestControlEvents:
             for _ in range(2):  # refused again, not remembered as asked
                 with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
                     oracle.ask(0, g, f, A)
-        for A in (None, sp.whole_event(0), sp.whole_event(1), Event(sp, frozenset(), 0)):
+        for A in (None, sp.atom_event(0, 0), sp.union_event(1, range(sp.n_atoms(1))), Event(sp, frozenset(), 0)):
             assert oracle.ask(0, g, f, A) == QueryAnswer(True, False)
 
     def test_always_succeq_refuses_an_event_of_another_space_on_every_call(self):
         oracle = always_succeq()
         sp = oracle.space
         g, f = Act.constant(sp, 0, 0), Act.from_atom_values(sp, 1, [1, 0, -1])
-        oracle.ask(0, g, f, sp.whole_event(0))
+        oracle.ask(0, g, f, sp.atom_event(0, 0))
         for _ in range(2):
             with pytest.raises(InvariantError, match="event is defined on another filtered space"):
                 oracle.ask(0, g, f, Event(self.OTHER, frozenset({0, 1, 2}), 0))
@@ -345,7 +345,7 @@ class TestControlEvents:
         sp = oracle.space
         g = Act.constant(sp, 0, 0)
         # the band's answer: 0 is within the band below the value 3/8
-        assert oracle.ask(0, g, oracle.target, sp.whole_event(0)) == QueryAnswer(True, True)
+        assert oracle.ask(0, g, oracle.target, sp.atom_event(0, 0)) == QueryAnswer(True, True)
         for _ in range(2):
             with pytest.raises(InvariantError, match="event is defined on another filtered space"):
                 oracle.ask(0, g, oracle.target, Event(self.OTHER, frozenset({0, 1, 2}), 0))
@@ -386,11 +386,11 @@ class TestEventRule:
         foreign = Event(self.OTHER, frozenset({0, 1, 2}), 0)
         with pytest.raises(InvariantError, match="event is defined on another filtered space"):
             oracle.ask(0, g, f, foreign)
-        first = oracle.ask(0, g, f, oracle.space.whole_event(0))
+        first = oracle.ask(0, g, f, oracle.space.atom_event(0, 0))
         for _ in range(2):
             with pytest.raises(InvariantError, match="event is defined on another filtered space"):
                 oracle.ask(0, g, f, foreign)
-        assert oracle.ask(0, g, f, oracle.space.whole_event(0)) == first
+        assert oracle.ask(0, g, f, oracle.space.atom_event(0, 0)) == first
         assert oracle.queries == 5
 
     def test_an_event_not_known_at_t_i_is_refused_on_every_repeat(self, name):
@@ -400,7 +400,7 @@ class TestEventRule:
             for _ in range(2):
                 with pytest.raises(InvariantError, match="not a union of atoms at time index 0: splits atom {x,y,z}"):
                     oracle.ask(0, g, f, A)
-        assert oracle.ask(0, g, f, sp.whole_event(1)) == oracle.ask(0, g, f)
+        assert oracle.ask(0, g, f, sp.union_event(1, range(sp.n_atoms(1)))) == oracle.ask(0, g, f)
 
     def test_an_equal_space_built_apart_is_accepted(self, name):
         oracle, g, f = event_case(name)
@@ -427,14 +427,14 @@ class TestIndifference:
         P = ProbabilityMeasure(two_branch_space, (Fraction(1, 2), Fraction(1, 2)))
         oracle = InducedOracle(identity_rep(two_branch_space, P), tol=1e-12)
         f = Act(two_branch_space, 1, (4, -1))
-        c = indifference_constant(oracle, 0, f, two_branch_space.whole_event(0), tol=1e-10)
+        c = indifference_constant(oracle, 0, f, two_branch_space.atom_event(0, 0), tol=1e-10)
         assert c == pytest.approx(1.5, abs=1e-9)
 
     def test_bracket_failure_on_degenerate_oracle(self):
         oracle = AlwaysSucceqOracle(three_atom_space()[0])
         f = Act.constant(oracle.space, 1, 0)
         with pytest.raises(BracketError):
-            indifference_constant(oracle, 0, f, oracle.space.whole_event(0))
+            indifference_constant(oracle, 0, f, oracle.space.atom_event(0, 0))
 
     def test_constant_on_an_insensitive_event_is_none(self, four_state_space):
         P = ProbabilityMeasure(four_state_space, (Fraction(1, 2), Fraction(1, 2), 0, 0))
@@ -956,7 +956,7 @@ class TestSearchEnds:
         searches = (
             lambda: atom_certainty_equivalents(oracle, 0, f, tol),
             lambda: indifference_profile(oracle, 0, f, tol),
-            lambda: indifference_constant(oracle, 0, f, oracle.space.whole_event(0), tol),
+            lambda: indifference_constant(oracle, 0, f, oracle.space.atom_event(0, 0), tol),
         )
         for search in searches:
             with pytest.raises(ValueError, match="search tol must be finite and >= 0, got"):

@@ -18,10 +18,12 @@ from itpref import (  # noqa: E402
     Act,
     BracketError,
     Event,
+    FilteredSpace,
     InducedOracle,
     InvariantError,
     PiecewiseLinearCurve,
     PreconditionError,
+    ProbabilityMeasure,
     Representation,
     UtilityField,
     cce,
@@ -29,6 +31,7 @@ from itpref import (  # noqa: E402
     check_M,
     check_ST,
     check_T,
+    check_relative_uniqueness,
     compare,
     conditional_expectation,
     indifference_profile,
@@ -404,6 +407,36 @@ def test_verdict_agreement_counts_compare_flips(seed, null):
         pair_seed = rng.randrange(10**6)
         want = guarded_compare_flips(rep_a, other, 20, pair_seed)
         assert verdict_agreement(rep_a, other, 20, seed=pair_seed) == (20, want)
+
+
+def split_terminal_states(rng, rep):
+    """``rep`` with every state split in two, so that each terminal atom
+    holds two states, under two measures exact in ``Fraction``s: P_a puts
+    each state's weight on one of its halves, P_b splits it between both."""
+    space = rep.space
+    halves = tuple(tuple(tuple(2 * s + h for s in atom for h in (0, 1)) for atom in part) for part in space.partitions)
+    split = FilteredSpace(tuple(f"{name}{h}" for name in space.states for h in "ab"), space.times, halves)
+    field = UtilityField.from_atom_curves(split, rep.field.curves)
+    weights_a, weights_b = [], []
+    for w in map(Fraction, rep.P.weights):
+        weights_a += (w, 0) if rng.random() < 0.5 else (0, w)
+        r = Fraction(rng.randint(1, 9), 10)
+        weights_b += (w * r, w * (1 - r))
+    return tuple(Representation(split, ProbabilityMeasure(split, tuple(weights)), field)
+                 for weights in (weights_a, weights_b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_measures_that_agree_on_terminal_atoms_are_one_preference(seed):
+    """A state null under one measure inside a terminal atom that both
+    measures weigh alike changes no preference: the uniqueness check
+    ACCEPTs with deviation 0.0 and no guarded verdict differs."""
+    rng = random.Random(seed)
+    rep_a, rep_b = split_terminal_states(rng, random_representation(rng))
+    res = check_relative_uniqueness(rep_a, rep_b)
+    assert res.accepted and res.max_deviation == 0.0, res
+    assert verdict_agreement(rep_a, rep_b, 50, seed=seed) == (50, 0)
 
 
 def test_expected_utility_profile_errors():

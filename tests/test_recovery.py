@@ -42,7 +42,7 @@ from itpref.sampling import (
     verdict_agreement,
 )
 
-from conftest import identity_rep
+from conftest import coarse_terminal_reps, identity_rep
 from test_engine import exp_rep, exp_cce_oracle
 
 
@@ -568,6 +568,20 @@ class TestRelativeUniqueness:
         assert res.max_deviation == math.inf
         assert "z" in res.witness
 
+
+    def test_a_null_state_inside_a_positive_terminal_atom_is_accepted(self):
+        rep_a, rep_b = coarse_terminal_reps()
+        assert verdict_agreement(rep_a, rep_b, 500) == (500, 0)
+        for x, y in ((rep_a, rep_b), (rep_b, rep_a)):
+            res = check_relative_uniqueness(x, y)
+            assert res.accepted and res.max_deviation == 0.0
+
+    def test_a_terminal_atom_null_under_one_measure_is_named(self):
+        rep_a, rep_b = coarse_terminal_reps()
+        dead = ProbabilityMeasure(rep_a.space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), 0, 0))
+        res = check_relative_uniqueness(Representation(rep_a.space, dead, rep_a.field), rep_b)
+        assert not res.accepted and res.max_deviation == math.inf
+        assert res.witness == "terminal atom {d,e} is null under exactly one measure"
 
 class TestVerdictAgreement:
     @pytest.mark.parametrize("n_pairs", [0, -1])

@@ -117,7 +117,7 @@ class TestDiscontinuitySets:
         rows = [[IdentityCurve()] * four_state_space.n_atoms(i) for i in range(3)]
         field = UtilityField.from_atom_curves(four_state_space, rows)
         rd, ld, d = field.discontinuity_sets(2, staircase)
-        assert rd.is_empty and ld.is_empty and d.is_empty
+        assert not rd.members and not ld.members and not d.members
 
     def test_act_at_jump_hits_whole_atom(self):
         space, _ = three_atom_space()
@@ -126,7 +126,7 @@ class TestDiscontinuitySets:
         rd, ld, d = field.discontinuity_sets(1, f)
         assert d.names == ("x",)
         assert ld.names == ("x",)       # value above the left limit
-        assert rd.is_empty              # right limit equals the value
+        assert not rd.members           # right limit equals the value
         # a jump on {y} attaining its left limit: right limit above the value
         right_jump = PiecewiseLinearCurve.from_points([(0, 0), (0.5, 0.4, 0.4, 0.9), (1, 1.4)])
         field = UtilityField.from_atom_curves(space, [[IdentityCurve()], [JUMPY, right_jump, IdentityCurve()]])
@@ -138,7 +138,7 @@ class TestDiscontinuitySets:
         field = field_with_jump_on(space, 0)
         f = Act(space, 1, (0.25, 0.5, 0.5))  # 0.5 sits on identity atoms only
         rd, ld, d = field.discontinuity_sets(1, f)
-        assert d.is_empty
+        assert not d.members
 
     def test_agrees_with_limit_oracle(self):
         # membership in the two-sided set matches the brute-force limit gap
