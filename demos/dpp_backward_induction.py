@@ -13,7 +13,7 @@ conditional certainty equivalent of the optimal terminal wealth.
 """
 
 from itpref.apps import dpp_scenario, run_dpp
-from itpref.engine import compare, expected_utility_profile
+from itpref.engine import compare, expected_utility
 
 spec = dpp_scenario()
 print(run_dpp(spec).text)
@@ -27,9 +27,8 @@ print("engine cross-check: verdict of the endowment against each terminal wealth
 for name, path in st.members:
     terminal = spec.acts[path[-1]]
     verdict = compare(rep, st.t, st.horizon, spec.acts[st.endowment], terminal)
-    profile = expected_utility_profile(rep, st.t, st.horizon, terminal)
     cells = ", ".join(
-        f"{rep.space.atom_label(st.t, k)}: {float(profile.value_on_atom(k)):.6f}"
+        f"{rep.space.atom_label(st.t, k)}: {float(expected_utility(rep, st.t, st.horizon, terminal, k)):.6f}"
         for k in range(rep.space.n_atoms(st.t))
     )
     print(f"  {name}: E[u(V_T)|F_t] = {cells}")

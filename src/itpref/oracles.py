@@ -12,17 +12,19 @@ event of another space is refused on every call, and one not known at t_i
 once per (i, A's states).
 
 Also here: constant-act bisection (the workhorse of both axiom checking and
-recovery) and oracle-level null-atom detection: :func:`_search` probes,
-brackets and bisects on an answer function c ↦ (c·1_A vs f·1_A).
-``search_atom`` runs that search on one time-i atom A: the base class
-answers through ``ask``, one query per answer; the induced oracle runs the
-same probe, bracket and bisection in one loop on the atom's curve minus f's
-conditional expected utility on that atom, with the answers ``query`` would
-give and the same ``queries`` count.  A subclass that overrides ``query`` or
-``ask`` takes the base class's search, except the intransitive-band control
-(:mod:`itpref.controls`), which keeps the induced kernel for every search
-but its designated act's at step 0.  ``queries`` counts only queries
-actually asked: a memo hit asks none.
+recovery) and oracle-level null-atom detection.  :func:`_margin_search` is
+the one probe, bracket and bisection loop, on a numeric margin m(c) of
+c·1_A against f·1_A and a band: c·1_A >= f·1_A when m(c) >= -band, <= when
+m(c) <= band, and a NaN margin holds neither side.  ``search_atom`` runs it
+on one time-i atom A: the base class on ``ask``'s answers, one query per
+answer, each mapped to 0 (equivalent), +1, -1 or NaN (undecided) against
+band 0; the induced oracle on the atom's curve minus f's conditional
+expected utility on that atom, against its ``tol``, with the answers
+``query`` would give and the same ``queries`` count.  A subclass that
+overrides ``query`` or ``ask`` takes the base class's search, except the
+intransitive-band control (:mod:`itpref.controls`), which keeps the induced
+kernel for every search but its designated act's at step 0.  ``queries``
+counts only queries actually asked: a memo hit asks none.
 
 ``atom_certainty_equivalents`` searches each atom of a level in index order,
 up to the first bracket failure, which it raises; by the contract an atom's
@@ -35,7 +37,7 @@ adjacent floats; ``tol`` must be finite and >= 0.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import isfinite
+from math import isfinite, nan
 from typing import Callable, NamedTuple
 
 from .engine import Representation, expected_utility
@@ -69,8 +71,6 @@ _ANSWERS = (
     (QueryAnswer(True, False), QueryAnswer(True, True)),
 )
 
-Answer = Callable[[float], QueryAnswer]
-
 
 class PreferenceOracle(ABC):
     """Query interface for one-step intertemporal comparisons; atoms per
@@ -96,11 +96,11 @@ class PreferenceOracle(ABC):
         return self.query(i, g, f, A)
 
     def search_atom(self, i: int, f: Act, k: int, tol: float) -> float | str | None:
-        """:func:`_search` on time-``i`` atom A = ``k`` through ``ask``, one
-        query per answer: the constant c with c·1_A ~ f·1_A, None when A is
-        insensitive, or the bracket failure's message."""
+        """:func:`_margin_search` on time-``i`` atom A = ``k`` through
+        ``ask``, one query per answer: the constant c with c·1_A ~ f·1_A,
+        None when A is insensitive, or the bracket failure's message."""
         A = self.space.atom_events(i)[k]
-        return _search(_answers_on(self, i, f, A), i, A, tol)
+        return _margin_search(_margins_on(self, i, f, A), 0.0, 0.0, tol, i, A)
 
     @abstractmethod
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
@@ -122,7 +122,8 @@ class PreferenceOracle(ABC):
 class InducedOracle(PreferenceOracle):
     """Oracle induced by a representation: g·1_A >= f·1_A iff the utility
     margin is nonnegative on every positive-probability atom inside A, with a
-    symmetric tolerance band so ties answer both ways."""
+    symmetric tolerance band so ties answer both ways; a NaN margin holds
+    neither side."""
 
     def __init__(self, rep: Representation, tol: float = ACT_TOL) -> None:
         super().__init__(rep.space)
@@ -170,9 +171,9 @@ class InducedOracle(PreferenceOracle):
         succ = prec = True
         for k, first, curve in atoms:
             d = curve(gv[first]) - values[k]
-            if d < -tol:
+            if not d >= -tol:
                 succ = False
-            if d > tol:
+            if not d <= tol:
                 prec = False
             if not succ and not prec:
                 break
@@ -191,10 +192,11 @@ class InducedOracle(PreferenceOracle):
         return self._kernel_search(i, f, k, tol)
 
     def _kernel_search(self, i: int, f: Act, k: int, tol: float) -> float | str | None:
-        """:func:`_search`'s probe, bracket and bisection in one loop on
-        atom ``k``'s margin, answering as :meth:`query` does, for any
-        subclass whose ``query`` agrees on that atom.  ``queries`` gains the
-        answers asked once, also when a curve evaluation raises."""
+        """:func:`_margin_search` on atom ``k``'s curve minus f's expected
+        utility on it, against the band ``self.tol``: the answers
+        :meth:`query` gives, for any subclass whose ``query`` agrees on that
+        atom.  ``queries`` gains the answers asked once, also when a curve
+        evaluation raises."""
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:
             self.queries += 2  # as ``query``, the probe's constants answer both ways
@@ -211,85 +213,82 @@ class InducedOracle(PreferenceOracle):
                 return y - (image if type(y) is float else exact)
 
             value = 0
-        band, asked = self.tol, 1
-        try:
-            huge = margin(INSENSITIVITY_PROBE) - value
-            asked = 2
-            tiny = margin(-INSENSITIVITY_PROBE) - value
-            if not huge > band and not tiny < -band:
-                return None
-            hi, asked = 1.0, 3
-            while margin(hi) - value < -band:  # not succeq
-                hi *= 2
-                if hi > BRACKET_LIMIT:
-                    return f"no upper bracket on {self.space.atom_events(i)[k].label()} at step {i}"
-                asked += 1
-            lo = -1.0
-            asked += 1
-            while margin(lo) - value > band:  # not preceq
-                lo *= 2
-                if lo < -BRACKET_LIMIT:
-                    return f"no lower bracket on {self.space.atom_events(i)[k].label()} at step {i}"
-                asked += 1
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                asked += 1
-                if margin(mid) - value < -band:
-                    if mid == lo:
-                        break
-                    lo = mid
-                elif mid == hi:
-                    break
-                else:
-                    hi = mid
-            return hi
-        finally:
-            self.queries += asked
+        return _margin_search(margin, value, self.tol, tol, i, self.space.atom_events(i)[k], self)
 
 
-def _answers_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Answer:
-    """c ↦ ``oracle.ask`` of c·1_A vs f·1_A.  ``c`` must be finite, as every
-    constant :func:`_search` asks is, so each query's act is built
-    unvalidated once ``i`` is checked."""
+def _margins_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Callable[[float], float]:
+    """c ↦ the margin of ``oracle.ask``'s answer to c·1_A vs f·1_A against
+    band 0: 0 equivalent, +1 succeq only, -1 preceq only, NaN undecided.
+    ``c`` must be finite, as every constant :func:`_margin_search` asks is,
+    so each query's act is built unvalidated once ``i`` is checked."""
     space = oracle.space
     n = space.n_states
     space.check_time_index(i)
-    return lambda c: oracle.ask(i, Act._trusted(space, i, (c,) * n), f, A)
+
+    def margin(c: float) -> float:
+        succeq, preceq = oracle.ask(i, Act._trusted(space, i, (c,) * n), f, A)
+        if succeq:
+            return 0.0 if preceq else 1.0
+        return -1.0 if preceq else nan
+
+    return margin
 
 
-def _search(answer: Answer, i: int, A: Event, tol: float):
+def _margin_search(
+    margin: Callable[[float], Number],
+    value: Number,
+    band: float,
+    tol: float,
+    i: int,
+    A: Event,
+    counter: PreferenceOracle | None = None,
+) -> float | str | None:
     """The constant c with c·1_A ~ f·1_A on the time-``i`` event A, where
-    ``answer(c)`` answers c·1_A vs f·1_A.  None when the probe's huge and
-    tiny constants both compare both ways (A is insensitive); else each end
-    of the bracket doubles from [-1, 1] until it answers its side, up to
-    ``BRACKET_LIMIT`` (or the result is the failure's message), and the
-    bisected upper end converges to inf{c : c·1_A >= f·1_A}.  The bisection
-    stops when the bracket is at most ``tol`` wide or an answer would leave
-    it unchanged, its ends being adjacent floats."""
-    huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
-    if huge.preceq and tiny.succeq:
-        return None
-    hi = 1.0
-    while not answer(hi).succeq:
-        hi *= 2
-        if hi > BRACKET_LIMIT:
-            return f"no upper bracket on {A.label()} at step {i}"
-    lo = -1.0
-    while not answer(lo).preceq:
-        lo *= 2
-        if lo < -BRACKET_LIMIT:
-            return f"no lower bracket on {A.label()} at step {i}"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if answer(mid).succeq:
-            if mid == hi:
+    m(c) = ``margin(c) - value`` holds c·1_A >= f·1_A when m(c) >= -band
+    and c·1_A <= f·1_A when m(c) <= band (a NaN holds neither).  None when
+    the probe's huge and tiny constants both compare both ways (A is
+    insensitive); else each end of the bracket doubles from [-1, 1] until
+    it holds its side, up to ``BRACKET_LIMIT`` (or the result is the
+    failure's message), and the bisected upper end converges to
+    inf{c : c·1_A >= f·1_A}.  The bisection stops when the bracket is at
+    most ``tol`` wide or an answer would leave it unchanged, its ends being
+    adjacent floats.  ``counter.queries``, if given, gains the margins
+    asked once, also when ``margin`` raises."""
+    asked = 1
+    try:
+        huge = margin(INSENSITIVITY_PROBE) - value
+        asked = 2
+        tiny = margin(-INSENSITIVITY_PROBE) - value
+        if huge <= band and tiny >= -band:
+            return None
+        hi, asked = 1.0, 3
+        while not margin(hi) - value >= -band:
+            hi *= 2
+            if hi > BRACKET_LIMIT:
+                return f"no upper bracket on {A.label()} at step {i}"
+            asked += 1
+        lo = -1.0
+        asked += 1
+        while not margin(lo) - value <= band:
+            lo *= 2
+            if lo < -BRACKET_LIMIT:
+                return f"no lower bracket on {A.label()} at step {i}"
+            asked += 1
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            asked += 1
+            if margin(mid) - value >= -band:
+                if mid == hi:
+                    break
+                hi = mid
+            elif mid == lo:
                 break
-            hi = mid
-        elif mid == lo:
-            break
-        else:
-            lo = mid
-    return hi
+            else:
+                lo = mid
+        return hi
+    finally:
+        if counter is not None:
+            counter.queries += asked
 
 
 def _check_tol(tol: float) -> None:
@@ -303,10 +302,11 @@ def indifference_constant(
     oracle: PreferenceOracle, i: int, f: Act, A: Event, tol: float = 1e-9
 ) -> float | None:
     """The constant c with c·1_A ~ f·1_A on the time-``i`` event A by
-    :func:`_search`, or None when A is insensitive (as a null event is);
-    raises :class:`BracketError` when a bracket end fails."""
+    :func:`_margin_search` through ``ask``, or None when A is insensitive
+    (as a null event is); raises :class:`BracketError` when a bracket end
+    fails."""
     _check_tol(tol)
-    c = _search(_answers_on(oracle, i, f, A), i, A, tol)
+    c = _margin_search(_margins_on(oracle, i, f, A), 0.0, 0.0, tol, i, A)
     if type(c) is str:
         raise BracketError(c)
     return c

@@ -17,6 +17,7 @@ from itpref import (
     Representation,
     UtilityField,
 )
+from itpref.oracles import BRACKET_LIMIT, INSENSITIVITY_PROBE, BracketError
 from itpref.sampling import random_act, random_measure, random_representation
 
 
@@ -127,6 +128,40 @@ def drawn_act(rng, space, i, exact):
             space, i, [Fraction(rng.randint(-9, 9), rng.randint(5, 9)) for _ in range(space.n_atoms(i))]
         )
     return random_act(rng, space, i)
+
+
+def atom_search(answer, i, A, tol):
+    """The tests' reference search, written apart from the library's: the
+    constant c with c·1_A ~ f·1_A on the time-``i`` event A, where
+    ``answer(c)`` is the :class:`~itpref.QueryAnswer` to c·1_A vs f·1_A.
+    The probe (None when A is insensitive), then the bracket, which raises
+    :class:`~itpref.BracketError` when an end fails, and the bisection,
+    which stops when the bracket is ``tol`` wide or an answer would leave
+    it unchanged."""
+    huge, tiny = answer(INSENSITIVITY_PROBE), answer(-INSENSITIVITY_PROBE)
+    if huge.preceq and tiny.succeq:
+        return None
+    hi = 1.0
+    while not answer(hi).succeq:
+        hi *= 2
+        if hi > BRACKET_LIMIT:
+            raise BracketError(f"no upper bracket on {A.label()} at step {i}")
+    lo = -1.0
+    while not answer(lo).preceq:
+        lo *= 2
+        if lo < -BRACKET_LIMIT:
+            raise BracketError(f"no lower bracket on {A.label()} at step {i}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if answer(mid).succeq:
+            if mid == hi:
+                break
+            hi = mid
+        else:
+            if mid == lo:
+                break
+            lo = mid
+    return hi
 
 
 def bits(act: Act):

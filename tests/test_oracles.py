@@ -43,8 +43,6 @@ from itpref.controls import (
 )
 from itpref.engine import Representation
 from itpref.oracles import (
-    BRACKET_LIMIT,
-    INSENSITIVITY_PROBE,
     PreferenceOracle,
     QueryAnswer,
     atom_certainty_equivalents,
@@ -52,7 +50,7 @@ from itpref.oracles import (
 )
 from itpref.sampling import margin_guarded_pair, random_act, random_measure, random_representation
 
-from conftest import drawn_act, drawn_representation, exact_representation, identity_rep
+from conftest import atom_search, drawn_act, drawn_representation, exact_representation, identity_rep
 
 
 class TestInducedOracle:
@@ -220,7 +218,7 @@ class TestInducedOracle:
             for k in range(space.n_atoms(1)):
                 for tol in (1e-10, 2.0**-30, 0.0):
                     assert search_outcome(per_atom.search_atom, 1, f, k, tol) == search_outcome(
-                        lambda *args: atom_search(single, *args), 1, f, k, tol
+                        lambda *args: ask_search(single, *args), 1, f, k, tol
                     )
                     assert per_atom.queries == single.queries
             for members, c in asked:
@@ -240,7 +238,7 @@ class TestInducedOracle:
                     for k in range(space.n_atoms(i)):
                         before, asked_before = len(calls), per_band.queries
                         assert search_outcome(per_band.search_atom, i, g, k, 1e-10) == search_outcome(
-                            lambda *args: atom_search(single_band, *args), i, g, k, 1e-10
+                            lambda *args: ask_search(single_band, *args), i, g, k, 1e-10
                         )
                         spent = per_band.queries - asked_before
                         assert len(calls) - before == (spent if i == 0 and g is designated else 0)
@@ -453,47 +451,18 @@ class TestIndifference:
         assert prof.values[0] == pytest.approx(2, abs=1e-8)
 
 
-def atom_search(oracle, i, f, k, tol):
-    """The reference search of one atom, written on ``oracle.ask`` apart
-    from the library's: the probe (None when the atom is insensitive), then
-    the bracket and the bisection, which stops when the bracket is ``tol``
-    wide or an answer would leave it unchanged."""
+def ask_search(oracle, i, f, k, tol):
+    """:func:`conftest.atom_search` of time-``i`` atom ``k`` on the answers
+    of ``oracle.ask``, with each constant act built and validated anew."""
     space = oracle.space
     A = space.atom_event(i, k)
-
-    def ask(c):
-        return oracle.ask(i, Act.constant(space, i, c), f, A)
-
-    huge, tiny = ask(INSENSITIVITY_PROBE), ask(-INSENSITIVITY_PROBE)
-    if huge.preceq and tiny.succeq:
-        return None
-    hi = 1.0
-    while not ask(hi).succeq:
-        hi *= 2
-        if hi > BRACKET_LIMIT:
-            raise BracketError(f"no upper bracket on {A.label()} at step {i}")
-    lo = -1.0
-    while not ask(lo).preceq:
-        lo *= 2
-        if lo < -BRACKET_LIMIT:
-            raise BracketError(f"no lower bracket on {A.label()} at step {i}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ask(mid).succeq:
-            if mid == hi:
-                break
-            hi = mid
-        else:
-            if mid == lo:
-                break
-            lo = mid
-    return hi
+    return atom_search(lambda c: oracle.ask(i, Act.constant(space, i, c), f, A), i, A, tol)
 
 
 def search_outcome(search, i, f, k, tol):
     """What ``search(i, f, k, tol)`` finds, as ``search_atom`` returns it:
     the constant, None for an insensitive atom, or the message of a
-    bracket failure (which :func:`atom_search` raises)."""
+    bracket failure (which :func:`ask_search` raises)."""
     try:
         return search(i, f, k, tol)
     except BracketError as exc:
@@ -502,7 +471,7 @@ def search_outcome(search, i, f, k, tol):
 
 def assert_kernel_is_reference(make_oracle, i, f, k, tol):
     """The induced kernel's search of atom ``k`` on a fresh ``make_oracle()``
-    returns, and asks, what :func:`atom_search` and the base class's search
+    returns, and asks, what :func:`ask_search` and the base class's search
     through ``ask`` do, each on another; the kernel calls no ``query``.
     Returns what it found."""
     kernel, reference, base = make_oracle(), make_oracle(), make_oracle()
@@ -512,16 +481,16 @@ def assert_kernel_is_reference(make_oracle, i, f, k, tol):
 
     kernel.query = unreachable  # an instance attribute: the dispatch sees the class's
     got = search_outcome(kernel.search_atom, i, f, k, tol)
-    assert got == search_outcome(lambda *args: atom_search(reference, *args), i, f, k, tol)
+    assert got == search_outcome(lambda *args: ask_search(reference, *args), i, f, k, tol)
     assert got == search_outcome(lambda *args: PreferenceOracle.search_atom(base, *args), i, f, k, tol)
     assert kernel.queries == reference.queries == base.queries
     return got
 
 
 def sequential_profile(oracle, i, f, tol):
-    """The atom-by-atom reference: one :func:`atom_search` after another,
+    """The atom-by-atom reference: one :func:`ask_search` after another,
     each to its end, raising the first failure."""
-    found = [atom_search(oracle, i, f, k, tol) for k in range(oracle.space.n_atoms(i))]
+    found = [ask_search(oracle, i, f, k, tol) for k in range(oracle.space.n_atoms(i))]
     return as_profile(oracle.space, i, found)
 
 
@@ -626,7 +595,7 @@ class TestLockstepProfile:
         # {x} fails after 43 queries; alone, {y} and {z} each finish after 43
         for k in (1, 2):
             alone = PoisonedIdentity(POISON_SPACE)
-            atom_search(alone, 1, f, k, tol)
+            ask_search(alone, 1, f, k, tol)
             assert alone.queries == 43
         oracle, reference = PoisonedIdentity(POISON_SPACE), PoisonedIdentity(POISON_SPACE)
         with pytest.raises(BracketError) as got:
@@ -700,7 +669,7 @@ class TestAtomMemo:
             got = indifference_profile(oracle, 1, g, 1e-10)
             assert oracle.asked == {k}
             alone = InducedOracle(rep, tol=1e-12)
-            atom_search(alone, 1, g, k, 1e-10)
+            ask_search(alone, 1, g, k, 1e-10)
             assert oracle.queries - before == alone.queries
             want = indifference_profile(InducedOracle(rep, tol=1e-12), 1, g, 1e-10)
             assert got.values == want.values
@@ -749,7 +718,7 @@ class TestAtomMemo:
         def alone(values, k):
             fresh = PoisonedIdentity(POISON_SPACE)
             try:
-                atom_search(fresh, 1, Act(POISON_SPACE, 2, values), k, 1e-9)
+                ask_search(fresh, 1, Act(POISON_SPACE, 2, values), k, 1e-9)
             except BracketError:
                 pass
             return fresh.queries
@@ -777,13 +746,17 @@ class TestAtomMemo:
 
 
 # how one scripted atom answers c·1_A vs f·1_A: honestly (c against f's
-# value), never "at least as good" (no upper bracket), never "at most as
-# good" (no lower bracket), or both ways whatever c is (insensitive)
+# value), honestly but undecided within ``VAGUE`` of f's value (vague),
+# never "at least as good" (no upper bracket), never "at most as good" (no
+# lower bracket), both ways whatever c is (insensitive), or neither way
+# whatever c is (undecided)
 SCRIPTS = {
     "no upper": QueryAnswer(False, True),
     "no lower": QueryAnswer(True, False),
     "insensitive": QueryAnswer(True, True),
+    "undecided": QueryAnswer(False, False),
 }
+VAGUE = 0.75
 
 
 class Scripted(PreferenceOracle):
@@ -795,8 +768,10 @@ class Scripted(PreferenceOracle):
 
     def query(self, i, g, f, A=None):
         k = min(A.members)
-        if self.kinds[k] == "honest":
+        if self.kinds[k] in ("honest", "vague"):
             c, v = g.values[k], f.values[k]
+            if self.kinds[k] == "vague" and abs(c - v) < VAGUE:
+                return QueryAnswer(False, False)
             return QueryAnswer(c >= v, c <= v)
         return SCRIPTS[self.kinds[k]]
 
@@ -806,7 +781,7 @@ if given is not None:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["honest", *SCRIPTS]), st.floats(-100, 100)),
+            st.tuples(st.sampled_from(["honest", "vague", *SCRIPTS]), st.floats(-100, 100)),
             min_size=2,
             max_size=5,
         )
@@ -873,6 +848,13 @@ class Exhausting(IdentityCurve):
         return x
 
 
+class NanAbove(IdentityCurve):
+    """The identity curve up to 1/4, NaN above it."""
+
+    def __call__(self, x):
+        return math.nan if x > 0.25 else x
+
+
 class TestKernelSearch:
     """The induced oracle's one-loop search against the search through
     ``ask`` at the places where one comparison or one count decides."""
@@ -896,6 +878,8 @@ class TestKernelSearch:
             (LIMIT_SLOPE, 1, 0.0, 1e-10, 2.0**40),
             (TINY_SLOPE, 1, 0.25, 1e-10, "no upper bracket on {up,down} at step 0"),
             (TINY_SLOPE, -1.0, 0.25, 1e-10, "no lower bracket on {up,down} at step 0"),
+            # a margin inside the band at the huge constant only
+            (FLAT_ENDS, 0.25, 0.0, 1e-10, 1.0),
         ],
     )
     def test_pinned_cases(self, u0, level, band, tol, want):
@@ -910,6 +894,23 @@ class TestKernelSearch:
         assert assert_kernel_is_reference(lambda: InducedOracle(rep), 1, f, 1, 1e-10) is None
         oracle = InducedOracle(rep)
         assert oracle.search_atom(1, f, 1, 1e-10) is None and oracle.queries == 2
+
+    def test_a_nan_margin_holds_neither_side(self):
+        """A curve that is NaN above 1/4 answers neither way there, on
+        ``query`` and in both searches, so the upper bracket fails."""
+        space, P = three_atom_space()
+        field = UtilityField.from_atom_curves(space, [[NanAbove()], [IdentityCurve()] * 3])
+        rep = Representation(space, P, field)
+        f = Act.from_atom_values(space, 1, [Fraction(-1, 2), Fraction(-1, 2), 0])  # value -1/4
+        oracle = InducedOracle(rep)
+        assert oracle.query(0, Act.constant(space, 0, 0.5), f) == QueryAnswer(False, False)
+        assert oracle.query(0, Act.constant(space, 0, 0.25), f) == QueryAnswer(True, False)
+        want = "no upper bracket on {x,y,z} at step 0"
+        assert assert_kernel_is_reference(lambda: InducedOracle(rep), 0, f, 0, 1e-9) == want
+        fresh = InducedOracle(rep)
+        with pytest.raises(BracketError, match="no upper bracket"):
+            atom_certainty_equivalents(fresh, 0, f)
+        assert fresh.queries == 43  # the probe's two constants, then 1, 2, ..., 2**40
 
     def test_queries_count_the_answer_a_curve_raised_in(self):
         for fails_at in (1, 2, 3, 30):

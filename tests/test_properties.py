@@ -44,7 +44,7 @@ from itpref.axioms import C_STYLES  # noqa: E402
 from itpref.controls import flat_segment, identity_representation, three_atom_space  # noqa: E402
 from itpref.curves import INVERT_TOL  # noqa: E402
 from itpref.engine import expected_utility, expected_utility_profile  # noqa: E402
-from itpref.oracles import QueryAnswer, _search, atom_certainty_equivalents  # noqa: E402
+from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
     random_equivalent_measure,
@@ -56,7 +56,7 @@ from itpref.sampling import (  # noqa: E402
 )
 from itpref.scenario import ScenarioSpec, dumps_scenario, loads_scenario  # noqa: E402
 
-from conftest import bits, drawn_act, drawn_representation  # noqa: E402
+from conftest import atom_search, bits, drawn_act, drawn_representation  # noqa: E402
 
 
 def repeated_pattern(rng, space):
@@ -219,7 +219,7 @@ def test_exact_oracle_answers_equal_exact_arithmetic(seed, null):
 
         for k, A in enumerate(space.atom_events(i)):
             asked = []
-            want = _search(lambda c: asked.append(c) or exact_answer(k, c), i, A, tol)
+            want = atom_search(lambda c: asked.append(c) or exact_answer(k, c), i, A, tol)
             before = oracle.queries
             assert oracle.search_atom(i, f, k, tol) == want
             assert oracle.queries - before == len(asked)
