@@ -3,16 +3,17 @@
 Each mutant flips one operator on one changed line of ``src/`` (``<``/``<=``,
 ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``, ``and``/``or``, ``is``/
 ``is not``, and ``not x`` → ``x``), and the test command runs on it in a
-temporary copy of the checkout, one mutant at a time.  A mutant is KILLED
-when the command fails, SURVIVED when it passes, and TIMEOUT when it runs
-past ``--timeout`` seconds (a mutant can make a search loop forever), which
-counts as killed but is reported apart.  A mutant that does not compile is
-not run.  The checkout itself is never written to.
+temporary copy of the checkout, one mutant at a time.  The unmutated copy
+runs first and is timed; each mutant may then run ``SLACK`` times as long
+plus ``FLOOR`` seconds.  A mutant is KILLED when the command fails, SURVIVED
+when it passes, and TIMEOUT when it runs past that limit (a mutant can make
+a search loop forever), which counts as killed but is reported apart.  A
+mutant that does not compile is not run.  The checkout itself is never
+written to.
 
     python tools/mutants.py                 # lines changed since HEAD~1
     python tools/mutants.py --base main     # lines changed since main
     python tools/mutants.py --all           # every line (slow: hours)
-    python tools/mutants.py --list          # the sites only, nothing run
 
 "Changed" means the lines of the working tree that ``git diff BASE`` adds or
 rewrites, plus every line of an untracked file.  Standard library only; not
@@ -38,6 +39,7 @@ SWAPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
     "+": "-", "-": "+", "*": "/", "/": "*", "and": "or", "or": "and",
 }
+SLACK, FLOOR = 5.0, 10.0  # a mutant's time limit: SLACK × the unmutated run + FLOOR s
 HUNK = re.compile(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@")
 
 
@@ -102,9 +104,10 @@ def mutate(source: str, row: int, col: int, old: str, new: str) -> str:
     return "".join(lines)
 
 
-def run(cmd: list[str], cwd: Path, timeout: float) -> str:
-    """KILLED, SURVIVED or TIMEOUT for ``cmd`` in ``cwd``; a timed-out run
-    is killed with its whole process group."""
+def run(cmd: list[str], cwd: Path, timeout: float | None) -> str:
+    """KILLED, SURVIVED or TIMEOUT for ``cmd`` in ``cwd``, with no limit
+    when ``timeout`` is None; a timed-out run is killed with its whole
+    process group."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
         cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
@@ -121,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="revision the changed lines are taken against")
     parser.add_argument("--all", action="store_true", help="mutate every line, not only the changed ones")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant (default 120)")
-    parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").strip())
@@ -137,12 +138,6 @@ def main(argv: list[str] | None = None) -> int:
             except SyntaxError:
                 continue
             plan.append((f, row, col, old, new, mutant))
-    if args.list:
-        for f, row, col, old, new, _ in plan:
-            print(f"{f}:{row}:{col + 1}  {old!r} -> {new!r}")
-        print(f"{len(plan)} mutants")
-        return 0
-
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     tally = {"KILLED": 0, "SURVIVED": 0, "TIMEOUT": 0}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -153,15 +148,18 @@ def main(argv: list[str] | None = None) -> int:
                 os.symlink(os.readlink(root / f), copy / f)
             elif (root / f).is_file():
                 shutil.copy2(root / f, copy / f)
-        if run(cmd, copy, args.timeout) != "SURVIVED":
+        began = time.monotonic()
+        if run(cmd, copy, None) != "SURVIVED":
             print("the unmutated copy fails its tests; nothing to measure", file=sys.stderr)
             return 2
+        limit = SLACK * (time.monotonic() - began) + FLOOR
+        print(f"{len(plan)} mutants, {limit:.0f} s each at most", flush=True)
         for f, row, col, old, new, mutant in plan:
             original = (copy / f).read_text()
             (copy / f).write_text(mutant)
             began = time.monotonic()
             try:
-                outcome = run(cmd, copy, args.timeout)
+                outcome = run(cmd, copy, limit)
             finally:
                 (copy / f).write_text(original)
             tally[outcome] += 1
