@@ -12,7 +12,7 @@ limits) so the discontinuity machinery downstream is non-vacuous.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -293,7 +293,9 @@ class PiecewiseLinearCurve(MonotoneCurve):
 
     def invert_detailed(self, y: Number, tol: float = INVERT_TOL) -> Inversion:
         slopes = self._slopes
-        first = self.anchors[0]
+        first, last = self.anchors[0], self.anchors[-1]
+        if y < first[1] and not slopes[0] > 0 or y > last[3] and not slopes[-1] > 0:
+            raise RangeError(f"target {y!r} lies beyond an end segment of {self.spec()} that does not increase")
         if y < first[1]:
             return Inversion(first[0] + (y - first[1]) / slopes[0])
         for i, (x, l, v, r) in enumerate(self.anchors):
@@ -303,8 +305,54 @@ class PiecewiseLinearCurve(MonotoneCurve):
                 return Inversion(x, in_gap)
             if i + 1 < len(self.anchors) and y < self.anchors[i + 1][1]:
                 return Inversion(x + (y - r) / slopes[i])
-        last = self.anchors[-1]
         return Inversion(last[0] + (y - last[3]) / slopes[-1])
+
+    @cached_property
+    def _crossings(self) -> tuple[tuple[Number, ...], tuple[tuple[Number, ...] | None, ...]] | None:
+        """(bounds, segments) for :meth:`_crossing`, from the tuples
+        ``_segments`` evaluates; None for a curve with a ``Fraction`` or an
+        anchor number that differs from its float image.  ``bounds`` holds
+        each anchor's left and right value, in anchor order.  ``segments``
+        holds, for the values below the first bound, between two anchors
+        and above the last bound, the segment's (a, b, x, start, slope):
+        its open abscissa interval (a, b) and the evaluator's
+        ``start + slope * (c - x)`` on it; None where the slope is not > 0."""
+        anchors = self.anchors
+        try:
+            if not all(type(n) is not Fraction and float(n) == n for anchor in anchors for n in anchor):
+                return None
+        except OverflowError:
+            return None
+        slopes = self._slopes
+        (x0, l0, _, _), (xn, _, _, rn) = anchors[0], anchors[-1]
+        segments = (
+            (-math.inf, x0, x0, l0, slopes[0]),
+            *((x, x1, x, r, s) for (x, _, _, r), (x1, *_), s in zip(anchors, anchors[1:], slopes)),
+            (xn, math.inf, xn, rn, slopes[-1]),
+        )
+        bounds = tuple(n for _, l, _, r in anchors for n in (l, r))
+        return bounds, tuple(segment if segment[4] > 0 else None for segment in segments)
+
+    def _crossing(self, y: float) -> tuple[Number, Number, float] | None:
+        """(a, b, x̂): the open abscissa interval (a, b) of the segment on
+        which the float evaluator crosses the float ``y``, and the affine
+        crossing estimate x̂ there, found by one search among the anchors'
+        left and right values.  None for a curve with a ``Fraction`` or an
+        anchor number that differs from its float image, for a crossing at
+        an anchor or in a jump gap (``y`` within an anchor's [left, right]),
+        and for a segment slope that is not > 0."""
+        table = self._crossings
+        if table is None:
+            return None
+        bounds, segments = table
+        j = bisect_left(bounds, y)  # bounds[j - 1] < y <= bounds[j]
+        if j & 1 or j < len(bounds) and not y < bounds[j]:
+            return None
+        segment = segments[j >> 1]
+        if segment is None:
+            return None
+        a, b, x, start, slope = segment
+        return a, b, x + (y - start) / slope
 
     def jumps(self) -> tuple[Jump, ...]:
         return tuple(

@@ -32,20 +32,37 @@ certainty equivalent depends only on f on that atom, so it stores each
 atom's search on the oracle, the bracket failures with the rest, and never
 repeats it.  A search stops when its bracket is ``tol`` wide or its ends are
 adjacent floats; ``tol`` must be finite and >= 0.
+
+On a piecewise-linear curve whose data are plain floats (and ints equal to
+their float images), the induced kernel certifies the segment its answer
+turns on: inside one open segment (a, b) the float evaluator computes
+fl(r + fl(s·fl(c - x0))) with one slope s > 0, and round-to-nearest is
+monotone, so fl(that - value) >= -band is a nondecreasing step of c.  The
+kernel finds its step t, the first float at which the margin holds, by
+evaluating the margin near the segment's affine crossing estimate, and keeps
+t only when t and the float below it both lie strictly inside (a, b).  The
+bisection then answers a midpoint inside (a, b) by ``mid >= t``, the
+evaluator's own answer bit for bit, and evaluates every other one; the
+certificate changes no answer, result or ``queries`` count, and ``queries``
+still counts every bisection answer.  ``Fraction`` curves, other curve
+kinds and the base class's search get no certificate.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import isfinite, nan
+from math import inf, isfinite, nan, nextafter
 from typing import Callable, NamedTuple
 
+from .curves import PiecewiseLinearCurve
 from .engine import Representation, expected_utility
 from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _check_space, _float_image
 
 BRACKET_LIMIT = 2.0**40  # constants beyond this mean local non-degeneracy failed
 INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom ignores
 _UNSEARCHED = object()  # an atom memo miss: None means insensitive
+_WALK = 4  # adjacent floats a certificate's walk steps at most
+_NO_CERTIFICATE = (inf, inf, inf)  # no midpoint exceeds inf, so none is certified
 
 
 class BracketError(RuntimeError):
@@ -196,13 +213,18 @@ class InducedOracle(PreferenceOracle):
         utility on it, against the band ``self.tol``: the answers
         :meth:`query` gives, for any subclass whose ``query`` agrees on that
         atom.  ``queries`` gains the answers asked once, also when a curve
-        evaluation raises."""
+        evaluation raises.  On a :class:`PiecewiseLinearCurve` of plain
+        float data it certifies the segment the margin crosses, from
+        ``_crossing`` and :func:`_certify`, and passes the certificate to the
+        bisection, which answers inside it by one comparison; the walk's
+        evaluations are no answers and count as no queries."""
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:
             self.queries += 2  # as ``query``, the probe's constants answer both ways
             return None
-        curve = self.rep.field.curve_on_atom(i, k).evaluator
-        margin = curve  # the answer to c is margin(c) - value against the band
+        atom_curve = self.rep.field.curve_on_atom(i, k)
+        curve = atom_curve.evaluator
+        margin, level, band = curve, value, self.tol  # the answer to c is margin(c) - value against the band
         if type(value) is not float:
             # a float utility meets an exact value through its float image,
             # an anchor hit's exact utility meets the value itself
@@ -212,8 +234,42 @@ class InducedOracle(PreferenceOracle):
                 y = curve(c)
                 return y - (image if type(y) is float else exact)
 
-            value = 0
-        return _margin_search(margin, value, self.tol, tol, i, self.space.atom_events(i)[k], self)
+            value, level = 0, image
+        certificate = None
+        if isinstance(atom_curve, PiecewiseLinearCurve) and type(level) is float:
+            # the float utility at which the answer turns; an exact value
+            # beyond the float range has no float level
+            span = atom_curve._crossing(level - band)
+            if span is not None:
+                certificate = _certify(span, margin, value, band)
+        return _margin_search(margin, value, band, tol, i, self.space.atom_events(i)[k], self, certificate)
+
+
+def _certify(
+    span: tuple[Number, Number, float], margin: Callable[[float], Number], value: Number, band: float
+) -> tuple[Number, Number, float] | None:
+    """The certificate (a, b, t) of the crossing ``span`` = (a, b, x̂): t is
+    the first float at which ``margin(c) - value >= -band`` holds, found by
+    evaluating the margin at x̂ and walking at most ``_WALK`` adjacent floats
+    from it, and both t and the float just below it lie strictly inside
+    (a, b).  None when the walk exceeds its cap or leaves (a, b)."""
+    a, b, t = span
+    if margin(t) - value >= -band:
+        for _ in range(_WALK):
+            below = nextafter(t, -inf)
+            if not margin(below) - value >= -band:
+                break
+            t = below
+        else:
+            return None
+    else:
+        for _ in range(_WALK):
+            below, t = t, nextafter(t, inf)
+            if margin(t) - value >= -band:
+                break
+        else:
+            return None
+    return (a, b, t) if a < below and t < b else None
 
 
 def _margins_on(oracle: PreferenceOracle, i: int, f: Act, A: Event) -> Callable[[float], float]:
@@ -242,6 +298,7 @@ def _margin_search(
     i: int,
     A: Event,
     counter: PreferenceOracle | None = None,
+    certificate: tuple[Number, Number, float] | None = None,
 ) -> float | str | None:
     """The constant c with c·1_A ~ f·1_A on the time-``i`` event A, where
     m(c) = ``margin(c) - value`` holds c·1_A >= f·1_A when m(c) >= -band
@@ -253,7 +310,12 @@ def _margin_search(
     inf{c : c·1_A >= f·1_A}.  The bisection stops when the bracket is at
     most ``tol`` wide or an answer would leave it unchanged, its ends being
     adjacent floats.  ``counter.queries``, if given, gains the margins
-    asked once, also when ``margin`` raises."""
+    asked once, also when ``margin`` raises.  A ``certificate`` (a, b, t)
+    from :func:`_certify` answers each bisection midpoint strictly inside
+    (a, b) by ``mid >= t`` in place of a margin evaluation, the same answer
+    bit for bit; every other midpoint, the probe and the bracket evaluate
+    ``margin`` as without one, and every answer counts as a query."""
+    a, b, t = certificate or _NO_CERTIFICATE
     asked = 1
     try:
         huge = margin(INSENSITIVITY_PROBE) - value
@@ -277,7 +339,7 @@ def _margin_search(
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             asked += 1
-            if margin(mid) - value >= -band:
+            if mid >= t if a < mid < b else margin(mid) - value >= -band:
                 if mid == hi:
                     break
                 hi = mid

@@ -12,15 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from itpref import (
+    Act,
     ArgScaledCurve,
     ExponentialCurve,
+    FilteredSpace,
     IdentityCurve,
     LinearCurve,
     MonotoneCurve,
     PiecewiseLinearCurve,
     PowerCurve,
+    ProbabilityMeasure,
     RangeError,
+    Representation,
+    UtilityField,
     ValueScaledCurve,
+    cce,
 )
 from itpref.curves import _segments
 from itpref.filtered_space import _float_image
@@ -337,6 +343,27 @@ class TestRangeErrors:
         assert c.range_sup() == 2.0
         with pytest.raises(RangeError):
             c.invert(2.5)
+
+    @pytest.mark.parametrize(
+        "points, beyond, reached",
+        [
+            ([(-1, -1), (0, 0), (1, 1), (2, 1)], 1.5, 1),
+            ([(-2, -1), (-1, -1), (0, 0), (1, 1)], -1.5, -1),
+        ],
+    )
+    def test_beyond_a_flat_end_segment(self, points, beyond, reached):
+        """A target the flat end never reaches is out of range, for the
+        curve and for ``cce``, which names the atom; the flat value itself
+        inverts to an abscissa of the flat end."""
+        u = PiecewiseLinearCurve.from_points(points, strict=False)
+        with pytest.raises(RangeError, match="beyond an end segment"):
+            u.invert_detailed(beyond)
+        assert u(u.invert(reached)) == reached
+        space = FilteredSpace.build(("a",), (0, 1), [[["a"]], [["a"]]])
+        field = UtilityField.from_atom_curves(space, [[u], [IdentityCurve()]])
+        rep = Representation(space, ProbabilityMeasure.uniform(space), field)
+        with pytest.raises(RangeError, match=r"atom \{a\} at time index 0: target .* lies beyond an end segment"):
+            cce(rep, 0, 1, Act.constant(space, 1, beyond))
 
 
 @dataclass(frozen=True)

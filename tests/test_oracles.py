@@ -41,10 +41,12 @@ from itpref.controls import (
     nonadditive_meanmax,
     three_atom_space,
 )
+from itpref import oracles
 from itpref.engine import Representation
 from itpref.oracles import (
     PreferenceOracle,
     QueryAnswer,
+    _certify,
     atom_certainty_equivalents,
     indifference_constant,
 )
@@ -966,6 +968,97 @@ class TestSearchEnds:
         assert atom_certainty_equivalents(oracle, 0, f, 1e-10) == [pytest.approx(0.375, abs=1e-9)]
 
 
+# certificate cases: a kinked continuous curve, one with a jump at 1, one
+# flat on [1, 2], and one whose segment right of 1 starts at 1e16, where the
+# float spacing of the utility is 2
+KINKED = PiecewiseLinearCurve.from_points([(-1.3, -1.0), (0, 0), (0.7, 0.3), (1.9, 1)])
+JUMPED = PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, 0.5, 1, 1.5), (2, 3)])
+FLAT_MID = PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, 0.5), (2, 0.5), (3, 2)], strict=False)
+COARSE = PiecewiseLinearCurve.from_points([(0, 0), (1, 1e16), (3, 1e16 + 4)])
+# two equiprobable states split at time 1, so that a time-1 curve may jump
+LADDER = FilteredSpace.build(("up", "down"), (0, 1, 2), [[["up", "down"]], [["up"], ["down"]], [["up"], ["down"]]])
+
+
+def on_ladder(u1, band):
+    """The factory of the induced oracle on ``LADDER`` with curve ``u1`` on
+    the time-1 atom {up}, identity curves elsewhere and band ``band``."""
+    field = UtilityField.from_atom_curves(LADDER, [[IdentityCurve()], [u1, IdentityCurve()], [IdentityCurve()] * 2])
+    rep = Representation(LADDER, ProbabilityMeasure.uniform(LADDER), field)
+    return lambda: InducedOracle(rep, band)
+
+
+def counting_copy(curve):
+    """A fresh copy of the piecewise-linear ``curve`` whose evaluator
+    appends each argument to the returned list."""
+    copy = PiecewiseLinearCurve(curve.anchors)
+    evaluate, calls = copy.evaluator, []
+
+    def counted(x):
+        calls.append(x)
+        return evaluate(x)
+
+    copy.__dict__["evaluator"] = counted  # the cached property's slot
+    return copy, calls
+
+
+class TestCertificate:
+    """The kernel answers a bisection midpoint inside a certified segment by
+    one comparison with the certificate's threshold.  Each case pins the
+    crossing, the certificate and the curve evaluations the kernel makes,
+    and finds and asks what the reference search does."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10])
+    @pytest.mark.parametrize(
+        "curve, level, band, span, certified",
+        [
+            pytest.param(KINKED, -2.9, 0.0, (-math.inf, -1.3, -3.7700000000000005), True, id="left-walks-up"),
+            pytest.param(KINKED, 1.7, 0.0, (1.9, math.inf, 3.0999999999999996), True, id="right-walks-up"),
+            pytest.param(KINKED, 0.7, 0.0, (0.7, 1.9, 1.3857142857142857), True, id="inside-walks-down"),
+            # 0.685 is KINKED(1.36) exactly, the float above x̂
+            pytest.param(KINKED, 0.685, 0.0, (0.7, 1.9, 1.3599999999999999), True, id="walks-up-to-an-exact-hit"),
+            pytest.param(KINKED, 0.45, 0.25, (0, 0.7, 0.4666666666666667), True, id="inside-banded"),
+            pytest.param(KINKED, 0.2, 1e-12, (0, 0.7, 0.4666666666643333), True, id="inside-thin-band"),
+            pytest.param(KINKED, 0.3, 0.0, None, False, id="on-an-anchor"),
+            pytest.param(KINKED, -1.0, 0.0, None, False, id="on-the-first-anchor"),
+            pytest.param(JUMPED, 1.25, 0.0, None, False, id="in-a-jump-gap"),
+            pytest.param(FLAT_MID, 0.5, 0.0, None, False, id="on-a-flat-segment"),
+            pytest.param(FLAT_ENDS, 0.5, 0.0, None, False, id="beyond-a-flat-end"),
+            # the threshold 4 floats below x̂ and 2**51 floats below it
+            pytest.param(KINKED, -0.1, 1e-9, (-1.3, 0, -0.13000000129999978), False, id="walk-one-past-its-cap"),
+            pytest.param(COARSE, 1e16 + 2, 0.0, (1, 3, 2.0), False, id="walk-far-past-its-cap"),
+        ],
+    )
+    def test_named_cases(self, curve, level, band, span, certified, tol):
+        assert curve._crossing(level - band) == span
+        cert = None if span is None else _certify(span, curve.evaluator, level, band)
+        assert (cert is not None) == certified
+        if cert is not None:
+            a, b, t = cert
+            below = math.nextafter(t, -math.inf)
+            assert curve(t) - level >= -band and not curve(below) - level >= -band
+            assert a < below < t < b
+        f = Act.constant(LADDER, 2, level)
+        copy, calls = counting_copy(curve)
+        oracle = on_ladder(copy, band)()
+        oracle.search_atom(1, f, 0, tol)
+        if certified:
+            assert len(calls) < oracle.queries
+        else:
+            walked = 0 if span is None else 1 + oracles._WALK
+            assert len(calls) == oracle.queries + walked
+        assert_kernel_is_reference(on_ladder(curve, band), 1, f, 0, tol)
+
+    def test_only_plain_float_data_crosses(self):
+        """A curve with a ``Fraction``, or with an anchor number that
+        differs from its float image, gets no crossing; its float twin
+        does."""
+        twin = PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, 0.5)])
+        assert twin._crossing(0.25) == (0, 1, 0.5)
+        assert PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, Fraction(1, 2))])._crossing(0.25) is None
+        wide = PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (2**53 + 1, 2**53 + 1)])
+        assert wide._crossing(0.25) is None
+
+
 if given is not None:
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -986,3 +1079,54 @@ if given is not None:
             f = drawn_act(rng, rep.space, i + 1, exact)
             for k in range(rep.space.n_atoms(i)):
                 assert_kernel_is_reference(lambda: InducedOracle(rep, band), i, f, k, tol)
+
+    @st.composite
+    def float_pl_cases(draw):
+        """A float piecewise-linear curve through 0, built with
+        ``strict=False``: two to six off-grid float and int abscissae, some
+        anchors jumps (left < value < right) and some segments flat; and a
+        level at one of its anchor values (or that value plus the band),
+        between two of them, beyond all of them, taken by the curve at a
+        float or anywhere, as a float or as its exact ``Fraction``."""
+        abscissa = st.one_of(st.integers(-40, 40), st.floats(-40, 40)).filter(bool)
+        xs = sorted({0, *draw(st.lists(abscissa, min_size=1, max_size=5, unique=True))})
+        rise = st.floats(1e-3, 10)
+        step = st.one_of(rise, st.just(0.0))
+        y, anchors = draw(st.floats(-50, 0)), []
+        for x in xs:
+            left = y
+            value = right = left
+            if draw(st.booleans()):
+                value = left + draw(rise)
+                right = value + draw(rise)
+            anchors.append((x, left, value, right))
+            y = right + draw(step)
+        zero = anchors[xs.index(0)][2]
+        anchors = [(x, l - zero, v - zero, r - zero) for x, l, v, r in anchors]
+        curve = PiecewiseLinearCurve.from_points(anchors, strict=False)
+        band = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.25]))
+        values = sorted({n for _, *lvr in anchors for n in lvr})
+        at = st.sampled_from(values)
+        between = st.integers(0, len(values) - 2).map(lambda j: 0.5 * (values[j] + values[j + 1]))
+        level = draw(
+            st.one_of(
+                between if len(values) > 1 else at,
+                st.sampled_from([values[0] - 1.0, values[-1] + 1.0, values[0] - 1e3, values[-1] + 1e3]),
+                st.floats(-200, 200),
+                st.floats(xs[0] - 5, xs[-1] + 5).map(lambda c: float(curve(c))),
+                at,
+                at.map(lambda v: v + band),
+            )
+        )
+        if draw(st.booleans()):
+            level = Fraction(level)
+        return curve, level, band
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=float_pl_cases(), tol=st.sampled_from([0.0, 1e-12, 1e-10]))
+    def test_certified_kernel_is_the_reference_search(case, tol):
+        """On a generated float piecewise-linear time-1 curve, with jumps,
+        flat segments and off-grid abscissae, the kernel's search, certified
+        or not, returns and asks what the reference search does."""
+        curve, level, band = case
+        assert_kernel_is_reference(on_ladder(curve, band), 1, Act.constant(LADDER, 2, level), 0, tol)

@@ -75,7 +75,9 @@ def changed_lines(root: Path, base: str, everything: bool) -> dict[str, set[int]
 def sites(source: str, lines: set[int]) -> list[tuple[int, int, str, str]]:
     """(line, column, old, new) of every mutant on ``lines``, in source
     order; ``not`` is deleted with the space after it, ``is`` gains a
-    ``not`` and ``is not`` loses it."""
+    ``not`` and ``is not`` loses it.  A ``*`` or ``/`` right after ``(`` or
+    ``,`` is a parameter marker or an unpacking star, not an operator, and
+    is left alone."""
     found = []
     text_lines = source.splitlines()
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -85,6 +87,8 @@ def sites(source: str, lines: set[int]) -> list[tuple[int, int, str, str]]:
         if row not in lines or tok.type not in (tokenize.OP, tokenize.NAME):
             continue
         line = text_lines[row - 1]
+        if text in ("*", "/") and prev.string in ("(", ","):
+            continue  # a keyword-only or positional-only marker, or an unpacking star
         if text in SWAPS:
             found.append((row, col, text, SWAPS[text]))
         elif text == "is" and nxt.string == "not":
