@@ -249,7 +249,9 @@ class PiecewiseLinearCurve(MonotoneCurve):
     def from_points(
         cls, points: Sequence[Sequence[Number]], strict: bool = True
     ) -> "PiecewiseLinearCurve":
-        """Build from (x, y) pairs and (x, left, value, right) jump quadruples."""
+        """Build from (x, y) pairs and (x, left, value, right) jump quadruples.
+        Every segment must rise, or with ``strict=False`` at least not fall:
+        a flat segment is allowed then, a falling one never."""
         anchors = []
         for pt in points:
             if len(pt) == 2:
@@ -265,10 +267,9 @@ class PiecewiseLinearCurve(MonotoneCurve):
         u0 = _segments(curve.anchors, curve._slopes, tuple(a[0] for a in curve.anchors))(0)
         if abs(u0) > NORM_TOL:
             raise ValueError(f"curve is not normalized: u(0) = {u0!r}")
-        if strict:
-            for i, s in enumerate(curve._slopes):
-                if not s > 0:
-                    raise ValueError(f"segment {i} slope {s!r} is not positive")
+        for i, s in enumerate(curve._slopes):
+            if not (s > 0 if strict else s >= 0):
+                raise ValueError(f"segment {i} slope {s!r} is not {'positive' if strict else 'nonnegative'}")
         return curve
 
     @cached_property

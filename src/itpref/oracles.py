@@ -27,10 +27,12 @@ kernel for every search but its designated act's at step 0.  ``queries``
 counts only queries actually asked: a memo hit asks none.
 
 ``atom_certainty_equivalents`` searches each atom of a level in index order,
-up to the first bracket failure, which it raises; by the contract an atom's
-certainty equivalent depends only on f on that atom, so it stores each
-atom's search on the oracle, the bracket failures with the rest, and never
-repeats it.  A search stops when its bracket is ``tol`` wide or its ends are
+up to the first bracket failure, which it raises.  By the contract an atom's
+certainty equivalent depends only on f on that atom, so
+:func:`_atom_certainty_equivalent`, the one memo rule, which recovery also
+calls atom by atom, stores each atom's search on the oracle under f's
+values on that atom, the bracket failures with the rest, and never repeats
+it.  A search stops when its bracket is ``tol`` wide or its ends are
 adjacent floats; ``tol`` must be finite and >= 0.
 
 On a piecewise-linear curve whose data are plain floats (and ints equal to
@@ -391,18 +393,32 @@ def atom_certainty_equivalents(
     raised as a fresh :class:`BracketError`, and the atoms above it are not
     searched.  ``tol`` must be finite and >= 0 (a ``ValueError`` else)."""
     _check_tol(tol)
-    space = oracle.space
-    values, memo = f.values, oracle._atom_memo
-    found = []
-    for k, pick in enumerate(space.atom_pickers(i)):
-        atom_key = (i, k, f.time_index, pick(values), tol)
-        c = memo.get(atom_key, _UNSEARCHED)
-        if c is _UNSEARCHED:
-            c = memo[atom_key] = oracle.search_atom(i, f, k, tol)
-        if type(c) is str:
-            raise BracketError(c)
-        found.append(c)
-    return found
+    values = f.values
+    return [
+        _atom_certainty_equivalent(oracle, i, f, k, pick(values), tol)
+        for k, pick in enumerate(oracle.space.atom_pickers(i))
+    ]
+
+
+def _atom_certainty_equivalent(
+    oracle: PreferenceOracle, i: int, f: Act, k: int, on_atom: object, tol: float
+) -> float | None:
+    """The certainty equivalent of f on time-``i`` atom ``k``, where
+    ``on_atom`` is f's values on that atom as the atom's picker returns
+    them: the search stored on the oracle under (i, k, f's time index,
+    ``on_atom``, ``tol``), or on a miss :meth:`~PreferenceOracle.search_atom`'s,
+    stored there, a bracket failure as its message.  A failure, stored or
+    fresh, is raised as a fresh :class:`BracketError`.  The one memo rule
+    of :func:`atom_certainty_equivalents` and of recovery's per-atom terms;
+    ``tol`` is checked by the caller."""
+    key = (i, k, f.time_index, on_atom, tol)
+    memo = oracle._atom_memo
+    c = memo.get(key, _UNSEARCHED)
+    if c is _UNSEARCHED:
+        c = memo[key] = oracle.search_atom(i, f, k, tol)
+    if type(c) is str:
+        raise BracketError(c)
+    return c
 
 
 def indifference_profile(

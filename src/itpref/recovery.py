@@ -13,6 +13,12 @@ curve is built from its points scaled by κ = dP̃/dP_{i+1}.  Step 0 is the
 same step started from trivial information: mass 1 and the initial utility
 u0, where Z = κ = 1.
 
+The functional is a sum over the time-i atoms a of P_i(a)·u_{i,a}(C_a(f)),
+and by the oracle contract C_a(f) depends only on f on a.  So a step values
+an act atom by atom: each term is computed once per (atom, f's values on
+it), its constant from the oracle's atom memo or a fresh search, and an
+act's value is the left fold of its terms in atom order.
+
 Recovered curves are tabulated on the grid and piecewise-linear interpolated,
 so recovery is grid-exact only for piecewise-linear ground truth.
 """
@@ -28,13 +34,14 @@ from .axioms import DEFAULT_GRID, ActGrid, _debreu_candidates, grid_for
 from .curves import IdentityCurve, MonotoneCurve, PiecewiseLinearCurve
 from .engine import Representation
 from .filtered_space import Act, Number, ProbabilityMeasure
-from .oracles import PreferenceOracle, atom_certainty_equivalents
+from .oracles import PreferenceOracle, _atom_certainty_equivalent, _check_tol
 from .utility_field import UtilityField
 
 NULL_VALUE_TOL = 1e-7   # |V_j| below this on the whole grid marks a null atom
 DEBREU_TOL = 1e-6
 MASS_AGREEMENT_TOL = 1e-9  # the updated masses must sum to each step-i atom's mass
 X_BAR = 1  # calibration outcome: an atom's mass is proportional to its value gap X_BAR vs 0
+_UNVALUED = object()  # a term-table miss: None is a null atom's term
 
 
 class RecoveryError(RuntimeError):
@@ -93,6 +100,18 @@ def recover_step_i(
     by Z = dP_i/dP̃|F_i makes the new probability agree with P_i on the
     time-i atoms while the curves absorb κ = dP̃/dP_{i+1}.
     The Debreu audit takes at most 81 acts at i = 0 and 64 later.
+
+    Each act is valued atom by atom, its terms mass·u(c) kept in a table
+    per step keyed by (time-i atom, the act's values on it): a term met
+    before is reused, and a new one takes its constant c from
+    :func:`~itpref.oracles._atom_certainty_equivalent` (the oracle's atom
+    memo, else a search) and evaluates its curve once; a null atom is
+    searched but adds no term.  The atoms are taken in index order and the
+    first bracket failure is raised, so the searches, ``queries`` and the
+    atom memo's order are those of valuing every act whole with
+    ``atom_certainty_equivalents``.  A term's curve is evaluated right after
+    its atom's search, so a curve of a hand-made ``prev`` that raises does
+    so before the later atoms are searched.
     """
     space = oracle.space
     if prev.level != i:
@@ -100,22 +119,33 @@ def recover_step_i(
     level = i + 1
     m = space.n_atoms(level)
 
-    # (atom, mass, curve evaluator) of each positive time-i atom, in atom order
-    terms = [
-        (k, mass, prev.curves[k].evaluator) for k, mass in enumerate(prev.masses) if mass > 0
-    ]
+    pickers = space.atom_pickers(i)
+    # the curve evaluator of each positive time-i atom, None on a null one
+    evaluators = [prev.curves[k].evaluator if mass > 0 else None for k, mass in enumerate(prev.masses)]
+    # (time-i atom k, f's values on k) -> k's term mass·u(c), None on a null atom
+    terms: dict[tuple[int, object], Number | None] = {}
 
     def value(f: Act) -> float:
-        ces = atom_certainty_equivalents(oracle, i, f, tol)
-        total = 0
-        for k, mass, u in terms:
-            total += mass * u(0 if ces[k] is None else ces[k])
+        # the left fold of the terms in atom order; a bracket failure stops
+        # it before the later atoms are searched
+        values, total = f.values, 0
+        for k, pick in enumerate(pickers):
+            key = (k, pick(values))
+            term = terms.get(key, _UNVALUED)
+            if term is _UNVALUED:
+                c = _atom_certainty_equivalent(oracle, i, f, k, key[1], tol)
+                u = evaluators[k]
+                term = terms[key] = None if u is None else prev.masses[k] * u(0 if c is None else c)
+            if term is not None:
+                total += term
         return float(total)
 
     # tab[k][p]: the value of xs[p] on time-(i+1) atom k and 0 elsewhere
     xs = _recovery_xs(grid)
+    _check_tol(tol)
+    states = range(space.n_states)
     tab = [
-        [value(Act.constant(space, level, x).restrict(A)) for x in xs]
+        [value(Act._trusted(space, level, tuple([x if s in A.members else 0 for s in states]))) for x in xs]
         for A in space.atom_events(level)
     ]
     zero, x_bar = xs.index(0), xs.index(X_BAR)
@@ -132,8 +162,9 @@ def recover_step_i(
     residual = 0.0
     # 81 acts at step 0 and 64 later: the cap fixes the residual reported and the query count
     for f, pos in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
-        total = value(f)
-        split = reduce(add, (tab[k][pos[k]] for k in range(m)), 0)
+        total, split = value(f), 0
+        for k, p in enumerate(pos):
+            split += tab[k][p]
         residual = max(residual, abs(total - split))
     if residual > debreu_tol:
         raise RecoveryError(

@@ -173,6 +173,16 @@ class TestPiecewiseLinear:
             PiecewiseLinearCurve.from_points([(-1, 0), (0, 0), (1, 1)])
         PiecewiseLinearCurve.from_points([(-1, 0), (0, 0), (1, 1)], strict=False)
 
+    def test_a_falling_segment_is_refused_also_when_not_strict(self):
+        # it decreased on [0, 1], and inverting -0.25, a value it takes at
+        # x = -0.25, raised RangeError
+        with pytest.raises(ValueError, match=r"^segment 1 slope -0\.5 is not nonnegative$"):
+            PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, -0.5)], strict=False)
+        with pytest.raises(ValueError, match=r"^segment 0 slope -1\.0 is not positive$"):
+            PiecewiseLinearCurve.from_points([(-1, 1), (0, 0), (1, 1)])
+        flat = PiecewiseLinearCurve.from_points([(-1, -1), (0, 0), (1, 0)], strict=False)
+        assert flat.invert(-0.25) == -0.25
+
     def test_normalization_validated(self):
         with pytest.raises(ValueError, match="normalized"):
             PiecewiseLinearCurve.from_points([(-1, 0), (1, 1)])

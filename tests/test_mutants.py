@@ -54,3 +54,46 @@ def test_parameter_markers_and_unpacking_stars_are_no_operators():
 def test_mutate_checks_the_text_it_replaces():
     with pytest.raises(AssertionError):
         mutants.mutate("x = a < b\n", 1, 6, ">", ">=")
+
+
+def test_site_keys_count_each_operator_on_its_line():
+    source = "x = a < b < c and d\n    y = a < b\n"
+    found = mutants.sites(source, {1, 2})
+    assert mutants.site_keys("m.py", source, found) == [
+        ("m.py", "x = a < b < c and d", "<", "<=", 1),
+        ("m.py", "x = a < b < c and d", "<", "<=", 2),
+        ("m.py", "x = a < b < c and d", "and", "or", 1),
+        ("m.py", "y = a < b", "<", "<=", 1),
+    ]
+
+
+def test_only_a_listed_survivor_is_equivalent():
+    key = ("m.py", "x = a < b", "<", "<=", 1)
+    listed = {key: "a and b are never equal"}
+    assert mutants.verdict("SURVIVED", key, listed) == "EQUIVALENT"
+    assert mutants.verdict("SURVIVED", key[:-1] + (2,), listed) == "SURVIVED"
+    assert mutants.verdict("KILLED", key, listed) == "KILLED"
+    assert mutants.verdict("TIMEOUT", key, listed) == "TIMEOUT"
+
+
+def test_the_list_is_read_with_its_reasons(tmp_path):
+    path = tmp_path / "equivalent.json"
+    path.write_text('[{"file": "m.py", "line": "x = a < b", "old": "<", "new": "<=", "occurrence": 1, "reason": "r"}]')
+    assert mutants.load_equivalents(path) == {("m.py", "x = a < b", "<", "<=", 1): "r"}
+
+
+def test_listed_equivalents_that_name_no_site_are_stale(tmp_path):
+    (tmp_path / "m.py").write_text("x = a < b\n")
+    kept = ("m.py", "x = a < b", "<", "<=", 1)
+    listed = {
+        kept: "r",
+        ("m.py", "x = a < b", "<", "<=", 2): "r",
+        ("m.py", "x = a <= b", "<=", "<", 1): "r",
+        ("gone.py", "x = a < b", "<", "<=", 1): "r",
+    }
+    assert mutants.stale(tmp_path, listed) == list(listed)[1:]
+
+
+def test_the_committed_list_has_a_reason_for_each_entry():
+    listed = mutants.load_equivalents()
+    assert listed and all(reason.strip() for reason in listed.values())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -37,14 +38,16 @@ from itpref import (  # noqa: E402
     indifference_profile,
     paste,
     recover_representation,
+    recover_step_i,
     semigroup_residual,
 )
 from itpref.apps import villa_scenario  # noqa: E402
-from itpref.axioms import C_STYLES  # noqa: E402
+from itpref.axioms import C_STYLES, DEFAULT_GRID, _debreu_candidates, grid_for  # noqa: E402
 from itpref.controls import flat_segment, identity_representation, three_atom_space  # noqa: E402
 from itpref.curves import INVERT_TOL  # noqa: E402
 from itpref.engine import expected_utility, expected_utility_profile  # noqa: E402
 from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
+from itpref.recovery import RecoveredStep, RecoveryError  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
     random_equivalent_measure,
@@ -709,6 +712,96 @@ def test_recoveries_print_the_grid_in_their_number_kind():
     ]
     assert ["(-0.5," in t for t in texts] == [True, True, False, False]
     assert ["(-1/2," in t for t in texts] == [False, False, True, True]
+
+
+class AskingOracle(InducedOracle):
+    """The induced oracle with ``ask`` overridden, so that every search
+    takes the base class's path through ``ask``."""
+
+    def ask(self, i, g, f, A=None):
+        return super().ask(i, g, f, A)
+
+
+def whole_act_tabulation(oracle, i, prev, grid, tol):
+    """Step ``i``'s tabulation and Debreu audit with each act valued whole:
+    ``atom_certainty_equivalents`` on every act, then the left fold of
+    mass·u(c) over the positive time-``i`` atoms.  Returns the
+    normalization offsets and the Debreu residual."""
+    space, level = oracle.space, i + 1
+    positive = [(k, mass, prev.curves[k]) for k, mass in enumerate(prev.masses) if mass > 0]
+
+    def value(f):
+        ces = atom_certainty_equivalents(oracle, i, f, tol)
+        total = 0
+        for k, mass, u in positive:
+            total += mass * u(0 if ces[k] is None else ces[k])
+        return float(total)
+
+    xs = tuple(sorted(set(grid.values) | {0, 1}))
+    tab = [[value(Act.constant(space, level, x).restrict(A)) for x in xs] for A in space.atom_events(level)]
+    residual = 0.0
+    for f, pos in _debreu_candidates(space, level, xs, 81 if level == 1 else 64):
+        total = value(f)
+        split = functools.reduce(operator.add, (tab[k][p] for k, p in enumerate(pos)), 0)
+        residual = max(residual, abs(total - split))
+    return tuple(float(col[xs.index(0)]) for col in tab), residual
+
+
+def step_outcome(run, oracle):
+    """``run(oracle)``'s result, or the type and message of what it raised,
+    with the queries asked and the atom memo's keys in insertion order."""
+    try:
+        got = run(oracle)
+    except (BracketError, RecoveryError) as exc:
+        got = (type(exc), str(exc))
+    return got, oracle.queries, list(oracle._atom_memo)
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_times=st.sampled_from((3, 4)),
+    exact=st.booleans(),
+    null=st.booleans(),
+    oracle=st.sampled_from(("kernel", "ask", "failing")),
+)
+def test_recovery_terms_are_the_whole_act_values(seed, n_times, exact, null, oracle):
+    """Each step of a recovery, on a fresh oracle, asks the queries, fills
+    the atom memo in the order and reports the offsets and Debreu residual
+    bit for bit, or raises the bracket failure, of a tabulation that values
+    every act whole on another fresh oracle: float and exact measures, with
+    a null time-1 atom (whose zero-mass parent is still searched), mixed
+    curve kinds, on the induced kernel, on the path through ``ask``, and on
+    an oracle whose brackets fail, after step 0, wherever an act takes the
+    grid's largest value."""
+    rep = drawn_representation(random.Random(seed), n_times, exact, null)
+    grid = grid_for(InducedOracle(rep), DEFAULT_GRID)
+
+    def fresh(i):
+        if oracle == "failing" and i > 0:
+            return Unbracketed(rep, frozenset(grid.values[-1:]))
+        return (AskingOracle if oracle == "ask" else InducedOracle)(rep, tol=1e-12)
+
+    prev = RecoveredStep(0, (1,), (rep.u0,), 0.0, (), (0.0,))
+    for i in range(rep.space.n_times - 1):
+        want, want_queries, want_order = step_outcome(
+            lambda o: whole_act_tabulation(o, i, prev, grid, 1e-10), fresh(i)
+        )
+        got, got_queries, got_order = step_outcome(
+            lambda o: recover_step_i(o, i, prev, grid, 1e-10, False, math.inf), fresh(i)
+        )
+        assert (got_queries, got_order) == (want_queries, want_order)
+        if isinstance(got, RecoveredStep):
+            offsets, residual = want
+            assert [repr(x) for x in got.normalization_offsets] == [repr(x) for x in offsets]
+            assert repr(got.debreu_residual) == repr(residual)
+        elif got[0] is RecoveryError:
+            assert type(want[0]) is float  # raised past the audit, which went as the reference's
+            return
+        else:
+            assert got == want
+            return
+        prev = got
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,10 +15,12 @@ from itpref import (
     DEFAULT_GRID,
     Act,
     ActGrid,
+    BracketError,
     FilteredSpace,
     IdentityCurve,
     InducedOracle,
     LinearCurve,
+    MonotoneCurve,
     PiecewiseLinearCurve,
     PreferenceOracle,
     ProbabilityMeasure,
@@ -32,11 +35,13 @@ from itpref import (
     recover_step_i,
 )
 from itpref.cli import main
+from itpref.oracles import atom_certainty_equivalents
 from itpref.recovery import RecoveryError
 from itpref.apps import villa_scenario
 from itpref.controls import flat_segment, three_atom_space, identity_representation
 from itpref.sampling import (
     random_equivalent_measure,
+    random_measure,
     random_representation,
     scaled_clone,
     verdict_agreement,
@@ -77,6 +82,28 @@ class LinearOracle(PreferenceOracle):
 class AlwaysIndifferentOracle(PreferenceOracle):
     def query(self, i, g, f, A=None):
         return QueryAnswer(True, True)
+
+
+class Unevaluable(MonotoneCurve):
+    """A curve that must never be evaluated."""
+
+    def __call__(self, x):
+        raise AssertionError("a null atom's curve was evaluated")
+
+
+class FailsOnAtom(InducedOracle):
+    """The induced oracle, except that no constant is at least as good as
+    any act on time-``i`` atom ``k``: every search there fails to find its
+    upper bracket."""
+
+    def __init__(self, rep, i, k):
+        super().__init__(rep, tol=1e-12)
+        self.i, self.members = i, rep.space.atom_event(i, k).members
+
+    def query(self, i, g, f, A=None):
+        if i == self.i and A is not None and A.members == self.members:
+            return QueryAnswer(False, True)
+        return super().query(i, g, f, A)
 
 
 # recover_representation on random_representation(random.Random(1), n_times=3,
@@ -147,6 +174,9 @@ SEED1_STEPS = (
     ),
 )
 SEED1_QUERIES = 4382
+# sha256 of villa's exact recovery: each RecoveredStep's repr, the queries
+# and the atom memo's keys in insertion order
+VILLA_EXACT_DIGEST = "91a01ad82e4ab365bfe6ff96039f4ac34773f62651ecfaaa3b5d3dc239c24b52"
 # re-pinned when float oracles began recovering on the grid's float form: only
 # the grid with 1/3 moves, 4 of its step entries in their last bits, because
 # 1/3 is rounded once; query counts are unchanged
@@ -435,6 +465,42 @@ class TestRecoverInductive:
                 digest.update(f"queries {oracle.queries}\n".encode())
         assert digest.hexdigest() == NON_DEFAULT_GRIDS_DIGEST
 
+    def test_a_bracket_failure_on_a_middle_atom_stops_the_step(self):
+        # time-1 atoms {s0}, {s1,...,s6} and {s7}: the first act tabulated,
+        # -2 on {s0}, is searched on {s0} and fails on the middle atom, as
+        # atom_certainty_equivalents on that act fails on a fresh oracle
+        rep = random_representation(random.Random(1), n_times=3, kinds=("pl",), min_first_split=3)
+        space = rep.space
+        prev = recover_step0(InducedOracle(rep, tol=1e-12), rep.u0)
+        oracle, fresh = FailsOnAtom(rep, 1, 1), FailsOnAtom(rep, 1, 1)
+        with pytest.raises(BracketError) as got:
+            recover_step_i(oracle, 1, prev)
+        first = Act.constant(space, 2, -2).restrict(space.atom_event(2, 0))
+        with pytest.raises(BracketError) as want:
+            atom_certainty_equivalents(fresh, 1, first, 1e-10)
+        assert str(got.value) == str(want.value) == "no upper bracket on {s1,s2,s3,s4,s5,s6} at step 1"
+        assert oracle.queries == fresh.queries == 83
+        assert list(oracle._atom_memo) == list(fresh._atom_memo)
+        assert [key[1] for key in oracle._atom_memo] == [0, 1]  # the atom above is not searched
+
+    def test_a_null_atoms_curve_is_never_evaluated(self):
+        # a null time-1 atom is searched, as every atom is, but adds no term
+        rng = random.Random(1)
+        space = random_representation(rng, n_times=3, kinds=("pl",), min_first_split=3).space
+        P = random_measure(rng, space, null_states=space.atom_members(1, 1))
+        rep = Representation(space, P, random_representation(rng, kinds=("pl",), space=space).field)
+        prev = recover_step0(InducedOracle(rep, tol=1e-12), rep.u0, require_three_essential=False)
+        assert prev.masses[1] == 0
+        curves = list(prev.curves)
+        curves[1] = Unevaluable()
+        blind = dataclasses.replace(prev, curves=tuple(curves))
+        oracle, fresh = InducedOracle(rep, tol=1e-12), InducedOracle(rep, tol=1e-12)
+        got = recover_step_i(oracle, 1, blind, require_three_essential=False)
+        want = recover_step_i(fresh, 1, prev, require_three_essential=False)
+        assert repr(got) == repr(want)
+        assert oracle.queries == fresh.queries
+        assert list(oracle._atom_memo) == list(fresh._atom_memo)
+
     def test_villa_recovery_up_to_rescaling(self):
         # two essential atoms at the election time, and a nearly-null branch:
         # query noise is amplified by 1/mass there, so the uniqueness audit
@@ -496,6 +562,14 @@ class TestNumberKind:
         assert oracle.exact
         result = recover_representation(oracle, rep.u0, require_three_essential=False)
         assert Fraction(-1, 2) in fractions_in(result)
+        # the acts tabulated carry the grid's Fractions to the oracle
+        on_atoms = [key[3] if type(key[3]) is tuple else (key[3],) for key in oracle._atom_memo]
+        assert {v for values in on_atoms for v in values if type(v) is Fraction} == {Fraction(-1, 2), Fraction(1, 2)}
+        digest = hashlib.sha256()
+        for step in result.steps:
+            digest.update(repr(step).encode() + b"\n")
+        digest.update(f"queries {oracle.queries}\n{list(oracle._atom_memo)!r}\n".encode())
+        assert digest.hexdigest() == VILLA_EXACT_DIGEST
 
     def test_float_weights_make_a_representation_inexact(self):
         space, P = three_atom_space()

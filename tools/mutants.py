@@ -1,15 +1,21 @@
 """Mutation runner for the lines a change touches: does the suite notice?
 
 Each mutant flips one operator on one changed line of ``src/`` (``<``/``<=``,
-``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``, ``and``/``or``, ``is``/
-``is not``, and ``not x`` → ``x``), and the test command runs on it in a
-temporary copy of the checkout, one mutant at a time.  The unmutated copy
-runs first and is timed; each mutant may then run ``SLACK`` times as long
-plus ``FLOOR`` seconds.  A mutant is KILLED when the command fails, SURVIVED
-when it passes, and TIMEOUT when it runs past that limit (a mutant can make
-a search loop forever), which counts as killed but is reported apart.  A
-mutant that does not compile is not run.  The checkout itself is never
-written to.
+``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``, ``+=``/``-=``,
+``*=``/``/=``, ``and``/``or``, ``is``/``is not``, and ``not x`` → ``x``), and
+the test command runs on it in a temporary copy of the checkout, one mutant
+at a time.  The unmutated copy runs first and is timed; each mutant may then
+run ``SLACK`` times as long plus ``FLOOR`` seconds.  A mutant is KILLED when
+the command fails, SURVIVED when it passes, and TIMEOUT when it runs past
+that limit (a mutant can make a search loop forever), which counts as killed
+but is reported apart.  A surviving mutant listed in
+``equivalent_mutants.json`` next to this file is EQUIVALENT, reported apart
+from SURVIVED: the list holds the mutants known to change no behaviour, each
+with its file, its source line as text, its operator swap, which occurrence
+of that operator on the line it is (counting from 1), and the reason; an
+entry that names no mutant of the checkout's sources is printed as STALE
+first.  A mutant that does not compile is not run.  The checkout itself is
+never written to.
 
     python tools/mutants.py                 # lines changed since HEAD~1
     python tools/mutants.py --base main     # lines changed since main
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import re
 import shutil
@@ -37,9 +44,11 @@ from pathlib import Path
 
 SWAPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
-    "+": "-", "-": "+", "*": "/", "/": "*", "and": "or", "or": "and",
+    "+": "-", "-": "+", "*": "/", "/": "*", "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=",
+    "and": "or", "or": "and",
 }
 SLACK, FLOOR = 5.0, 10.0  # a mutant's time limit: SLACK × the unmutated run + FLOOR s
+EQUIVALENTS = Path(__file__).resolve().with_name("equivalent_mutants.json")
 HUNK = re.compile(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@")
 
 
@@ -100,6 +109,45 @@ def sites(source: str, lines: set[int]) -> list[tuple[int, int, str, str]]:
     return found
 
 
+def site_keys(f: str, source: str, found: list[tuple[int, int, str, str]]) -> list[tuple[str, str, str, str, int]]:
+    """(file, stripped line, old, new, occurrence) of each of ``found``, the
+    sites of ``source``: the identity an equivalent mutant is listed under.
+    The occurrence counts the sites with the same old text on the line,
+    from 1, so it holds while the line's text does."""
+    text_lines = source.splitlines()
+    seen: dict[tuple[int, str], int] = {}
+    keys = []
+    for row, _, old, new in found:
+        seen[row, old] = seen.get((row, old), 0) + 1
+        keys.append((f, text_lines[row - 1].strip(), old, new, seen[row, old]))
+    return keys
+
+
+def load_equivalents(path: Path = EQUIVALENTS) -> dict[tuple[str, str, str, str, int], str]:
+    """{site key: reason} of the listed equivalent mutants."""
+    return {
+        (e["file"], e["line"], e["old"], e["new"], e["occurrence"]): e["reason"]
+        for e in json.loads(path.read_text())
+    }
+
+
+def stale(root: Path, equivalents: dict) -> list[tuple[str, str, str, str, int]]:
+    """The listed keys that name no mutant of their file under ``root``: a
+    line that changed, moved to another file or lost its operator."""
+    found = set()
+    for f in {key[0] for key in equivalents}:
+        path = root / f
+        if path.is_file():
+            source = path.read_text()
+            found.update(site_keys(f, source, sites(source, set(range(1, source.count("\n") + 2)))))
+    return [key for key in equivalents if key not in found]
+
+
+def verdict(outcome: str, key: tuple[str, str, str, str, int], equivalents: dict) -> str:
+    """EQUIVALENT for a listed survivor, else the run's outcome."""
+    return "EQUIVALENT" if outcome == "SURVIVED" and key in equivalents else outcome
+
+
 def mutate(source: str, row: int, col: int, old: str, new: str) -> str:
     lines = source.splitlines(keepends=True)
     line = lines[row - 1]
@@ -132,18 +180,22 @@ def main(argv: list[str] | None = None) -> int:
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").strip())
     targets = changed_lines(root, args.base, args.all)
+    equivalents = load_equivalents()
+    for f, line, old, new, n in stale(root, equivalents):
+        print(f"STALE      {f}: {line!r} has no {old!r} -> {new!r} number {n}; re-justify or drop it", flush=True)
     plan = []
     for f in sorted(targets):
         source = (root / f).read_text()
-        for row, col, old, new in sites(source, targets[f]):
+        found = sites(source, targets[f])
+        for (row, col, old, new), key in zip(found, site_keys(f, source, found)):
             mutant = mutate(source, row, col, old, new)
             try:
                 compile(mutant, f, "exec")
             except SyntaxError:
                 continue
-            plan.append((f, row, col, old, new, mutant))
+            plan.append((f, row, col, old, new, mutant, key))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    tally = {"KILLED": 0, "SURVIVED": 0, "TIMEOUT": 0}
+    tally = {"KILLED": 0, "SURVIVED": 0, "TIMEOUT": 0, "EQUIVALENT": 0}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         for f in tracked(root, "-co", "--exclude-standard"):
@@ -158,17 +210,20 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         limit = SLACK * (time.monotonic() - began) + FLOOR
         print(f"{len(plan)} mutants, {limit:.0f} s each at most", flush=True)
-        for f, row, col, old, new, mutant in plan:
+        for f, row, col, old, new, mutant, key in plan:
             original = (copy / f).read_text()
             (copy / f).write_text(mutant)
             began = time.monotonic()
             try:
-                outcome = run(cmd, copy, limit)
+                outcome = verdict(run(cmd, copy, limit), key, equivalents)
             finally:
                 (copy / f).write_text(original)
             tally[outcome] += 1
-            print(f"{outcome:8} {f}:{row}:{col + 1}  {old!r} -> {new!r}  ({time.monotonic() - began:.0f} s)", flush=True)
-    print(f"{len(plan)} mutants: {tally['KILLED']} killed, {tally['TIMEOUT']} timed out, {tally['SURVIVED']} survived")
+            print(f"{outcome:10} {f}:{row}:{col + 1}  {old!r} -> {new!r}  ({time.monotonic() - began:.0f} s)", flush=True)
+    print(
+        f"{len(plan)} mutants: {tally['KILLED']} killed, {tally['TIMEOUT']} timed out, "
+        f"{tally['EQUIVALENT']} equivalent, {tally['SURVIVED']} survived"
+    )
     return 0
 
 
