@@ -235,7 +235,7 @@ class PiecewiseLinearCurve(MonotoneCurve):
         if len(self.anchors) < 2:
             raise ValueError("piecewise-linear curve needs at least two anchors")
         xs = [a[0] for a in self.anchors]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(a < b for a, b in zip(xs, xs[1:])):  # a NaN is in no order
             raise ValueError("anchor abscissae must be strictly increasing")
         for x, l, v, r in self.anchors:
             if not l <= v <= r:
@@ -377,21 +377,31 @@ def _piecewise_linear(
     slopes: tuple[Number, ...],
 ) -> Callable[[Number], Number]:
     """The evaluator of the piecewise-linear curve with these anchors and
-    segment slopes.
+    segment slopes.  Its paths:
 
-    A float argument is compared with the abscissae as floats when every one
-    converts exactly, so each comparison gives the exact result without
-    converting the argument to a ``Fraction``, and with the abscissae as
-    given otherwise.  Exact runs (villa) evaluate curves recovered on the
-    ``Fraction`` grid at float certainty equivalents, so every query of their
-    oracle searches would otherwise meet ``Fraction`` constants.  On a curve
-    with a ``Fraction`` constant, a float argument also does its arithmetic
-    on the float images of the abscissae, limits and slopes
-    (:func:`~itpref.filtered_space._float_image`), made on the first float
-    argument: the operands Python's own mixed arithmetic makes on every
-    call, so each result is that arithmetic's bit for bit.  An anchor keeps
-    its value, so an anchor hit returns it as given.  A curve with no
-    ``Fraction`` constant gets no images and no dispatch."""
+    * A curve with no ``Fraction`` constant gets no dispatch: one search
+      among the abscissae, as floats when every one converts exactly, so
+      each comparison with a float argument gives the exact result without
+      converting the argument to a ``Fraction``, and as given otherwise.
+    * On a curve with a ``Fraction`` constant, a float argument does its
+      comparisons the same way and its arithmetic on the float images of
+      the abscissae, limits and slopes
+      (:func:`~itpref.filtered_space._float_image`), made on the first
+      float argument: the operands Python's own mixed arithmetic makes on
+      every call, so each result is that arithmetic's bit for bit.  Exact
+      runs (villa) evaluate curves recovered on the ``Fraction`` grid at
+      float certainty equivalents, so every query of their oracle searches
+      would otherwise meet ``Fraction`` constants.
+    * On a curve with a ``Fraction`` constant whose anchor numbers are all
+      ``int`` or ``Fraction`` and whose slopes are all ``Fraction``s (a
+      slope that :meth:`PiecewiseLinearCurve._slopes` divides out of a
+      ``Fraction`` is one), an ``int`` or ``Fraction`` argument takes
+      :func:`_rational_segments`: the same value, computed on integer
+      numerators and denominators with one normalization.
+    * Any other argument is placed among the abscissae as given and meets
+      the constants as given.
+
+    An anchor keeps its value, so an anchor hit returns it as given."""
     xs = tuple(a[0] for a in anchors)
     float_xs = tuple(map(_float_image, xs))
     at_float = float_xs if float_xs == xs else xs
@@ -399,16 +409,65 @@ def _piecewise_linear(
         # equal to ``xs`` term by term, and Python compares numbers exactly
         return _segments(anchors, slopes, at_float)
     plain = _segments(anchors, slopes, xs)
+    exact = all(type(s) is Fraction for s in slopes) and all(
+        type(n) is int or type(n) is Fraction for a in anchors for n in a
+    )
+    rational = _rational_segments(anchors, slopes) if exact else None
     on_float = None
 
     def evaluate(x: Number) -> Number:
         nonlocal on_float
-        if type(x) is not float:
-            return plain(x)
-        if on_float is None:
-            images = tuple((fx, _float_image(l), v, _float_image(r)) for fx, (_, l, v, r) in zip(float_xs, anchors))
-            on_float = _segments(images, tuple(map(_float_image, slopes)), at_float)
-        return on_float(x)
+        if type(x) is float:
+            if on_float is None:
+                images = tuple((fx, _float_image(l), v, _float_image(r)) for fx, (_, l, v, r) in zip(float_xs, anchors))
+                on_float = _segments(images, tuple(map(_float_image, slopes)), at_float)
+            return on_float(x)
+        if rational is not None and (type(x) is Fraction or type(x) is int):
+            return rational(x.numerator, x.denominator)
+        return plain(x)
+
+    return evaluate
+
+
+def _rational_segments(
+    anchors: tuple[tuple[Number, Number, Number, Number], ...],
+    slopes: tuple[Fraction, ...],
+) -> Callable[[int, int], Number]:
+    """(n, d) ↦ the piecewise-linear value at the rational n/d (d > 0, in
+    lowest terms), for ``int`` or ``Fraction`` anchors and ``Fraction``
+    slopes: the value ``_segments`` gives at that ``int`` or ``Fraction``,
+    computed on integers.  The abscissae are (numerator, denominator) pairs,
+    and n/d is placed among them by a binary search on cross-products, the
+    placement ``bisect_right`` gives.  An anchor hit returns the anchor's
+    value as given.  Elsewhere the segment's ``start + slope * (x - x0)`` is
+    its line ``(p + q x) / m``, with p, q and m integers made once per
+    segment, so the value is one ``Fraction(p d + q n, m d)``: one
+    normalization, where the ``Fraction`` operators normalize three times.
+    A slope is a ``Fraction``, so that value is a ``Fraction`` too."""
+    points = tuple((a[0].numerator, a[0].denominator) for a in anchors)
+    values = tuple(a[2] for a in anchors)
+    (x0, l0, _, _), (xn, _, _, rn) = anchors[0], anchors[-1]
+    lines = []
+    # below the first anchor, after each anchor, and beyond the last one
+    for x, start, slope in ((x0, l0, slopes[0]), *((a[0], a[3], s) for a, s in zip(anchors, slopes)), (xn, rn, slopes[-1])):
+        c = start - slope * x
+        m = c.denominator * slope.denominator // math.gcd(c.denominator, slope.denominator)
+        lines.append((c.numerator * (m // c.denominator), slope.numerator * (m // slope.denominator), m))
+    size = len(points)
+
+    def evaluate(n: int, d: int) -> Number:
+        lo, hi = 0, size
+        while lo < hi:  # points[lo - 1] <= n/d < points[lo] on exit
+            mid = (lo + hi) >> 1
+            pn, pd = points[mid]
+            if n * pd < pn * d:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo and points[lo - 1] == (n, d):
+            return values[lo - 1]
+        p, q, m = lines[lo]
+        return Fraction(p * d + q * n, m * d)
 
     return evaluate
 

@@ -41,6 +41,9 @@ from .filtered_space import (
 from .utility_field import StarContinuityResult, UtilityField, is_star_continuous
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold."""
 
@@ -130,9 +133,13 @@ class Verdict:
 
 def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Number:
     """E[u(t, f) | A] on time-``s`` atom A = ``k`` alone, summed left to right
-    as ``conditional_expectation`` sums it; 0 on a null atom.  An exact
-    weight or mass meets a float through its float image, per term, so the
-    sum is the plain one bit for bit."""
+    as ``conditional_expectation`` sums it; 0 on a null atom.  On a measure
+    with a ``Fraction`` weight the atom's utilities are evaluated first.
+    When none is a float and the atom's mass is exact, the mean is folded
+    on integer numerators and denominators (:func:`_exact_mean`), which
+    gives the plain sum's value and type; otherwise an exact weight or mass
+    meets a float through its float image, per term, so the sum is the
+    plain one bit for bit."""
     _check_act(rep.space, f, t, PreconditionError)
     if s > t:
         raise InvariantError(f"cannot condition a time-{t} act on later time index {s}")
@@ -152,13 +159,37 @@ def expected_utility(rep: Representation, s: int, t: int, f: Act, k: int) -> Num
             value += weights[x] * row[x](values[x])
         value /= mass
     else:
-        for x in rep.space.partitions[s][k]:
-            y = row[x](values[x])
-            value += (images[x] if type(y) is float else weights[x]) * y
-        value /= P._atom_mass_images[s][k] if type(value) is float else mass
+        atom = rep.space.partitions[s][k]
+        ys = [row[x](values[x]) for x in atom]
+        if type(mass) is not float and _EXACT_TYPES.issuperset(map(type, ys)):
+            value = _exact_mean(atom, weights, ys, mass)
+        else:
+            for x, y in zip(atom, ys):
+                value += (images[x] if type(y) is float else weights[x]) * y
+            value /= P._atom_mass_images[s][k] if type(value) is float else mass
     if not _is_finite(value):
         raise InvariantError("act values must be finite")
     return value
+
+
+def _exact_mean(atom: tuple[int, ...], weights: tuple[Number, ...], ys: list[Number], mass: Number) -> Number:
+    """Σ w·y / mass over the atom's states, for ``int`` or ``Fraction``
+    weights, utilities ``ys`` and mass, folded on integer numerators and
+    denominators: Python's own exact value and type, normalized once.  An
+    all-``int`` sum over an ``int`` mass is divided as Python divides it,
+    into a float."""
+    n, d = 0, 1
+    for x, y in zip(atom, ys):
+        w = weights[x]
+        term_d = w.denominator * y.denominator
+        if term_d == d:
+            n += w.numerator * y.numerator
+        else:
+            n = n * term_d + w.numerator * y.numerator * d
+            d *= term_d
+    if type(mass) is int and all(type(y) is int for y in ys):
+        return n / mass  # every weight of an int mass is an int, so n is the sum
+    return Fraction(n * mass.denominator, d * mass.numerator)
 
 
 def expected_utility_profile(rep: Representation, s: int, t: int, f: Act) -> Act:

@@ -28,8 +28,8 @@ from itpref import (
     ValueScaledCurve,
     cce,
 )
-from itpref.curves import _segments
-from itpref.filtered_space import _float_image
+from itpref.curves import _piecewise_linear, _rational_segments, _segments
+from itpref.filtered_space import _float_image, _is_exact
 from itpref.scenario import parse_curve
 
 ALL_KINDS = [
@@ -289,6 +289,55 @@ class TestPiecewiseLinear:
                 curves[3](x)
         assert met and set(met) <= set(names[:5])
 
+    def test_exact_arguments_on_exact_curves_meet_no_fraction_operator(self, monkeypatch):
+        """An ``int`` or ``Fraction`` argument on a curve of exact anchors
+        and ``Fraction`` slopes is placed and valued on integers: no
+        ``Fraction`` comparison or arithmetic operator runs, at an anchor,
+        between anchors or beyond either end.  A curve with a float left
+        limit, and one whose only ``Fraction`` is a limit that no slope
+        reads, so that its slopes are floats, keep the operators and the
+        values they give."""
+        exact = PiecewiseLinearCurve.from_points(
+            [(-1, Fraction(-3, 2)), (0, 0), (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 10)),
+             (2, Fraction(17, 10))]
+        )
+        float_left = PiecewiseLinearCurve.from_points(
+            [(-1, -2.0, Fraction(-3, 2), Fraction(-3, 2)), (0, 0), (Fraction(1, 2), Fraction(1, 3)),
+             (2, Fraction(17, 10))]
+        )
+        float_slopes = PiecewiseLinearCurve.from_points([(-1, Fraction(-3, 2), -1, -1), (0, 0), (1, 1)])
+        assert float_slopes._slopes == (1.0, 1.0)
+        args = [-3, -1, Fraction(-7, 3), Fraction(-1, 3), 0, Fraction(1, 2), Fraction(3, 4), 1, 2, 5]
+        curves = [exact, float_left, float_slopes]
+        wants = {}
+        for u in curves:
+            old = three_test_segments(u.anchors, u._slopes, tuple(a[0] for a in u.anchors))
+            wants[u] = [old(x) for x in args]
+        assert wants[exact][5] == Fraction(2, 5) and type(wants[float_left][0]) is float
+        met = []
+
+        def spy(name):
+            operator = getattr(Fraction, name)
+
+            def spied(a, b):
+                met.append(name)
+                return operator(a, b)
+
+            return spied
+
+        names = [f"__{op}__" for op in ("lt", "le", "gt", "ge", "eq")]
+        names += [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")]
+        for u in curves:
+            u.evaluator  # built before the spy: building may use the operators
+        with monkeypatch.context() as m:
+            for name in names:
+                m.setattr(Fraction, name, spy(name))
+            for u in curves:
+                got = [u(x) for x in args]
+                assert [(type(y), repr(y)) for y in got] == [(type(y), repr(y)) for y in wants[u]]
+                assert (met == []) is (u is exact), u
+                met.clear()
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(anchors=pl_anchors())
     def test_one_search_equals_the_three_test_placement(self, anchors):
@@ -296,7 +345,10 @@ class TestPiecewiseLinear:
         that placed ``x`` by two range tests and then a search: on the
         anchors as given and on their float images, at every abscissa,
         between abscissae, beyond both ends and at ±inf, as ``int``,
-        ``Fraction`` and ``float``."""
+        ``Fraction`` and ``float``.  So does the curve's built evaluator
+        ``_piecewise_linear`` at every ``int`` and ``Fraction`` argument,
+        and on exact anchors with ``Fraction`` slopes the rational kernel
+        ``_rational_segments``, which that evaluator calls there."""
         slopes = tuple((l1 - r0) / (x1 - x0) for (x0, _, _, r0), (x1, l1, _, _) in zip(anchors, anchors[1:]))
         xs = tuple(a[0] for a in anchors)
         images = tuple(tuple(map(_float_image, a)) for a in anchors)
@@ -311,6 +363,15 @@ class TestPiecewiseLinear:
             for x in args:
                 got, want = new(x), old(x)
                 assert (type(got), repr(got)) == (type(want), repr(want)), x
+        old, built = three_test_segments(anchors, slopes, xs), _piecewise_linear(anchors, slopes)
+        kernel = all(type(s) is Fraction for s in slopes) and _is_exact(*(n for a in anchors for n in a))
+        rational = _rational_segments(anchors, slopes) if kernel else None
+        for x in args:
+            if type(x) is not float:
+                want = old(x)
+                got = [built(x)] + ([rational(x.numerator, x.denominator)] if kernel else [])
+                for y in got:
+                    assert (type(y), repr(y)) == (type(want), repr(want)), x
 
     def test_fraction_arguments_with_no_exact_float_keep_the_exact_path(self):
         # float(2**53 + 1) and float(2**-1100) are the jump abscissae 2**53
@@ -332,6 +393,15 @@ class TestPiecewiseLinear:
     def test_invalid_anchor_order(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewiseLinearCurve.from_points([(1, 1), (0, 0)])
+
+    @pytest.mark.parametrize(
+        "xs", [[math.nan, 0.0, 1.0, 2.0], [-1.0, math.nan, 1.0, 2.0], [-1.0, 0.0, 1.0, math.nan], [-1, 0, 0, 2]]
+    )
+    def test_an_abscissa_out_of_order_is_refused(self, xs):
+        # a NaN abscissa built, evaluated to nan at ±0.5 and inverted 0.5 to nan
+        anchors = tuple((x, y, y, y) for x, y in zip(xs, (-1.0, 0.0, 1.0, 2.0)))
+        with pytest.raises(ValueError, match="^anchor abscissae must be strictly increasing$"):
+            PiecewiseLinearCurve(anchors)
 
     def test_fraction_arithmetic_stays_exact(self):
         u = PiecewiseLinearCurve.from_points([(-1, -2), (0, 0), (1, Fraction(1, 2))])

@@ -108,6 +108,50 @@ class TestVFunctional:
         got = expected_utility_profile(rep, 0, 1, f)
         assert got.values[0] == pytest.approx(0.25, abs=1e-15)
 
+    def test_an_int_atom_in_a_fraction_measure_divides_into_a_float(self, four_state_space):
+        """Python's type rule holds atom by atom: the int weights 1 and 0 of
+        {w1,w2} sum to the int mass 1, so int utilities there give an int
+        sum, which divides into a float; a ``Fraction`` utility there, or
+        the ``Fraction`` mass of the whole space, gives a ``Fraction``."""
+        space = four_state_space
+        P = ProbabilityMeasure(space, (1, 0, Fraction(0), Fraction(0)))
+        rows = [[IdentityCurve()], [IdentityCurve()] * 2, [LinearCurve(2)] * 4]
+        rep = Representation(space, P, UtilityField.from_atom_curves(space, rows))
+        f = Act(space, 2, (3, 5, Fraction(1, 2), 7))
+        values = [expected_utility(rep, s, 2, f, 0) for s in (1, 0)]
+        assert [(type(v), v) for v in values] == [(float, 6.0), (Fraction, 6)]
+        half = Act(space, 2, (Fraction(3, 2), 5, 0, 0))
+        assert (type(v := expected_utility(rep, 1, 2, half, 0)), v) == (Fraction, 3)
+
+    def test_an_exact_atom_meets_no_fraction_arithmetic(self, monkeypatch):
+        """On an exact measure, exact utilities are folded on integers: no
+        ``Fraction`` arithmetic operator runs.  An atom with a float utility
+        takes the float-image loop, where the exact utilities beside it
+        meet the ``Fraction`` operators."""
+        space = FilteredSpace.build(("a", "b", "c"), (0, 1), [[["a", "b", "c"]], [["a"], ["b"], ["c"]]])
+        P = ProbabilityMeasure(space, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+        rep = Representation(space, P, UtilityField.from_atom_curves(space, [[IdentityCurve()], [IdentityCurve()] * 3]))
+        exact, mixed = Act(space, 1, (Fraction(1, 4), 2, Fraction(-2, 3))), Act(space, 1, (0.25, 2, Fraction(-2, 3)))
+        want = expected_utility(rep, 0, 1, exact, 0)  # the measure caches its masses on first use
+        met = []
+
+        def spy(name):
+            operator = getattr(Fraction, name)
+
+            def spied(a, b):
+                met.append(name)
+                return operator(a, b)
+
+            return spied
+
+        with monkeypatch.context() as m:
+            for op in ("add", "sub", "mul", "truediv"):
+                for name in (f"__{op}__", f"__r{op}__"):
+                    m.setattr(Fraction, name, spy(name))
+            assert (type(v := expected_utility(rep, 0, 1, exact, 0)), v, met) == (Fraction, want, [])
+            assert type(expected_utility(rep, 0, 1, mixed, 0)) is float and met
+        assert want == Fraction(3, 8)
+
     def test_overflow_on_a_null_atom_is_not_evaluated(self, four_state_space):
         """Only positive atoms are valued: a time-2 utility that overflows on
         the null time-1 atom {w3,w4} leaves it at the flagged 0, while the

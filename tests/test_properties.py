@@ -498,12 +498,14 @@ def plain_expected_utility(rep, s, t, f, k):
     seed=st.integers(0, 2**32 - 1),
     null=st.booleans(),
     float_curves=st.booleans(),
-    kinds=st.sampled_from((("float",), ("int", "dyadic", "third", "float"))),
+    kinds=st.sampled_from((("float",), ("int", "dyadic", "third", "float"), ("int", "dyadic", "third"))),
 )
 def test_expected_utility_on_an_exact_measure_is_the_plain_sum(seed, null, float_curves, kinds):
     """On an exact measure, with exact or float curves, ``expected_utility``
-    of a float act, or of a mixed act of ints, ``Fraction``s and floats,
-    equals the plain loop in value and type on every atom of every level."""
+    of a float act, of a mixed act of ints, ``Fraction``s and floats, or of
+    an exact act of ints and ``Fraction``s (with exact curves, every atom
+    then takes the integer fold), equals the plain loop in value and type
+    on every atom of every level."""
     rng = random.Random(seed)
     rep = drawn_representation(rng, 3, True, null)
     if float_curves:
