@@ -273,9 +273,10 @@ class _Budget:
 
     def each(self, items: Iterable) -> Iterator:
         """The items, stopping at the head of the first iteration that finds
-        the cap exceeded."""
+        the cap exceeded (more than ``start + cap`` queries asked)."""
+        oracle, limit = self.oracle, self.start + self.cap
         for item in items:
-            if self.spent > self.cap:
+            if oracle.queries > limit:
                 self.hit = True
                 return
             yield item
@@ -355,7 +356,11 @@ def check_T(
             if not ess_atoms:
                 res = CheckResult(False, "no essential event answers any comparison")
                 break
-            if all(ask(i, g, f, A).undecided for A in ess_atoms):
+            for A in ess_atoms:
+                succeq, preceq = ask(i, g, f, A)
+                if succeq or preceq:
+                    break
+            else:
                 res = CheckResult(
                     False, f"g={_vals(g)} f={_vals(f)} undecided on every essential atom"
                 )
@@ -508,15 +513,17 @@ def check_M(
             (n1, n2, True, "g1-paste is not strictly below the g2-paste"),
             (n2, n1, False, "g2-paste is not strictly above the g1-paste"),
         ):
-            X, Y = row[n], row[m]
             c = equivalents[n]
             if c is None:
                 skipped += 1
                 break
-            if equiv[n] and not any(
-                (ans.preceq if below else ans.succeq) and not ans.equiv
-                for ans in (ask(i, c, Y, e) for e in ess_i)
-            ):
+            if not equiv[n]:
+                continue
+            for e in ess_i:
+                succeq, preceq = ask(i, c, row[m], e)
+                if (preceq and not succeq) if below else (succeq and not preceq):
+                    break  # strictly on its side on e
+            else:
                 return budget.close(CheckResult(
                     False,
                     f"A={A.label()} f={_vals(f)} g1={grid.values[n1]} g2={grid.values[n2]}: "
@@ -564,11 +571,11 @@ def check_ST(
             if f1.values == f2.values:
                 continue
             lead, others = leads[j1], pasted[j2]
-            premise = next(
-                (n for n in columns if lead[n] is not None and ask(i, lead[n], others[n]).preceq),
-                None,
-            )
-            if premise is None:
+            for premise in columns:
+                c = lead[premise]
+                if c is not None and ask(i, c, others[premise]).preceq:
+                    break
+            else:
                 continue
             for n in columns:
                 # below the premise, the premise's search found no bracket

@@ -135,6 +135,9 @@ class MonotoneCurve:
 
 @dataclass(frozen=True)
 class IdentityCurve(MonotoneCurve):
+    """u(x) = x: one affine segment over the whole line, so the induced
+    kernel certifies its crossing (:meth:`_crossing`)."""
+
     exact = True
 
     def __call__(self, x: Number) -> Number:
@@ -143,12 +146,19 @@ class IdentityCurve(MonotoneCurve):
     def invert_detailed(self, y: Number, tol: float = INVERT_TOL) -> Inversion:
         return Inversion(y)
 
+    def _crossing(self, y: float) -> tuple[float, float, float]:
+        """(-inf, inf, y): the curve crosses the float ``y`` at ``y``."""
+        return -math.inf, math.inf, y
+
     def spec(self) -> str:
         return "identity"
 
 
 @dataclass(frozen=True)
 class LinearCurve(MonotoneCurve):
+    """u(x) = slope·x: with a float slope, one affine segment over the whole
+    line, whose crossing the induced kernel certifies (:meth:`_crossing`)."""
+
     slope: Number
 
     def __post_init__(self) -> None:
@@ -164,6 +174,13 @@ class LinearCurve(MonotoneCurve):
 
     def invert_detailed(self, y: Number, tol: float = INVERT_TOL) -> Inversion:
         return Inversion(y / self.slope)
+
+    def _crossing(self, y: float) -> tuple[float, float, float] | None:
+        """(-inf, inf, y/slope) for a float slope, where a float argument's
+        fl(slope·x) is monotone in x; None for an exact slope."""
+        if type(self.slope) is not float:
+            return None
+        return -math.inf, math.inf, y / self.slope
 
     def spec(self) -> str:
         return f"linear({fmt_number(self.slope)})"

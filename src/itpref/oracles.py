@@ -39,15 +39,18 @@ On a piecewise-linear curve whose data are plain floats (and ints equal to
 their float images), the induced kernel certifies the segment its answer
 turns on: inside one open segment (a, b) the float evaluator computes
 fl(r + fl(s·fl(c - x0))) with one slope s > 0, and round-to-nearest is
-monotone, so fl(that - value) >= -band is a nondecreasing step of c.  The
-kernel finds its step t, the first float at which the margin holds, by
-evaluating the margin near the segment's affine crossing estimate, and keeps
-t only when t and the float below it both lie strictly inside (a, b).  The
-bisection then answers a midpoint inside (a, b) by ``mid >= t``, the
-evaluator's own answer bit for bit, and evaluates every other one; the
-certificate changes no answer, result or ``queries`` count, and ``queries``
-still counts every bisection answer.  ``Fraction`` curves, other curve
-kinds and the base class's search get no certificate.
+monotone, so fl(that - value) >= -band is a nondecreasing step of c.  An
+identity curve (c) and a linear curve with a float slope (fl(slope·c)) are
+each one such segment, (-inf, inf).  The kernel finds its step t, the first
+float at which the margin holds, by evaluating the margin near the segment's
+affine crossing estimate, and keeps t only when t and the float below it
+both lie strictly inside (a, b).  The bisection then answers a midpoint
+inside (a, b) by ``mid >= t``, the evaluator's own answer bit for bit, and
+evaluates every other one; the certificate changes no answer, result or
+``queries`` count, and ``queries`` still counts every bisection answer.
+``Fraction`` curves, a linear curve with an exact slope, other curve kinds,
+subclasses of the three certified kinds and the base class's search get no
+certificate.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from abc import ABC, abstractmethod
 from math import inf, isfinite, nan, nextafter
 from typing import Callable, NamedTuple
 
-from .curves import PiecewiseLinearCurve
+from .curves import IdentityCurve, LinearCurve, PiecewiseLinearCurve
 from .engine import Representation, expected_utility
 from .filtered_space import ACT_TOL, Act, Event, FilteredSpace, Number, _check_space, _float_image
 
@@ -65,6 +68,9 @@ INSENSITIVITY_PROBE = 2.0**20  # the huge and tiny constants an insensitive atom
 _UNSEARCHED = object()  # an atom memo miss: None means insensitive
 _WALK = 4  # adjacent floats a certificate's walk steps at most
 _NO_CERTIFICATE = (inf, inf, inf)  # no midpoint exceeds inf, so none is certified
+# the curve kinds whose ``_crossing`` describes their own evaluator; the type
+# must match exactly, since a subclass may override ``__call__`` or ``evaluator``
+_CERTIFIED = (PiecewiseLinearCurve, IdentityCurve, LinearCurve)
 
 
 class BracketError(RuntimeError):
@@ -162,7 +168,8 @@ class InducedOracle(PreferenceOracle):
 
     def value_profile(self, i: int, f: Act) -> tuple[Number, ...]:
         """Per-atom E[u(t_{i+1}, f) | F_{t_i}] at time index i, memoized: bit
-        for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``."""
+        for bit ``expected_utility_profile(rep, i, i + 1, f).atom_values()``.
+        :meth:`query` reads the memo itself and calls this only on a miss."""
         key = (i, f.time_index, f.values)
         hit = self._value_memo.get(key)
         if hit is None:
@@ -171,7 +178,10 @@ class InducedOracle(PreferenceOracle):
         return hit
 
     def query(self, i: int, g: Act, f: Act, A: Event | None = None) -> QueryAnswer:
-        values = self.value_profile(i, f)
+        # value_profile's memo, read here so that a hit makes no call
+        values = self._value_memo.get((i, f.time_index, f.values))
+        if values is None:
+            values = self.value_profile(i, f)
         # (atom, first state, curve evaluator) of each positive atom inside A,
         # per (i, A's states); the table is keyed by A's states alone, so A's
         # space is checked on every call that is not a hit on this space
@@ -216,10 +226,12 @@ class InducedOracle(PreferenceOracle):
         :meth:`query` gives, for any subclass whose ``query`` agrees on that
         atom.  ``queries`` gains the answers asked once, also when a curve
         evaluation raises.  On a :class:`PiecewiseLinearCurve` of plain
-        float data it certifies the segment the margin crosses, from
-        ``_crossing`` and :func:`_certify`, and passes the certificate to the
-        bisection, which answers inside it by one comparison; the walk's
-        evaluations are no answers and count as no queries."""
+        float data, an :class:`IdentityCurve` or a :class:`LinearCurve` with
+        a float slope (the exact type, not a subclass) it certifies the
+        segment the margin crosses, from the curve's ``_crossing`` and
+        :func:`_certify`, and passes the certificate to the bisection, which
+        answers inside it by one comparison; the walk's evaluations are no
+        answers and count as no queries."""
         value = expected_utility(self.rep, i, i + 1, f, k)
         if not self.rep.P.atom_masses(i)[k] > 0:
             self.queries += 2  # as ``query``, the probe's constants answer both ways
@@ -238,7 +250,7 @@ class InducedOracle(PreferenceOracle):
 
             value, level = 0, image
         certificate = None
-        if isinstance(atom_curve, PiecewiseLinearCurve) and type(level) is float:
+        if type(atom_curve) in _CERTIFIED and type(level) is float:
             # the float utility at which the answer turns; an exact value
             # beyond the float range has no float level
             span = atom_curve._crossing(level - band)

@@ -3,6 +3,7 @@ own axiom, and oracle-derived structures agree with the measure-side ones."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import re
@@ -584,6 +585,58 @@ def test_check_asks_each_question_once(check, i):
     else:
         {"T": check_T, "M": check_M, "ST": check_ST}[check](oracle, i)
     assert asked and len(set(asked)) == len(asked)
+
+
+# the lines of every question the fleet's checks ask through ``ask``, in
+# order, and their sha256
+QUESTION_STREAM_DIGEST = "d8691da727ef45e6ded4002c4cb986dcd876d846c5ba93ac895ce15aa9ec79f6"
+QUESTION_STREAM_LINES = 81_739
+QUESTION_STREAM_CAPS = (50, 500, QUERY_CAP)
+
+
+def question_stream(name):
+    """One line per question a fleet member's T, M and ST checks (at each
+    cap of ``QUESTION_STREAM_CAPS``) and C checks (in every style) ask
+    through ``ask``, each on a fresh oracle: the oracle's ``queries`` before
+    the question, so that the searches between questions count too, then
+    (i, g's time index and values, f's time index and values, the event's
+    states); then one line per result with its query count."""
+    make, i, f_c = _fleet(name)
+    runs = [
+        (f"{check.__name__} cap={cap}", lambda o, check=check, cap=cap: check(o, i, cap=cap))
+        for check in (check_T, check_M, check_ST)
+        for cap in QUESTION_STREAM_CAPS
+    ]
+    runs += [(f"check_C {style}", lambda o, style=style: check_C(o, i, f_c, style)) for style in C_STYLES]
+    for label, run in runs:
+        oracle, lines = make(), [label]
+        ask = oracle.ask
+
+        def logging_ask(j, g, f, A=None, oracle=oracle, lines=lines, ask=ask):
+            events = None if A is None else tuple(sorted(A.members))
+            lines.append(repr((oracle.queries, j, g.time_index, g.values, f.time_index, f.values, events)))
+            return ask(j, g, f, A)
+
+        oracle.ask = logging_ask  # an instance attribute: the induced kernel stays
+        res = run(oracle)
+        results = res.clauses.values() if isinstance(res, TransitionReport) else [res]
+        lines += [repr((r.passed, r.counterexample, r.note, r.queries)) for r in results]
+        lines.append(f"queries {oracle.queries}")
+        yield from lines
+
+
+def test_question_streams_are_pinned():
+    """The ordered questions of every T/M/ST/C check on criterion 5's
+    induced oracle at steps 0 and 1 and on the five controls at step 0,
+    with the query count before each: a faster loop must ask the same
+    questions in the same order and stop at the same cap."""
+    digest, n = hashlib.sha256(), 0
+    for name in PINNED_RESULTS:
+        for line in question_stream(name):
+            digest.update(f"{name} {line}\n".encode())
+            n += 1
+    assert (n, digest.hexdigest()) == (QUESTION_STREAM_LINES, QUESTION_STREAM_DIGEST)
+
 
 class TestCheckC:
     def test_valid_oracle_all_styles(self, valid_oracle):

@@ -1059,6 +1059,64 @@ class TestCertificate:
         assert wide._crossing(0.25) is None
 
 
+# levels on the identity time-2 curve, so f's value on {up} is the level
+# itself: float and exact, ordinary, huge (a crossing estimate that
+# overflows against a tiny slope) and subnormal
+AFFINE_LEVELS = (
+    0.3, -2.5, 1e300, -1e300, 5e-324, -1e-310, 1e-20,
+    Fraction(3, 10), Fraction(-5, 2), Fraction(10**300), Fraction(1, 10**320),
+)
+AFFINE_CURVES = [IdentityCurve()] + [LinearCurve(s) for s in (1e-300, 1e-9, 0.3, 7.5, 1e9, 1e300)]
+
+
+class TestAffineCertificate:
+    """An identity curve and a float-slope linear curve are each one affine
+    segment over the whole line, certified like a piecewise-linear segment:
+    the kernel's search returns and asks what the reference search does."""
+
+    @pytest.mark.parametrize("band", [0.0, 1e-9, 0.25])
+    @pytest.mark.parametrize("curve", AFFINE_CURVES, ids=lambda c: c.spec())
+    def test_kernel_is_the_reference_search(self, curve, band):
+        for level in AFFINE_LEVELS:
+            f = Act.constant(LADDER, 2, level)
+            for tol in (0.0, 1e-12, 1e-10):
+                assert_kernel_is_reference(on_ladder(curve, band), 1, f, 0, tol)
+
+    def test_crossings(self):
+        assert IdentityCurve()._crossing(0.25) == (-math.inf, math.inf, 0.25)
+        assert LinearCurve(0.5)._crossing(0.25) == (-math.inf, math.inf, 0.5)
+        assert LinearCurve(1e-300)._crossing(1e300) == (-math.inf, math.inf, math.inf)
+        # an exact slope gets no crossing
+        assert LinearCurve(Fraction(1, 2))._crossing(0.25) is None
+        assert LinearCurve(2)._crossing(0.25) is None
+
+
+def test_the_identity_search_evaluates_the_margin_a_few_times(monkeypatch):
+    """One step-0 search on the identity curve of the intransitive-band or
+    the flat-segment control, at the audits' tol 1e-12, asks 45 queries and
+    evaluates the margin at most 6 times (45 without the certificate): the
+    probe and the bracket evaluate it, the certificate answers every
+    bisection midpoint."""
+    evaluated = []
+    search = oracles._margin_search
+
+    def counting_search(margin, *args):
+        def counted(c):
+            evaluated.append(c)
+            return margin(c)
+
+        return search(counted, *args)
+
+    monkeypatch.setattr(oracles, "_margin_search", counting_search)
+    for make in (intransitive_band, flat_segment):
+        oracle = make()
+        evaluated.clear()
+        f = Act.from_atom_values(oracle.space, 1, [1, 0, -1])
+        indifference_profile(oracle, 0, f, 1e-12)
+        assert oracle.queries == 45
+        assert len(evaluated) <= 6
+
+
 if given is not None:
 
     @settings(derandomize=True, deadline=None, max_examples=40)
