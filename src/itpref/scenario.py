@@ -29,7 +29,14 @@ Grammar (UTF-8, ``key = value`` lines inside ``[section]`` headers)::
 
 Curves: ``identity``, ``linear(s)``, ``exp(a)``, ``power(p)``,
 ``pl((x,y)|(x,l,v,r),...)``, ``ascaled(curve,b)``, ``vscaled(curve,k)``.
-Any other section header or preamble key is an error.  Saving is canonical
+Any other section header or preamble key is an error.  Numbers are integers,
+floats (a ``.``, ``e`` or ``E``) or ``p/q`` rationals, with no ``_`` digit
+separators.  Each partition, utility section, atom curve and strategy is
+defined once, however it is spelled: ``partition  t=1`` and ``[utility t=01]``
+repeat ``partition t=1`` and ``[utility t=1]``, and the key ``ok, d2`` names
+the atom ``d2, ok``; a repeat is an error on its line.  Equal curve spec texts
+load as one shared curve object, so the tables a curve derives for evaluation
+and inversion are built once per file, not once per atom.  Saving is canonical
 (fixed section order, every state listed, numbers normalized), so
 ``save(load(p))`` is byte-identical for canonical files.
 """
@@ -101,9 +108,11 @@ class ScenarioSpec:
 def parse_number(text: str, line: int | None = None) -> Number:
     text = text.strip()
     try:
+        if "_" in text:  # int, float and (from 3.11) Fraction take digit separators
+            raise ValueError
         if "/" in text:
             return Fraction(text)
-        if any(c in text for c in ".eE"):
+        if "." in text or "e" in text or "E" in text:
             value = float(text)
             if value != value or value in (float("inf"), float("-inf")):
                 raise ValueError
@@ -140,13 +149,17 @@ def _split_top_level(text: str) -> list[str]:
 
 
 _CURVE_ARITY = {"linear": 1, "exp": 1, "power": 1, "ascaled": 2, "vscaled": 2}
+_CURVE = re.compile(r"(\w+)\((.*)\)", flags=re.S)
+_SECTION = re.compile(r"space|measure|strategies|utility\s+t=(\d+)|act\s+(\S+)\s+t=(\d+)")
+_PARTITION = re.compile(r"partition\s+t=(\d+)")
+_STRATEGY = re.compile(r"strategy\s+(\S+)")
 
 
 def parse_curve(text: str, line: int | None = None) -> MonotoneCurve:
     text = text.strip()
     if text == "identity":
         return IdentityCurve()
-    m = re.fullmatch(r"(\w+)\((.*)\)", text, flags=re.S)
+    m = _CURVE.fullmatch(text)
     if not m:
         raise ScenarioError(f"not a curve: {text!r}", line)
     kind, body = m.group(1), m.group(2)
@@ -232,13 +245,22 @@ def _entries_dict(section: _Section) -> dict[str, tuple[str, int]]:
 
 def loads_scenario(text: str) -> ScenarioSpec:
     preamble, sections = _read_sections(text)
+    # one pass files every section by kind, utilities by time index
     by_header: dict[str, _Section] = {}
+    utilities: dict[int, _Section] = {}
+    act_sections: list[tuple[str, int, _Section]] = []
     for sec in sections:
-        if not re.fullmatch(r"space|measure|strategies|utility\s+t=\d+|act\s+\S+\s+t=\d+", sec.header):
+        m = _SECTION.fullmatch(sec.header)
+        if not m:
             raise ScenarioError(f"unknown section [{sec.header}]", sec.line)
-        if sec.header in by_header:
+        utility_t, act_name, act_t = m.groups()
+        if sec.header in by_header or (utility_t is not None and int(utility_t) in utilities):
             raise ScenarioError(f"duplicate section [{sec.header}]", sec.line)
         by_header[sec.header] = sec
+        if utility_t is not None:
+            utilities[int(utility_t)] = sec
+        elif act_name is not None:
+            act_sections.append((act_name, int(act_t), sec))
 
     if "space" not in by_header:
         raise ScenarioError("missing [space] section", None)
@@ -253,12 +275,14 @@ def loads_scenario(text: str) -> ScenarioSpec:
     for key, (value, lineno) in space_entries.items():
         if key in ("states", "times"):
             continue
-        m = re.fullmatch(r"partition\s+t=(\d+)", key)
+        m = _PARTITION.fullmatch(key)
         if not m:
             raise ScenarioError(f"unexpected key {key!r} in [space]", lineno)
         idx = int(m.group(1))
         if not 0 <= idx < len(times):
             raise ScenarioError(f"partition time index {idx} out of range", lineno)
+        if partitions[idx] is not None:
+            raise ScenarioError(f"duplicate partition t={idx} in [space]", lineno)
         partitions[idx] = [
             [s.strip() for s in atom.split(",")] for atom in value.split("|")
         ]
@@ -283,11 +307,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError(str(exc), by_header["measure"].line) from None
 
     per_time: list[list[MonotoneCurve] | None] = [None] * space.n_times
-    for sec in sections:
-        m = re.fullmatch(r"utility\s+t=(\d+)", sec.header)
-        if not m:
-            continue
-        idx = int(m.group(1))
+    parsed: dict[str, MonotoneCurve] = {}  # one shared curve per distinct spec text
+    for idx, sec in utilities.items():
         if not 0 <= idx < space.n_times:
             raise ScenarioError(f"utility time index {idx} out of range", sec.line)
         curves: list[MonotoneCurve | None] = [None] * space.n_atoms(idx)
@@ -302,7 +323,12 @@ def loads_scenario(text: str) -> ScenarioSpec:
                 raise ScenarioError(
                     f"{key!r} is not an atom of partition t={idx}", lineno
                 )
-            curves[k] = parse_curve(value, lineno)
+            if curves[k] is not None:
+                raise ScenarioError(f"duplicate atom {key!r} in [{sec.header}]", lineno)
+            curve = parsed.get(value)
+            if curve is None:
+                curve = parsed[value] = parse_curve(value, lineno)
+            curves[k] = curve
         for k, c in enumerate(curves):
             if c is None:
                 raise ScenarioError(
@@ -319,11 +345,7 @@ def loads_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError(str(exc), None) from None
 
     acts: dict[str, Act] = {}
-    for sec in sections:
-        m = re.fullmatch(r"act\s+(\S+)\s+t=(\d+)", sec.header)
-        if not m:
-            continue
-        name, idx = m.group(1), int(m.group(2))
+    for name, idx, sec in act_sections:
         if name in acts:
             raise ScenarioError(f"duplicate act {name!r}", sec.line)
         if not 0 <= idx < space.n_times:
@@ -368,17 +390,20 @@ def loads_scenario(text: str) -> ScenarioSpec:
             raise ScenarioError(
                 f"endowment {endowment!r} is not known at time index {t}", sec.line
             )
-        members = []
+        members: dict[str, tuple[str, ...]] = {}
         for key, (value, lineno) in entries.items():
             if key in ("t", "horizon", "endowment"):
                 continue
-            m = re.fullmatch(r"strategy\s+(\S+)", key)
+            m = _STRATEGY.fullmatch(key)
             if not m:
                 raise ScenarioError(f"unexpected key {key!r} in [strategies]", lineno)
+            name = m.group(1)
+            if name in members:
+                raise ScenarioError(f"duplicate strategy {name!r}", lineno)
             path = tuple(p.strip() for p in value.split(","))
             if len(path) != horizon - t + 1:
                 raise ScenarioError(
-                    f"strategy {m.group(1)!r} needs {horizon - t + 1} acts "
+                    f"strategy {name!r} needs {horizon - t + 1} acts "
                     f"(times {t}..{horizon}), got {len(path)}",
                     lineno,
                 )
@@ -390,10 +415,10 @@ def loads_scenario(text: str) -> ScenarioSpec:
                         f"act {act_name!r} is not known at time index {t + offset}",
                         lineno,
                     )
-            members.append((m.group(1), path))
+            members[name] = path
         if not members:
             raise ScenarioError("[strategies] declares no strategies", sec.line)
-        strategies = StrategySet(t, horizon, endowment, tuple(members))
+        strategies = StrategySet(t, horizon, endowment, tuple(members.items()))
 
     return ScenarioSpec(
         space, measure, field, acts, strategies,

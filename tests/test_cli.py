@@ -406,6 +406,16 @@ def test_grid_value_beyond_float_range_is_input_error(capsys, args):
 
 
 @pytest.mark.parametrize("args", GRID_COMMANDS, ids=[a[0] for a in GRID_COMMANDS])
+def test_grid_value_with_a_digit_separator_is_input_error(capsys, args):
+    # Fraction reads "1_0/3" from Python 3.11 on; no version may accept it
+    for value in ("1_000", "1_0/3"):
+        code, out, err = run(capsys, args + [f"--grid=-1,0,1,{value}"])
+        assert code == 2
+        assert out == ""
+        assert f"error: not a number: '{value}'" in err
+
+
+@pytest.mark.parametrize("args", GRID_COMMANDS, ids=[a[0] for a in GRID_COMMANDS])
 def test_grid_whose_extension_overflows_is_input_error(capsys, args):
     # 1e308 is a float, but the audits' +-4*max|grid| constants are not
     code, out, err = run(capsys, args + ["--grid=-1,0,1,1e308"])

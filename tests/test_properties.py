@@ -50,6 +50,7 @@ from itpref.oracles import QueryAnswer, atom_certainty_equivalents  # noqa: E402
 from itpref.recovery import RecoveredStep, RecoveryError  # noqa: E402
 from itpref.sampling import (  # noqa: E402
     random_act,
+    random_curve,
     random_equivalent_measure,
     random_measure,
     random_representation,
@@ -820,6 +821,31 @@ def test_scenario_text_round_trips_byte_for_byte(seed):
         acts = {f"f{t}": random_act(rng, r.space, t) for t in range(r.space.n_times)}
         text = dumps_scenario(ScenarioSpec(r.space, r.P, r.field, acts, title=f"seed {seed}"))
         assert dumps_scenario(loads_scenario(text)) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scenario_text_with_repeated_curves_round_trips(seed):
+    """A field whose atoms draw their curves from a pool of three (villa's
+    exact piecewise-linear curve among them) saves and loads back byte for
+    byte; atoms with one spec text share one loaded curve, which takes the
+    original's values, type included, at every grid point."""
+    rng = random.Random(seed)
+    space = random_space(rng)
+    pool = [random_curve(rng), random_curve(rng), villa_scenario().field.curve_on_atom(1, 0)]
+    rows = [[rng.choice(pool) for _ in range(space.n_atoms(i))] for i in range(space.n_times)]
+    field = UtilityField.from_atom_curves(space, rows)
+    text = dumps_scenario(ScenarioSpec(space, random_measure(rng, space), field, {}))
+    spec = loads_scenario(text)
+    assert dumps_scenario(spec) == text
+    by_spec = {}
+    points = DEFAULT_GRID.values + DEFAULT_GRID.float_form().values
+    for i, row in enumerate(rows):
+        for k, curve in enumerate(row):
+            got = spec.field.curve_on_atom(i, k)
+            assert by_spec.setdefault(got.spec(), got) is got
+            assert [repr(got(x)) for x in points] == [repr(curve(x)) for x in points]
+    assert len(by_spec) == len({curve.spec() for row in rows for curve in row})
 
 
 class ExactView(InducedOracle):

@@ -76,6 +76,13 @@ class TestNumbers:
         with pytest.raises(ScenarioError):
             parse_number("1/0")
 
+    @pytest.mark.parametrize("text", ["1_000", "1_0/3", "1/1_0", "1_0.5", "1e1_0", "-2_5"])
+    def test_digit_separators_rejected(self, text):
+        # Fraction reads "1_0/3" as 10/3 from Python 3.11 on and refuses it on
+        # 3.10; the grammar has no separators, so every version refuses them
+        with pytest.raises(ScenarioError, match=re.escape(f"not a number: {text!r}")):
+            parse_number(text)
+
 
 MINIMAL = """\
 [space]
@@ -218,6 +225,65 @@ c = 1/3
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + MINIMAL
         assert loads_scenario(text).space.states == ("a", "b")
+
+
+def defined_twice(name, line, repeat):
+    """The shipped file ``name`` with ``repeat`` inserted after ``line``, and
+    the line number ``repeat`` lands on."""
+    lines = (SCENARIO_DIR / f"{name}.sdu").read_text(encoding="utf-8").splitlines()
+    assert lines.count(line) == 1
+    at = lines.index(line) + 1
+    lines[at:at] = repeat.splitlines()
+    return "\n".join(lines) + "\n", at + 1
+
+
+class TestDefinedOnce:
+    """A second definition spelled another way is an error on its own line,
+    not a silent override of the first."""
+
+    def test_partition(self):
+        text, line = defined_twice("villa", "partition t=1 = d1 | d2, ok", "partition  t=1 = d1 | d2, ok")
+        with pytest.raises(ScenarioError, match=rf"^line {line}: duplicate partition t=1 in \[space\]"):
+            loads_scenario(text)
+
+    def test_utility_section(self):
+        text, line = defined_twice("villa", "d2, ok = identity", "[utility  t=1]\nd1 = identity\nd2, ok = identity")
+        with pytest.raises(ScenarioError, match=rf"^line {line}: duplicate section \[utility  t=1\]"):
+            loads_scenario(text)
+
+    def test_atom_keyed_in_another_order(self):
+        text, line = defined_twice("villa", "d2, ok = identity", "ok, d2 = identity")
+        with pytest.raises(ScenarioError, match=rf"^line {line}: duplicate atom 'ok, d2' in \[utility t=1\]"):
+            loads_scenario(text)
+
+    def test_strategy(self):
+        text, line = defined_twice("binomial", "strategy a0 = X1, W_a0_2", "strategy  a0 = X1, W_a0_2")
+        with pytest.raises(ScenarioError, match=rf"^line {line}: duplicate strategy 'a0'"):
+            loads_scenario(text)
+
+
+class TestSharedCurves:
+    def test_equal_specs_load_as_one_curve(self):
+        field = load_scenario(SCENARIO_DIR / "villa.sdu").field
+        pl = [field.curve_on_atom(1, 0), field.curve_on_atom(2, 0), field.curve_on_atom(2, 1)]
+        identity = [field.curve_on_atom(0, 0), field.curve_on_atom(1, 1), field.curve_on_atom(2, 2)]
+        assert all(c is pl[0] for c in pl)
+        assert all(c is identity[0] for c in identity)
+        assert pl[0] is not identity[0]
+
+    def test_different_specs_stay_different_curves(self):
+        # equal as values, but one exact and one float: sharing goes by text
+        field = loads_scenario(MINIMAL.replace("a = identity", "a = linear(2.0)")).field
+        a, b = field.curve_on_atom(1, 0), field.curve_on_atom(1, 1)
+        assert a is not b
+        assert (a.spec(), b.spec()) == ("linear(2.0)", "linear(2)")
+
+    def test_a_repeated_bad_spec_reports_its_first_line(self):
+        text = MINIMAL.replace("a = identity", "a = linear(2, 3)").replace("linear(2)\n", "linear(2, 3)\n")
+        line = text.splitlines().index("a = linear(2, 3)") + 1
+        assert text.count("linear(2, 3)") == 2
+        with pytest.raises(ScenarioError, match=rf"^line {line}: curve 'linear\(2, 3\)' takes"):
+            loads_scenario(text)
 
 
 class TestStrategies:
